@@ -9,6 +9,7 @@ bigger budget can only turn Unknown into Certified, never the reverse.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 
@@ -17,7 +18,6 @@ from .core import (
     Simplex,
     _ridge_map,
     boundary,
-    dual_graph,
     euler_characteristic,
     link,
     pseudomanifold_check,
@@ -114,77 +114,145 @@ def _is_single_cycle(L: Complex) -> bool:
     return report.is_pseudomanifold and report.closed
 
 
-def _reduction_moves(X: Complex) -> list[tuple[Simplex, Simplex]]:
-    """Legal moves (A, B) that do not introduce a vertex, in canonical order."""
-    d = X.dim
-    moves: list[tuple[Simplex, Simplex]] = []
-    for size_a in range(1, d + 1):
-        size_b = d + 2 - size_a
-        for a_set in sorted(X.faces_of_size(size_a), key=sorted):
-            cofacets = [fs for fs in X._fsets if a_set <= fs]
-            if len(cofacets) != size_b:
-                continue
-            link_facets = {fs - a_set for fs in cofacets}
-            union: frozenset[int] = frozenset().union(*link_facets)
-            if len(union) != size_b:
-                continue
-            if {union - {b} for b in union} != link_facets:
-                continue
-            if X.has_face(union):
-                continue
-            moves.append(
-                (Simplex._raw(tuple(sorted(a_set))), Simplex._raw(tuple(sorted(union))))
-            )
-    return moves
+class _MoveIndex:
+    """The facets of a closed pseudomanifold, with the cofacets of its faces.
 
+    Built once per walk and updated in place by each flip.  A flip changes
+    only the star of the face it acts on, so only the subfaces of the facets
+    it removes and adds are looked at again.  Faces and facets are sorted
+    tuples.
 
-def _apply_move(X: Complex, A: Simplex, B: Simplex) -> Complex:
-    a_set, b_set = frozenset(A), frozenset(B)
-    new_facets = [fs for fs in X._fsets if not a_set <= fs]
-    new_facets.extend((a_set - {a}) | b_set for a in A)
-    return Complex._from_vertex_sets(new_facets)
+    Faces with 1..max_a vertices are indexed, and the legal moves are those
+    with |A| <= max_a.  The full walk needs max_a = dim, which also indexes
+    every B it must test for faceness; the vertex collapse needs only
+    max_a = 1, where every B has dim + 1 vertices and is looked up among the
+    facets.
+    """
+
+    __slots__ = ("dim", "facets", "_sizes", "_cofacets", "_shape")
+
+    def __init__(self, X: Complex, max_a: int):
+        self.dim = X.dim
+        self.facets: set[tuple[int, ...]] = set()
+        self._sizes = range(1, max_a + 1)
+        # _cofacets[k]: each face with k vertices -> the facets containing it;
+        # a face that is gone has no key.
+        self._cofacets: list[dict[tuple[int, ...], set[tuple[int, ...]]]] = [
+            {} for _ in range(max_a + 1)
+        ]
+        # A -> B for each link-shaped face A: its cofacets are exactly A * dB.
+        self._shape: dict[tuple[int, ...], tuple[int, ...]] = {}
+        for f in X.facets:
+            self._add(tuple(f))
+        for faces in self._cofacets[1:]:
+            for face in faces:
+                self._reshape(face)
+
+    def _add(self, facet: tuple[int, ...]) -> None:
+        self.facets.add(facet)
+        for k in self._sizes:
+            faces = self._cofacets[k]
+            for face in itertools.combinations(facet, k):
+                owners = faces.get(face)
+                if owners is None:
+                    faces[face] = {facet}
+                else:
+                    owners.add(facet)
+
+    def _remove(self, facet: tuple[int, ...]) -> None:
+        self.facets.remove(facet)
+        for k in self._sizes:
+            faces = self._cofacets[k]
+            for face in itertools.combinations(facet, k):
+                owners = faces[face]
+                owners.remove(facet)
+                if not owners:
+                    del faces[face]
+
+    def _reshape(self, face: tuple[int, ...]) -> None:
+        owners = self._cofacets[len(face)].get(face)
+        # The cofacets are A * dB exactly when there are dim + 2 - |A| of them
+        # and they span dim + 2 vertices: each is A plus a different
+        # (|B| - 1)-subset of the |B| vertices outside A, and there are only
+        # |B| such subsets.
+        if owners is not None and len(owners) == self.dim + 2 - len(face):
+            spanned = set().union(*owners)
+            if len(spanned) == self.dim + 2:
+                self._shape[face] = tuple(sorted(spanned.difference(face)))
+                return
+        self._shape.pop(face, None)
+
+    def has_face(self, face: tuple[int, ...]) -> bool:
+        if len(face) == self.dim + 1:
+            return face in self.facets
+        return face in self._cofacets[len(face)]
+
+    def is_standard_sphere(self) -> bool:
+        return len(self._cofacets[1]) == len(self.facets) == self.dim + 2
+
+    def legal_moves(self) -> list[MovePair]:
+        """Legal moves (A, B) that do not introduce a vertex, sorted by (|A|, A).
+
+        B can become a face through a flip that leaves the star of A alone,
+        so faceness is read afresh on every call.
+        """
+        moves = [(A, B) for A, B in self._shape.items() if not self.has_face(B)]
+        moves.sort(key=lambda move: (len(move[0]), move[0]))
+        return moves
+
+    def flip(self, A: tuple[int, ...], B: tuple[int, ...]) -> None:
+        """Replace the |B| facets of A * dB by the |A| facets of dA * B."""
+        gone = list(self._cofacets[len(A)][A])
+        born = [tuple(sorted(A[:i] + A[i + 1 :] + B)) for i in range(len(A))]
+        for f in gone:
+            self._remove(f)
+        for f in born:
+            self._add(f)
+        touched: set[tuple[int, ...]] = set()
+        for f in gone + born:
+            for k in self._sizes:
+                touched.update(itertools.combinations(f, k))
+        for face in touched:
+            self._reshape(face)
 
 
 def _greedy_reduce(
     X: Complex, budget: int, seed: int
-) -> tuple[bool, tuple[MovePair, ...], Complex]:
+) -> tuple[bool, tuple[MovePair, ...]]:
     """Walk the flip graph toward the boundary of a simplex.
 
-    Preference: shrink the facet count first, then the vertex count; ties are
-    broken by a seeded RNG.  Immediately undoing the previous move is avoided
-    unless it is the only option.  The same seed and a larger budget replay
-    the identical prefix, so Certified verdicts are budget-monotone.
+    The walk keeps a _MoveIndex of the current complex: the cofacets of every
+    face, and the faces whose link is the boundary of a simplex.  Each flip
+    updates it only around the facets it removes and adds, so a step costs
+    the size of two stars, not a rescan of every face against every facet.
+
+    Choice rule: immediately undoing the previous move is avoided unless it
+    is the only legal move.  The pool is the remaining legal moves with the
+    smallest |A| (the largest drop in facet count, vertex collapses first),
+    sorted by A; a seeded RNG picks from it when it holds more than one.  The
+    same seed and a larger budget replay the identical prefix, so Certified
+    verdicts are budget-monotone.
     """
     rng = random.Random(seed)
-    cur = X
+    index = _MoveIndex(X, X.dim)
     trace: list[MovePair] = []
-    prev: tuple[Simplex, Simplex] | None = None
+    prev: MovePair | None = None
     while len(trace) < budget:
-        std = is_standard(cur)
-        if std.sphere:
-            return True, tuple(trace), cur
-        moves = _reduction_moves(cur)
+        if index.is_standard_sphere():
+            return True, tuple(trace)
+        moves = index.legal_moves()
         if prev is not None and len(moves) > 1:
             undo = (prev[1], prev[0])
-            moves = [m for m in moves if m != undo] or [undo]
+            moves = [m for m in moves if m != undo]
         if not moves:
-            return False, tuple(trace), cur
-        best_key: tuple[int, int] | None = None
-        pool: list[tuple[Simplex, Simplex]] = []
-        for A, B in moves:
-            key = (len(A) - len(B), -1 if len(A) == 1 else 0)
-            if best_key is None or key < best_key:
-                best_key = key
-                pool = [(A, B)]
-            elif key == best_key:
-                pool.append((A, B))
+            return False, tuple(trace)
+        size = len(moves[0][0])
+        pool = [m for m in moves if len(m[0]) == size]
         choice = pool[rng.randrange(len(pool))] if len(pool) > 1 else pool[0]
-        cur = _apply_move(cur, *choice)
-        trace.append((tuple(choice[0]), tuple(choice[1])))
+        index.flip(*choice)
+        trace.append(choice)
         prev = choice
-    if is_standard(cur).sphere:
-        return True, tuple(trace), cur
-    return False, tuple(trace), cur
+    return index.is_standard_sphere(), tuple(trace)
 
 
 def certify_sphere(
@@ -244,7 +312,7 @@ def certify_sphere(
                 REFUTED,
                 f"link of vertex {v} has Euler characteristic {lchi} != {lexpected}",
             )
-    ok, trace, _ = _greedy_reduce(X, budget, seed)
+    ok, trace = _greedy_reduce(X, budget, seed)
     if ok:
         return Verdict(
             CERTIFIED,
@@ -322,16 +390,41 @@ def certify_ball(
 # ---------------------------------------------------------------------------
 
 
+def _is_connected(adj: dict[Simplex, set[Simplex]], root: Simplex) -> bool:
+    seen = {root}
+    stack = [root]
+    while stack:
+        for g in adj[stack.pop()]:
+            if g not in seen:
+                seen.add(g)
+                stack.append(g)
+    return len(seen) == len(adj)
+
+
 def is_stacked_ball(X: Complex) -> StackedBallReport:
     """Stacked exactly when the facet-adjacency graph is a tree and
     f_0 = f_top + dim; a witness stacking order is produced by peeling."""
     if X.is_empty or X.dim < 1:
         return StackedBallReport(False, reason="needs dimension >= 1")
     d = X.dim
-    graph = dual_graph(X)
-    if graph.max_ridge_multiplicity() > 2:
-        return StackedBallReport(False, reason="a ridge lies in three or more facets")
-    if not graph.is_tree():
+    owners: dict[tuple[int, ...], list[Simplex]] = {}
+    for f in X.facets:
+        for i in range(d + 1):
+            owners.setdefault(f[:i] + f[i + 1 :], []).append(f)
+    # two facets share at most one ridge, so each 2-owner ridge is one edge
+    adj: dict[Simplex, set[Simplex]] = {f: set() for f in X.facets}
+    n_edges = 0
+    for pair in owners.values():
+        if len(pair) > 2:
+            return StackedBallReport(
+                False, reason="a ridge lies in three or more facets"
+            )
+        if len(pair) == 2:
+            n_edges += 1
+            a, b = pair
+            adj[a].add(b)
+            adj[b].add(a)
+    if n_edges != X.n_facets - 1 or not _is_connected(adj, X.facets[0]):
         return StackedBallReport(
             False, reason="facet-adjacency graph is not a tree"
         )
@@ -346,7 +439,6 @@ def is_stacked_ball(X: Complex) -> StackedBallReport:
     for f in X.facets:
         for v in f:
             vertex_count[v] = vertex_count.get(v, 0) + 1
-    adj = {f: set(graph.neighbors(f)) for f in X.facets}
     peeled: list[tuple[Simplex, Simplex, int]] = []
     while len(remaining) > 1:
         pick = None
@@ -387,30 +479,18 @@ def collapse_stacked_sphere_to_ball(S: Complex) -> Complex:
     report = pseudomanifold_check(S)
     if not (report.is_pseudomanifold and report.closed) or S.dim < 1:
         raise NotStacked("input is not a closed pseudomanifold of dimension >= 1")
-    cur = S
-    steps: list[tuple[int, Simplex]] = []
-    while not is_standard(cur).sphere:
-        found = None
-        for v in cur.vertices:
-            link_facets = [fs - {v} for fs in cur._fsets if v in fs]
-            union: frozenset[int] = frozenset().union(*link_facets)
-            if len(union) != cur.dim + 1:
-                continue
-            if {union - {x} for x in union} != set(link_facets):
-                continue
-            if cur.has_face(union):
-                continue
-            found = (v, Simplex._raw(tuple(sorted(union))))
-            break
-        if found is None:
+    index = _MoveIndex(S, 1)
+    steps: list[MovePair] = []
+    while not index.is_standard_sphere():
+        moves = index.legal_moves()
+        if not moves:
             raise NotStacked(
                 "no vertex link is the boundary of a missing simplex; not stacked"
             )
-        v, sigma = found
-        steps.append((v, sigma))
-        cur = _apply_move(cur, Simplex._raw((v,)), sigma)
-    ball_facets = [frozenset(cur.vertices)]
-    for v, sigma in reversed(steps):
+        steps.append(moves[0])
+        index.flip(*moves[0])
+    ball_facets = [frozenset().union(*index.facets)]
+    for (v,), sigma in reversed(steps):
         ball_facets.append(frozenset(sigma) | {v})
     return Complex._from_vertex_sets(ball_facets)
 

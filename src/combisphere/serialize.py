@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from .core import Complex, from_facets
 from .polytopal import PointConfiguration
 
-if False:  # imported for type names only; avoids cycles at runtime
+if TYPE_CHECKING:  # imported for type names only; avoids cycles at runtime
     from .constructions import CompletionResult
     from .recognition import Verdict
 

@@ -13,8 +13,10 @@ from collections import Counter
 from fractions import Fraction
 
 from combisphere import Complex, from_facets
-from combisphere.core import generalized_bistellar_move
+from combisphere.core import Simplex, generalized_bistellar_move, pseudomanifold_check
+from combisphere.errors import NotStacked
 from combisphere.polytopal import PointConfiguration
+from combisphere.recognition import is_standard
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -96,6 +98,114 @@ def brute_stacked_ball(facets: list[tuple[int, ...]]) -> bool:
         return False
 
     return any(grow(1 << i, fsets[i]) for i in range(m))
+
+
+# ---------------------------------------------------------------------------
+# reference walk: the rescanning code that the incremental move index in
+# recognition replaced, kept to compare traces against
+# ---------------------------------------------------------------------------
+
+
+def _reference_reduction_moves(X: Complex) -> list[tuple[Simplex, Simplex]]:
+    """Legal moves (A, B) that do not introduce a vertex, in canonical order."""
+    d = X.dim
+    moves: list[tuple[Simplex, Simplex]] = []
+    for size_a in range(1, d + 1):
+        size_b = d + 2 - size_a
+        for a_set in sorted(X.faces_of_size(size_a), key=sorted):
+            cofacets = [fs for fs in X._fsets if a_set <= fs]
+            if len(cofacets) != size_b:
+                continue
+            link_facets = {fs - a_set for fs in cofacets}
+            union: frozenset[int] = frozenset().union(*link_facets)
+            if len(union) != size_b:
+                continue
+            if {union - {b} for b in union} != link_facets:
+                continue
+            if X.has_face(union):
+                continue
+            moves.append(
+                (Simplex._raw(tuple(sorted(a_set))), Simplex._raw(tuple(sorted(union))))
+            )
+    return moves
+
+
+def _reference_apply_move(X: Complex, A: Simplex, B: Simplex) -> Complex:
+    a_set, b_set = frozenset(A), frozenset(B)
+    new_facets = [fs for fs in X._fsets if not a_set <= fs]
+    new_facets.extend((a_set - {a}) | b_set for a in A)
+    return Complex._from_vertex_sets(new_facets)
+
+
+def reference_greedy_reduce(X: Complex, budget: int, seed: int):
+    """The bistellar walk as it was before the incremental move index: every
+    step rescans every face against every facet and rebuilds the complex.
+    Returns (reached the standard sphere, trace), like
+    ``recognition._greedy_reduce``."""
+    rng = random.Random(seed)
+    cur = X
+    trace = []
+    prev = None
+    while len(trace) < budget:
+        std = is_standard(cur)
+        if std.sphere:
+            return True, tuple(trace)
+        moves = _reference_reduction_moves(cur)
+        if prev is not None and len(moves) > 1:
+            undo = (prev[1], prev[0])
+            moves = [m for m in moves if m != undo] or [undo]
+        if not moves:
+            return False, tuple(trace)
+        best_key = None
+        pool = []
+        for A, B in moves:
+            key = (len(A) - len(B), -1 if len(A) == 1 else 0)
+            if best_key is None or key < best_key:
+                best_key = key
+                pool = [(A, B)]
+            elif key == best_key:
+                pool.append((A, B))
+        choice = pool[rng.randrange(len(pool))] if len(pool) > 1 else pool[0]
+        cur = _reference_apply_move(cur, *choice)
+        trace.append((tuple(choice[0]), tuple(choice[1])))
+        prev = choice
+    if is_standard(cur).sphere:
+        return True, tuple(trace)
+    return False, tuple(trace)
+
+
+def reference_collapse_stacked_sphere_to_ball(S: Complex) -> Complex:
+    """``collapse_stacked_sphere_to_ball`` as it was before the incremental
+    move index: the smallest collapsible vertex is found by rescanning."""
+    report = pseudomanifold_check(S)
+    if not (report.is_pseudomanifold and report.closed) or S.dim < 1:
+        raise NotStacked("input is not a closed pseudomanifold of dimension >= 1")
+    cur = S
+    steps: list[tuple[int, Simplex]] = []
+    while not is_standard(cur).sphere:
+        found = None
+        for v in cur.vertices:
+            link_facets = [fs - {v} for fs in cur._fsets if v in fs]
+            union: frozenset[int] = frozenset().union(*link_facets)
+            if len(union) != cur.dim + 1:
+                continue
+            if {union - {x} for x in union} != set(link_facets):
+                continue
+            if cur.has_face(union):
+                continue
+            found = (v, Simplex._raw(tuple(sorted(union))))
+            break
+        if found is None:
+            raise NotStacked(
+                "no vertex link is the boundary of a missing simplex; not stacked"
+            )
+        v, sigma = found
+        steps.append((v, sigma))
+        cur = _reference_apply_move(cur, Simplex._raw((v,)), sigma)
+    ball_facets = [frozenset(cur.vertices)]
+    for v, sigma in reversed(steps):
+        ball_facets.append(frozenset(sigma) | {v})
+    return Complex._from_vertex_sets(ball_facets)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from combisphere import (
     boundary,
@@ -15,6 +17,8 @@ from combisphere import (
     is_standard,
     join,
 )
+from combisphere import recognition
+from combisphere.recognition import DEFAULT_BUDGET
 from combisphere.errors import NotStacked
 from helpers import (
     apply_trace,
@@ -23,6 +27,8 @@ from helpers import (
     random_flag_2sphere,
     random_stacked_ball,
     random_stacked_sphere,
+    reference_collapse_stacked_sphere_to_ball,
+    reference_greedy_reduce,
 )
 
 
@@ -187,6 +193,25 @@ class TestIsStackedBall:
         B = from_facets([(1, 2, 5), (2, 3, 5), (3, 4, 5), (1, 4, 5)])
         assert not is_stacked_ball(B).stacked
 
+    def test_reasons_keep_their_order(self):
+        three_owners = from_facets([(1, 2, 3), (1, 2, 4), (1, 2, 5), (3, 4, 5)])
+        cycle = from_facets([(1, 2, 5), (2, 3, 5), (3, 4, 5), (1, 4, 5)])
+        # as many shared ridges as a tree has, but two components
+        cycle_and_triangle = from_facets(list(cycle.facets) + [(6, 7, 8)])
+        path_on_too_few_vertices = from_facets(
+            [(1, 2, 3), (2, 3, 4), (2, 4, 5), (1, 4, 5)]
+        )
+        reasons = [
+            is_stacked_ball(X).reason
+            for X in (three_owners, cycle, cycle_and_triangle, path_on_too_few_vertices)
+        ]
+        assert reasons == [
+            "a ridge lies in three or more facets",
+            "facet-adjacency graph is not a tree",
+            "facet-adjacency graph is not a tree",
+            "f_0 = 5 != f_top + dim = 6",
+        ]
+
     def test_single_simplex_is_stacked(self):
         report = is_stacked_ball(from_facets([(1, 2, 3, 4)]))
         assert report.stacked
@@ -262,3 +287,92 @@ class TestIsFlag:
             S = random_flag_2sphere(rng, rng.randint(6, 10))
             assert is_flag(S)
             assert certify_sphere(S).is_certified
+
+
+def _join_of_cycles(*lengths):
+    X, shift = None, 0
+    for k in lengths:
+        C = from_facets([(shift + i, shift + i % k + 1) for i in range(1, k + 1)])
+        X = C if X is None else join(X, C)
+        shift += k
+    return X
+
+
+class TestWalkMatchesReference:
+    """The incremental walk against the rescanning walk it replaced, kept in
+    tests/helpers.py: same verdicts, reasons and traces, seed by seed."""
+
+    @pytest.fixture
+    def on_reference(self, monkeypatch):
+        def run(fn, *args):
+            with monkeypatch.context() as m:
+                m.setattr(recognition, "_greedy_reduce", reference_greedy_reduce)
+                return fn(*args)
+
+        return run
+
+    def _assert_same(self, on_reference, fn, X, seeds, budget=DEFAULT_BUDGET):
+        for seed in seeds:
+            assert fn(X, budget, seed) == on_reference(fn, X, budget, seed), seed
+
+    def test_random_stacked_spheres(self, on_reference):
+        rng = random.Random(57)
+        for d in (3, 4, 5):
+            for _ in range(3):
+                S = random_stacked_sphere(rng, d, rng.randint(d + 4, d + 10))
+                self._assert_same(on_reference, certify_sphere, S, (0, 1, 2))
+
+    @pytest.mark.parametrize("name", ["cross_polytope(4)", "cross_polytope(5)",
+                                      "gs_s48", "barnette_join"])
+    def test_catalog_spheres(self, on_reference, name):
+        self._assert_same(on_reference, certify_sphere, get(name).complex, (0, 1, 7))
+
+    def test_cross_polytope_6_cycles_undoes_and_recurses(self, on_reference):
+        X = get("cross_polytope(6)").complex
+        v = certify_sphere(X, 100, 0)
+        assert v.is_unknown
+        assert v == on_reference(certify_sphere, X, 100, 0)
+
+    @pytest.mark.parametrize("lengths", [(3, 4), (4, 5), (5, 6), (3, 3, 4)])
+    def test_joins_of_cycles(self, on_reference, lengths):
+        X = _join_of_cycles(*lengths)
+        self._assert_same(on_reference, certify_sphere, X, (0, 3))
+
+    def test_capped_stacked_balls(self, on_reference):
+        rng = random.Random(61)
+        for d in (2, 3, 4):
+            B = random_stacked_ball(rng, d, rng.randint(d + 3, d + 8))
+            self._assert_same(on_reference, certify_ball, B, (0, 5))
+
+    def test_budget_cut_mid_walk(self, on_reference):
+        X = get("gs_s48").complex
+        for budget in (0, 1, 3, 8):
+            self._assert_same(on_reference, certify_sphere, X, (0, 2), budget)
+
+    def test_collapse_matches_reference(self):
+        rng = random.Random(67)
+        for _ in range(12):
+            d = rng.randint(1, 4)
+            S = random_stacked_sphere(rng, d, rng.randint(d + 2, d + 9))
+            assert collapse_stacked_sphere_to_ball(S) == (
+                reference_collapse_stacked_sphere_to_ball(S)
+            )
+        for name in ("octahedron", "gs_m38", "cross_polytope(4)"):
+            S = get(name).complex
+            with pytest.raises(NotStacked) as new:
+                collapse_stacked_sphere_to_ball(S)
+            with pytest.raises(NotStacked) as old:
+                reference_collapse_stacked_sphere_to_ball(S)
+            assert str(new.value) == str(old.value)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        dim=st.integers(3, 5),
+        extra=st.integers(2, 8),
+        seed=st.integers(0, 2**16),
+    )
+    def test_traces_match_and_replay(self, dim, extra, seed):
+        S = random_stacked_sphere(random.Random(seed), dim, dim + extra)
+        ok, trace = recognition._greedy_reduce(S, DEFAULT_BUDGET, seed)
+        assert (ok, trace) == reference_greedy_reduce(S, DEFAULT_BUDGET, seed)
+        assert ok and is_standard(apply_trace(S, trace)).sphere
