@@ -66,7 +66,10 @@ class Simplex(tuple):
 class Complex:
     """A pure simplicial complex, identified with its facet set."""
 
-    __slots__ = ("_facets", "_fsets", "_fset_family", "_vertices", "_faces", "_hash")
+    __slots__ = (
+        "_facets", "_fsets", "_fset_family", "_vertices", "_vertex_set", "_faces",
+        "_hash",
+    )
 
     def __init__(self, facets: tuple[Simplex, ...], *, _canonical: bool = False):
         if not _canonical:
@@ -75,6 +78,7 @@ class Complex:
         self._fsets = tuple(frozenset(f) for f in facets)
         self._fset_family = frozenset(self._fsets)
         self._vertices: tuple[int, ...] | None = None
+        self._vertex_set: frozenset[int] | None = None
         self._faces: dict[int, frozenset[frozenset[int]]] = {}
         self._hash: int | None = None
 
@@ -122,7 +126,9 @@ class Complex:
 
     @property
     def vertex_set(self) -> frozenset[int]:
-        return frozenset(self.vertices)
+        if self._vertex_set is None:
+            self._vertex_set = frozenset(self.vertices)
+        return self._vertex_set
 
     @property
     def n_vertices(self) -> int:

@@ -115,21 +115,29 @@ def _is_single_cycle(L: Complex) -> bool:
 
 
 class _MoveIndex:
-    """The facets of a closed pseudomanifold, with the cofacets of its faces.
+    """The facets of a closed pseudomanifold, with the cofacets of its faces
+    and the legal bistellar moves.
 
-    Built once per walk and updated in place by each flip.  A flip changes
-    only the star of the face it acts on, so only the subfaces of the facets
-    it removes and adds are looked at again.  Faces and facets are sorted
-    tuples.
+    Built once per certification and updated in place by each flip.  A flip
+    changes only the star of the face it acts on, so only the subfaces of the
+    facets it removes and adds are looked at again.  Faces and facets are
+    sorted tuples.
 
     Faces with 1..max_a vertices are indexed, and the legal moves are those
-    with |A| <= max_a.  The full walk needs max_a = dim, which also indexes
-    every B it must test for faceness; the vertex collapse needs only
-    max_a = 1, where every B has dim + 1 vertices and is looked up among the
-    facets.
+    with |A| <= max_a.  certify_sphere needs max_a = dim, which indexes every
+    face and so also serves its Euler and link screens; the vertex collapse
+    needs only max_a = 1, where every B has dim + 1 vertices and is looked up
+    among the facets.
+
+    The legal set is kept incrementally: _shape maps each link-shaped face A
+    to its B, _pointing maps each B back to the faces A with that shape, and
+    _legal[k] holds the faces A with k vertices whose B is not a face.  It
+    changes when the shape of A changes and when a face B appears or vanishes.
     """
 
-    __slots__ = ("dim", "facets", "_sizes", "_cofacets", "_shape")
+    __slots__ = (
+        "dim", "facets", "_sizes", "_cofacets", "_shape", "_pointing", "_legal"
+    )
 
     def __init__(self, X: Complex, max_a: int):
         self.dim = X.dim
@@ -142,6 +150,8 @@ class _MoveIndex:
         ]
         # A -> B for each link-shaped face A: its cofacets are exactly A * dB.
         self._shape: dict[tuple[int, ...], tuple[int, ...]] = {}
+        self._pointing: dict[tuple[int, ...], set[tuple[int, ...]]] = {}
+        self._legal: list[set[tuple[int, ...]]] = [set() for _ in range(max_a + 1)]
         for f in X.facets:
             self._add(tuple(f))
         for faces in self._cofacets[1:]:
@@ -150,17 +160,20 @@ class _MoveIndex:
 
     def _add(self, facet: tuple[int, ...]) -> None:
         self.facets.add(facet)
+        self._toggle(facet, True)
         for k in self._sizes:
             faces = self._cofacets[k]
             for face in itertools.combinations(facet, k):
                 owners = faces.get(face)
                 if owners is None:
                     faces[face] = {facet}
+                    self._toggle(face, True)
                 else:
                     owners.add(facet)
 
     def _remove(self, facet: tuple[int, ...]) -> None:
         self.facets.remove(facet)
+        self._toggle(facet, False)
         for k in self._sizes:
             faces = self._cofacets[k]
             for face in itertools.combinations(facet, k):
@@ -168,9 +181,21 @@ class _MoveIndex:
                 owners.remove(facet)
                 if not owners:
                     del faces[face]
+                    self._toggle(face, False)
+
+    def _toggle(self, face: tuple[int, ...], present: bool) -> None:
+        # face just appeared or vanished: the moves onto it lose or regain legality
+        pointers = self._pointing.get(face)
+        if pointers:
+            legal = self._legal[self.dim + 2 - len(face)]
+            if present:
+                legal -= pointers
+            else:
+                legal |= pointers
 
     def _reshape(self, face: tuple[int, ...]) -> None:
         owners = self._cofacets[len(face)].get(face)
+        shape = None
         # The cofacets are A * dB exactly when there are dim + 2 - |A| of them
         # and they span dim + 2 vertices: each is A plus a different
         # (|B| - 1)-subset of the |B| vertices outside A, and there are only
@@ -178,9 +203,24 @@ class _MoveIndex:
         if owners is not None and len(owners) == self.dim + 2 - len(face):
             spanned = set().union(*owners)
             if len(spanned) == self.dim + 2:
-                self._shape[face] = tuple(sorted(spanned.difference(face)))
-                return
-        self._shape.pop(face, None)
+                shape = tuple(sorted(spanned.difference(face)))
+        old = self._shape.get(face)
+        if shape == old:
+            return
+        legal = self._legal[len(face)]
+        if old is not None:
+            pointers = self._pointing[old]
+            pointers.remove(face)
+            if not pointers:
+                del self._pointing[old]
+            legal.discard(face)
+        if shape is None:
+            del self._shape[face]
+            return
+        self._shape[face] = shape
+        self._pointing.setdefault(shape, set()).add(face)
+        if not self.has_face(shape):
+            legal.add(face)
 
     def has_face(self, face: tuple[int, ...]) -> bool:
         if len(face) == self.dim + 1:
@@ -190,15 +230,24 @@ class _MoveIndex:
     def is_standard_sphere(self) -> bool:
         return len(self._cofacets[1]) == len(self.facets) == self.dim + 2
 
-    def legal_moves(self) -> list[MovePair]:
-        """Legal moves (A, B) that do not introduce a vertex, sorted by (|A|, A).
+    def pool(self, undo: MovePair | None = None) -> list[MovePair]:
+        """The legal moves (A, B) with the smallest |A|, sorted by A.
 
-        B can become a face through a flip that leaves the star of A alone,
-        so faceness is read afresh on every call.
+        A legal move brings in no vertex: A is link-shaped and B is not a
+        face.  The move undo is left out unless it is the only legal move.
         """
-        moves = [(A, B) for A, B in self._shape.items() if not self.has_face(B)]
-        moves.sort(key=lambda move: (len(move[0]), move[0]))
-        return moves
+        skip = None
+        if (
+            undo is not None
+            and self._shape.get(undo[0]) == undo[1]
+            and sum(map(len, self._legal)) > 1
+        ):
+            skip = undo[0]
+        for legal in self._legal:
+            faces = sorted(A for A in legal if A != skip)
+            if faces:
+                return [(A, self._shape[A]) for A in faces]
+        return []
 
     def flip(self, A: tuple[int, ...], B: tuple[int, ...]) -> None:
         """Replace the |B| facets of A * dB by the |A| facets of dA * B."""
@@ -215,16 +264,56 @@ class _MoveIndex:
         for face in touched:
             self._reshape(face)
 
+    def euler_characteristics(self) -> tuple[int, dict[int, int]]:
+        """chi of the complex and of each vertex link, in one pass over the faces.
+
+        Needs max_a = dim.  A face tau through v is the face tau - v of the
+        link of v, so it adds (-1)^|tau| to chi(lk v).
+        """
+        chi = 0
+        links = {v: 0 for (v,) in self._cofacets[1]}
+        for k, faces in enumerate([*self._cofacets[1:], self.facets], start=1):
+            sign = (-1) ** k
+            chi -= sign * len(faces)
+            if k > 1:
+                for face in faces:
+                    for v in face:
+                        links[v] += sign
+        return chi, links
+
+    def link_is_closed_pseudomanifold(self, v: int) -> bool:
+        """Whether the facets through v are connected across the ridges through v.
+
+        Needs max_a = dim and a closed pseudomanifold.  There every ridge of
+        the link of v lies in exactly two of its facets, so the link is a
+        closed pseudomanifold exactly when its facet-adjacency graph, which
+        this walks, is connected.
+        """
+        star = self._cofacets[1][(v,)]
+        ridges = self._cofacets[self.dim]
+        first = next(iter(star))
+        seen = {first}
+        stack = [first]
+        while stack:
+            f = stack.pop()
+            for i, u in enumerate(f):
+                if u != v:
+                    for g in ridges[f[:i] + f[i + 1 :]]:
+                        if g not in seen:
+                            seen.add(g)
+                            stack.append(g)
+        return len(seen) == len(star)
+
 
 def _greedy_reduce(
-    X: Complex, budget: int, seed: int
+    index: _MoveIndex, budget: int, seed: int
 ) -> tuple[bool, tuple[MovePair, ...]]:
     """Walk the flip graph toward the boundary of a simplex.
 
-    The walk keeps a _MoveIndex of the current complex: the cofacets of every
-    face, and the faces whose link is the boundary of a simplex.  Each flip
-    updates it only around the facets it removes and adds, so a step costs
-    the size of two stars, not a rescan of every face against every facet.
+    The walk flips the _MoveIndex it is given (built with max_a = dim) in
+    place.  Each flip updates the index only around the facets it removes and
+    adds, so a step costs the size of two stars plus sorting one pool, not a
+    rescan of every face against every facet.
 
     Choice rule: immediately undoing the previous move is avoided unless it
     is the only legal move.  The pool is the remaining legal moves with the
@@ -234,24 +323,18 @@ def _greedy_reduce(
     verdicts are budget-monotone.
     """
     rng = random.Random(seed)
-    index = _MoveIndex(X, X.dim)
     trace: list[MovePair] = []
-    prev: MovePair | None = None
+    undo: MovePair | None = None
     while len(trace) < budget:
         if index.is_standard_sphere():
             return True, tuple(trace)
-        moves = index.legal_moves()
-        if prev is not None and len(moves) > 1:
-            undo = (prev[1], prev[0])
-            moves = [m for m in moves if m != undo]
-        if not moves:
+        pool = index.pool(undo)
+        if not pool:
             return False, tuple(trace)
-        size = len(moves[0][0])
-        pool = [m for m in moves if len(m[0]) == size]
         choice = pool[rng.randrange(len(pool))] if len(pool) > 1 else pool[0]
         index.flip(*choice)
         trace.append(choice)
-        prev = choice
+        undo = (choice[1], choice[0])
     return index.is_standard_sphere(), tuple(trace)
 
 
@@ -264,6 +347,12 @@ def certify_sphere(
     dimensions 0..2 are decided exactly; from dimension 3 on, a greedy
     bistellar reduction proves spheres, and when it stalls the vertex links
     are certified recursively to hunt for a refutation.
+
+    From dimension 3 on, one _MoveIndex is built after the pseudomanifold
+    gates.  The Euler characteristic of X and the vertex-link screen (each
+    link a closed pseudomanifold with the Euler characteristic of a sphere)
+    are read off it, and the walk then flips it; links are built only for
+    the recursion after a failed walk.
     """
     if X.is_empty:
         return Verdict(REFUTED, "the empty complex is not a sphere")
@@ -277,7 +366,11 @@ def certify_sphere(
             REFUTED,
             f"has boundary: ridge {tuple(bd.facets[0])} lies in exactly one facet",
         )
-    chi = euler_characteristic(X)
+    if d <= 2:
+        chi = euler_characteristic(X)
+    else:
+        index = _MoveIndex(X, d)
+        chi, link_chis = index.euler_characteristics()
     expected = 1 + (-1) ** d
     if chi != expected:
         return Verdict(REFUTED, f"Euler characteristic {chi} != {expected}")
@@ -298,21 +391,19 @@ def certify_sphere(
             "exact (dim 2): closed surface with Euler characteristic 2 and cycle links",
         )
     # d >= 3: cheap link screen before spending the budget
+    lexpected = 1 + (-1) ** (d - 1)
     for v in X.vertices:
-        L = link(X, v)
-        lreport = pseudomanifold_check(L)
-        if not (lreport.is_pseudomanifold and lreport.closed):
+        if not index.link_is_closed_pseudomanifold(v):
             return Verdict(
                 REFUTED, f"link of vertex {v} is not a closed pseudomanifold"
             )
-        lchi = euler_characteristic(L)
-        lexpected = 1 + (-1) ** (d - 1)
+        lchi = link_chis[v]
         if lchi != lexpected:
             return Verdict(
                 REFUTED,
                 f"link of vertex {v} has Euler characteristic {lchi} != {lexpected}",
             )
-    ok, trace = _greedy_reduce(X, budget, seed)
+    ok, trace = _greedy_reduce(index, budget, seed)
     if ok:
         return Verdict(
             CERTIFIED,
@@ -482,13 +573,13 @@ def collapse_stacked_sphere_to_ball(S: Complex) -> Complex:
     index = _MoveIndex(S, 1)
     steps: list[MovePair] = []
     while not index.is_standard_sphere():
-        moves = index.legal_moves()
-        if not moves:
+        pool = index.pool()
+        if not pool:
             raise NotStacked(
                 "no vertex link is the boundary of a missing simplex; not stacked"
             )
-        steps.append(moves[0])
-        index.flip(*moves[0])
+        steps.append(pool[0])
+        index.flip(*pool[0])
     ball_facets = [frozenset().union(*index.facets)]
     for (v,), sigma in reversed(steps):
         ball_facets.append(frozenset(sigma) | {v})

@@ -13,10 +13,16 @@ from collections import Counter
 from fractions import Fraction
 
 from combisphere import Complex, from_facets
-from combisphere.core import Simplex, generalized_bistellar_move, pseudomanifold_check
+from combisphere.core import (
+    Simplex,
+    euler_characteristic,
+    generalized_bistellar_move,
+    link,
+    pseudomanifold_check,
+)
 from combisphere.errors import NotStacked
 from combisphere.polytopal import PointConfiguration
-from combisphere.recognition import is_standard
+from combisphere.recognition import REFUTED, Verdict, is_standard
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -208,6 +214,30 @@ def reference_collapse_stacked_sphere_to_ball(S: Complex) -> Complex:
     return Complex._from_vertex_sets(ball_facets)
 
 
+def reference_link_screen(X: Complex) -> Verdict | None:
+    """The vertex-link screen that ``certify_sphere`` runs in dimension >= 3
+    before its walk, as it was before it read the move index: every link is
+    built and checked with ``pseudomanifold_check`` and
+    ``euler_characteristic``.  Returns the refutation of the first failing
+    vertex, or None when every link passes."""
+    d = X.dim
+    for v in X.vertices:
+        L = link(X, v)
+        lreport = pseudomanifold_check(L)
+        if not (lreport.is_pseudomanifold and lreport.closed):
+            return Verdict(
+                REFUTED, f"link of vertex {v} is not a closed pseudomanifold"
+            )
+        lchi = euler_characteristic(L)
+        lexpected = 1 + (-1) ** (d - 1)
+        if lchi != lexpected:
+            return Verdict(
+                REFUTED,
+                f"link of vertex {v} has Euler characteristic {lchi} != {lexpected}",
+            )
+    return None
+
+
 # ---------------------------------------------------------------------------
 # fixed fixtures
 # ---------------------------------------------------------------------------
@@ -219,6 +249,35 @@ def moebius_torus() -> Complex:
     for base in ((0, 1, 3), (0, 2, 3)):
         for shift in range(7):
             facets.append(tuple(sorted((v + shift) % 7 + 1 for v in base)))
+    return from_facets(facets)
+
+
+def pinched_coned_solid_torus(apex: int, pinch: int) -> Complex:
+    """A closed 3-pseudomanifold with the Euler characteristic of a 3-sphere
+    and two bad vertex links, on the labels 1..20.
+
+    A solid torus, a ring of six triangular prisms cut into three tetrahedra
+    each, is closed by a cone with vertex ``apex`` over its boundary torus:
+    the link of ``apex`` is that torus, with Euler characteristic 0.  Two
+    vertex-disjoint tetrahedra are each subdivided by an interior vertex, and
+    the two new vertices are identified as ``pinch``: its link is two
+    disjoint tetrahedron boundaries, not a pseudomanifold, with Euler
+    characteristic 4.  The cone raises chi by one and the pinch lowers it by
+    one, so chi = 0.
+    """
+    free = iter(v for v in range(1, 21) if v not in (apex, pinch))
+    ring = [[next(free) for _ in range(3)] for _ in range(6)]
+    tets = []
+    for i in range(6):
+        (x, y, z), (x1, y1, z1) = ring[i], ring[(i + 1) % 6]
+        tets += [(x, y, z, x1), (y, z, x1, y1), (z, x1, y1, z1)]
+    ridges = Counter(
+        r for t in tets for r in itertools.combinations(sorted(t), 3)
+    )
+    facets = [t for t in tets if t not in (tets[0], tets[9])]
+    facets += [r + (apex,) for r, c in ridges.items() if c == 1]
+    for t in (tets[0], tets[9]):
+        facets += [r + (pinch,) for r in itertools.combinations(t, 3)]
     return from_facets(facets)
 
 

@@ -16,19 +16,23 @@ from combisphere import (
     is_stacked_ball,
     is_standard,
     join,
+    link,
 )
-from combisphere import recognition
-from combisphere.recognition import DEFAULT_BUDGET
+from combisphere import Complex, recognition
+from combisphere.recognition import DEFAULT_BUDGET, REFUTED, Verdict
 from combisphere.errors import NotStacked
 from helpers import (
     apply_trace,
+    face_polynomial,
     moebius_torus,
+    pinched_coned_solid_torus,
     random_disc,
     random_flag_2sphere,
     random_stacked_ball,
     random_stacked_sphere,
     reference_collapse_stacked_sphere_to_ball,
     reference_greedy_reduce,
+    reference_link_screen,
 )
 
 
@@ -115,8 +119,26 @@ class TestCertifySphere:
         # of the first factor has a torus-join link with the wrong chi
         X = join(moebius_torus(), _shifted_torus())
         v = certify_sphere(X, budget=0)
-        assert v.is_refuted
-        assert "link" in v.reason
+        expected = Verdict(REFUTED, "link of vertex 1 has Euler characteristic 0 != 2")
+        assert v == expected
+        assert reference_link_screen(X) == expected
+
+    @pytest.mark.parametrize("apex, pinch, reason", [
+        # the pinched vertex fails both link checks: the pseudomanifold one is named
+        (20, 1, "link of vertex 1 is not a closed pseudomanifold"),
+        # the first bad vertex is named, even when a later one fails the other check
+        (1, 20, "link of vertex 1 has Euler characteristic 0 != 2"),
+    ])
+    def test_pinched_coned_solid_torus_refuted_via_links(self, apex, pinch, reason):
+        X = pinched_coned_solid_torus(apex, pinch)
+        # the global gates pass: a closed 3-pseudomanifold with chi = 0
+        assert X.dim == 3
+        assert set(_ridge_counts(X).values()) == {2}
+        assert _chi(X) == 0
+        assert _chi(link(X, apex)) == 0 and _chi(link(X, pinch)) == 4
+        expected = Verdict(REFUTED, reason)
+        assert certify_sphere(X) == expected
+        assert reference_link_screen(X) == expected
 
     def test_unknown_on_exhausted_budget(self):
         S = random_stacked_sphere(random.Random(5), 3, 9)
@@ -137,6 +159,20 @@ class TestCertifySphere:
 def _shifted_torus():
     base = moebius_torus()
     return from_facets([tuple(v + 7 for v in f) for f in base.facets])
+
+
+def _ridge_counts(X):
+    counts = {}
+    for f in X.facets:
+        for i in range(len(f)):
+            r = f[:i] + f[i + 1 :]
+            counts[r] = counts.get(r, 0) + 1
+    return counts
+
+
+def _chi(X):
+    counts = face_polynomial(list(X.facets))
+    return sum((-1) ** (k - 1) * c for k, c in counts.items() if k)
 
 
 class TestCertifyBall:
@@ -304,9 +340,16 @@ class TestWalkMatchesReference:
 
     @pytest.fixture
     def on_reference(self, monkeypatch):
+        def reference_walk(index, budget, seed):
+            # the reference rebuilds the complex from the facets the unflipped
+            # index was built from, and walks without it
+            return reference_greedy_reduce(
+                Complex._from_vertex_sets(index.facets), budget, seed
+            )
+
         def run(fn, *args):
             with monkeypatch.context() as m:
-                m.setattr(recognition, "_greedy_reduce", reference_greedy_reduce)
+                m.setattr(recognition, "_greedy_reduce", reference_walk)
                 return fn(*args)
 
         return run
@@ -373,6 +416,47 @@ class TestWalkMatchesReference:
     )
     def test_traces_match_and_replay(self, dim, extra, seed):
         S = random_stacked_sphere(random.Random(seed), dim, dim + extra)
-        ok, trace = recognition._greedy_reduce(S, DEFAULT_BUDGET, seed)
+        index = recognition._MoveIndex(S, S.dim)
+        ok, trace = recognition._greedy_reduce(index, DEFAULT_BUDGET, seed)
         assert (ok, trace) == reference_greedy_reduce(S, DEFAULT_BUDGET, seed)
         assert ok and is_standard(apply_trace(S, trace)).sphere
+
+
+class TestMoveIndexMatchesRebuild:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        kind=st.sampled_from(["stacked", "cross"]),
+        dim=st.integers(3, 5),
+        extra=st.integers(1, 7),
+        vertex_moves_only=st.booleans(),
+        steps=st.integers(1, 30),
+        seed=st.integers(0, 2**16),
+    )
+    def test_random_flips_match_a_fresh_index(
+        self, kind, dim, extra, vertex_moves_only, steps, seed
+    ):
+        rng = random.Random(seed)
+        if kind == "stacked":
+            X = random_stacked_sphere(rng, dim, dim + 1 + extra)
+        else:
+            X = get(f"cross_polytope({dim + 1})").complex
+        max_a = 1 if vertex_moves_only else X.dim
+        index = recognition._MoveIndex(X, max_a)
+        for _ in range(steps):
+            moves = sorted(
+                (A, index._shape[A]) for legal in index._legal for A in legal
+            )
+            if not moves:
+                break
+            index.flip(*rng.choice(moves))
+            fresh = recognition._MoveIndex(
+                Complex._from_vertex_sets(index.facets), max_a
+            )
+            assert index.facets == fresh.facets
+            assert index._cofacets == fresh._cofacets
+            assert index._shape == fresh._shape
+            assert index._pointing == fresh._pointing
+            assert index._legal == fresh._legal
+            assert set().union(*index._legal) == {
+                A for A, B in index._shape.items() if not index.has_face(B)
+            }
