@@ -19,6 +19,7 @@ from typing import TYPE_CHECKING, Sequence
 from .core import (
     Complex,
     Simplex,
+    _link_shape,
     anti_star,
     bistellar_move,
     boundary,
@@ -405,8 +406,9 @@ def complete_ball_degree_d(
     M = boundary(B)
     if u not in M.vertex_set:
         raise IntermediateClaimFailed(f"vertex {u} is not on the boundary")
-    m_link_facets = {fs - {u} for fs in M._fsets if u in fs}
-    if m_link_facets != {frozenset(tau) - {x} for x in tau}:
+    star = [fs for fs in M._fsets if u in fs]
+    # with d = 1 the boundary is two points and u's link {()} bounds tau
+    if d > 1 and _link_shape(star, (u,), M.dim) != tau:
         raise IntermediateClaimFailed(
             f"boundary link of {u} is not the boundary of {tuple(tau)}"
         )

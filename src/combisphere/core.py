@@ -12,7 +12,7 @@ constructor accepts an empty facet list and no other operation returns one.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, NamedTuple
+from typing import Collection, Iterable, Mapping, NamedTuple
 
 from .errors import (
     DuplicateVertexInFacet,
@@ -199,19 +199,7 @@ class DualGraph:
         return max(len(owners) for owners in self.ridge_index.values())
 
     def is_connected(self) -> bool:
-        if not self.nodes:
-            return False
-        seen = {self.nodes[0]}
-        frontier = [self.nodes[0]]
-        while frontier:
-            nxt = []
-            for f in frontier:
-                for g in self._adj[f]:
-                    if g not in seen:
-                        seen.add(g)
-                        nxt.append(g)
-            frontier = nxt
-        return len(seen) == len(self.nodes)
+        return bool(self.nodes) and _is_connected(self._adj, self.nodes[0])
 
     def is_tree(self) -> bool:
         return self.is_connected() and len(self.edges) == len(self.nodes) - 1
@@ -294,14 +282,56 @@ def complement(X: Complex, Y: Complex) -> Complex:
     )
 
 
-def _ridge_map(X: Complex) -> dict[frozenset[int], list[int]]:
-    """Ridge -> indices of owning facets."""
-    ridges: dict[frozenset[int], list[int]] = {}
-    for i, fs in enumerate(X._fsets):
-        for v in X.facets[i]:
-            r = fs - {v}
-            ridges.setdefault(r, []).append(i)
+def _ridge_map(X: Complex) -> dict[tuple[int, ...], list[Simplex]]:
+    """Ridge -> owning facets, in facet order.  Ridges are sorted tuples."""
+    ridges: dict[tuple[int, ...], list[Simplex]] = {}
+    for f in X.facets:
+        for i in range(len(f)):
+            ridges.setdefault(f[:i] + f[i + 1 :], []).append(f)
     return ridges
+
+
+def _is_connected(
+    adj: Mapping[tuple[int, ...], Iterable[tuple[int, ...]]], root: tuple[int, ...]
+) -> bool:
+    """Whether every facet in the facet graph adj is reachable from root."""
+    seen = {root}
+    stack = [root]
+    while stack:
+        for g in adj[stack.pop()]:
+            if g not in seen:
+                seen.add(g)
+                stack.append(g)
+    return len(seen) == len(adj)
+
+
+def _link_shape(
+    cofacets: Collection[Iterable[int]], face: Collection[int], dim: int
+) -> tuple[int, ...] | None:
+    """The face B whose boundary is the link of A, or None.
+
+    The cofacets of A are A * dB exactly when there are dim + 2 - |A| of them
+    and they span dim + 2 vertices: each is A plus a different
+    (|B| - 1)-subset of the |B| vertices outside A, and there are only |B|
+    such subsets.  A facet's link {()} bounds every single vertex, so it
+    names no B and gives None.
+    """
+    if len(cofacets) != dim + 2 - len(face):
+        return None
+    spanned = set().union(*cofacets)
+    if len(spanned) != dim + 2:
+        return None
+    return tuple(sorted(spanned.difference(face)))
+
+
+def _flip(X: Complex, A: tuple[int, ...], B: tuple[int, ...]) -> Complex:
+    """Replace the facets of A * dB by the facets of dA * B."""
+    a_set = frozenset(A)
+    keep = [f for f, fs in zip(X.facets, X._fsets) if not a_set <= fs]
+    keep.extend(
+        Simplex._raw(tuple(sorted(A[:i] + A[i + 1 :] + B))) for i in range(len(A))
+    )
+    return Complex._from_simplices(keep)
 
 
 def boundary(X: Complex) -> Complex:
@@ -311,13 +341,11 @@ def boundary(X: Complex) -> Complex:
     ridges = _ridge_map(X)
     for r, owners in ridges.items():
         if len(owners) > 2:
-            raise RidgeInThreeFacets(
-                f"ridge {tuple(sorted(r))} lies in {len(owners)} facets"
-            )
-    out = [r for r, owners in ridges.items() if len(owners) == 1]
+            raise RidgeInThreeFacets(f"ridge {r} lies in {len(owners)} facets")
+    out = [Simplex._raw(r) for r, owners in ridges.items() if len(owners) == 1]
     if not out:
         return Complex((), _canonical=True)
-    return Complex._from_vertex_sets(out)
+    return Complex._from_simplices(out)
 
 
 def dual_graph(X: Complex) -> DualGraph:
@@ -326,9 +354,9 @@ def dual_graph(X: Complex) -> DualGraph:
     adj: dict[Simplex, set[Simplex]] = {f: set() for f in X.facets}
     edges: set[tuple[Simplex, Simplex]] = set()
     ridge_index: dict[Simplex, tuple[Simplex, ...]] = {}
-    for r, owners in sorted(ridges.items(), key=lambda kv: tuple(sorted(kv[0]))):
-        owner_facets = tuple(X.facets[i] for i in owners)
-        ridge_index[Simplex._raw(tuple(sorted(r)))] = owner_facets
+    for r in sorted(ridges):
+        owner_facets = tuple(ridges[r])
+        ridge_index[Simplex._raw(r)] = owner_facets
         for a, b in itertools.combinations(owner_facets, 2):
             lo, hi = (a, b) if a <= b else (b, a)
             edges.add((lo, hi))
@@ -351,24 +379,13 @@ def pseudomanifold_check(X: Complex) -> PseudomanifoldReport:
     counts = [len(owners) for owners in ridges.values()]
     if any(c > 2 for c in counts):
         return PseudomanifoldReport(False, False)
-    # connectivity over ridge-sharing, without building the full graph
-    adj: dict[int, list[int]] = {i: [] for i in range(len(X.facets))}
+    adj: dict[Simplex, list[Simplex]] = {f: [] for f in X.facets}
     for owners in ridges.values():
         if len(owners) == 2:
             a, b = owners
             adj[a].append(b)
             adj[b].append(a)
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for i in frontier:
-            for j in adj[i]:
-                if j not in seen:
-                    seen.add(j)
-                    nxt.append(j)
-        frontier = nxt
-    is_pm = len(seen) == len(X.facets)
+    is_pm = _is_connected(adj, X.facets[0])
     return PseudomanifoldReport(is_pm, is_pm and all(c == 2 for c in counts))
 
 
@@ -419,18 +436,15 @@ def bistellar_move(X: Complex, v: int, sigma: Iterable[int]) -> Complex:
         raise NotClosedPseudomanifold("bistellar moves need a closed pseudomanifold")
     if v not in X.vertex_set:
         raise VertexNotPresent(f"vertex {v} not in the complex")
-    sig_set = frozenset(sig)
-    link_facets = {fs - {v} for fs in X._fsets if v in fs}
-    sigma_boundary = {sig_set - {x} for x in sig}
-    if link_facets != sigma_boundary:
+    star = [fs for fs in X._fsets if v in fs]
+    # in dimension 0 the link {()} of v bounds every single vertex
+    if not (X.dim == 0 and len(sig) == 1) and _link_shape(star, (v,), X.dim) != sig:
         raise LinkNotStandardSphere(
             f"link of {v} is not the boundary of {tuple(sig)}"
         )
-    if X.has_face(sig_set):
+    if X.has_face(sig):
         raise SigmaAlreadyFace(f"{tuple(sig)} is already a face")
-    keep = [f for f, fs in zip(X.facets, X._fsets) if v not in fs]
-    keep.append(sig)
-    return Complex._from_simplices(keep)
+    return _flip(X, (v,), sig)
 
 
 def generalized_bistellar_move(
@@ -452,18 +466,15 @@ def generalized_bistellar_move(
         raise MovePreconditionFailed(
             f"|A| + |B| = {len(A) + len(B)} != dim + 2 = {X.dim + 2}"
         )
-    a_set, b_set = frozenset(A), frozenset(B)
-    if not X.has_face(a_set):
+    if not X.has_face(A):
         raise MovePreconditionFailed(f"{tuple(A)} is not a face")
-    if X.has_face(b_set):
+    if X.has_face(B):
         raise MovePreconditionFailed(f"{tuple(B)} is already a face")
+    a_set = frozenset(A)
     cofacets = [fs for fs in X._fsets if a_set <= fs]
-    actual_link = {fs - a_set for fs in cofacets}
-    expected_link = {b_set - {b} for b in B}
-    if actual_link != expected_link or len(cofacets) != len(B):
+    # with |B| = 1 the face A is a facet, whose link {()} bounds every vertex
+    if len(B) > 1 and _link_shape(cofacets, A, X.dim) != B:
         raise MovePreconditionFailed(
             f"link of {tuple(A)} is not the boundary of {tuple(B)}"
         )
-    new_facets = [fs for fs in X._fsets if not a_set <= fs]
-    new_facets.extend((a_set - {a}) | b_set for a in A)
-    return Complex._from_vertex_sets(new_facets)
+    return _flip(X, A, B)

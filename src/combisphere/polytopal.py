@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -437,7 +437,7 @@ def polytopal_complete(
     the smallest remaining hull vertex.  The reduced coordinates witness the
     intermediate sphere.
     """
-    from .constructions import CompletionResult
+    from .constructions import _finish
 
     d = pc.dim
     n = len(pc)
@@ -472,14 +472,4 @@ def polytopal_complete(
     u = min(reduced.vertices)
     sphere = one_point_suspension(reduced, u, v)
     trace.append(f"one-point suspension (u={u}, v={v})")
-    if not is_subcomplex(sphere_in, sphere):
-        raise IntermediateClaimFailed("the completed sphere does not contain the input")
-    if sphere.vertex_set != sphere_in.vertex_set:
-        raise IntermediateClaimFailed(
-            "the completed sphere does not reuse exactly the input vertices"
-        )
-    trace.append(
-        f"done: dim {sphere.dim}, {sphere.n_facets} facets on "
-        f"{sphere.n_vertices} vertices"
-    )
-    return CompletionResult(sphere, True, tuple(trace), witness_points=reduced_pc)
+    return replace(_finish(sphere_in, sphere, trace), witness_points=reduced_pc)

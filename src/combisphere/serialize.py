@@ -53,11 +53,25 @@ def complex_to_json_obj(X: Complex) -> dict[str, Any]:
     return {"dim": X.dim, "facets": [list(f) for f in X.facets]}
 
 
+def _dim(obj: dict[str, Any]) -> int:
+    dim = obj["dim"]
+    if not isinstance(dim, int) or isinstance(dim, bool):
+        raise ValueError(f"bad dimension {dim!r}")
+    return dim
+
+
+def _list(value: Any, what: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a list, got {value!r}")
+    return value
+
+
 def complex_from_json_obj(obj: Any) -> Complex:
     if not isinstance(obj, dict) or "facets" not in obj:
         raise ValueError("complex JSON must be an object with a 'facets' key")
-    X = from_facets(tuple(f) for f in obj["facets"])
-    if "dim" in obj and obj["dim"] != X.dim:
+    facets = _list(obj["facets"], "'facets'")
+    X = from_facets(tuple(_list(f, "a facet")) for f in facets)
+    if "dim" in obj and _dim(obj) != X.dim:
         raise ValueError(f"stated dim {obj['dim']} but facets have dim {X.dim}")
     return X
 
@@ -89,16 +103,18 @@ def points_to_json_obj(pc: PointConfiguration) -> dict[str, Any]:
 def points_from_json_obj(obj: Any) -> PointConfiguration:
     if not isinstance(obj, dict) or "dim" not in obj or "points" not in obj:
         raise ValueError("point JSON must be an object with 'dim' and 'points'")
-    dim = obj["dim"]
-    if not isinstance(dim, int) or dim < 1:
+    dim = _dim(obj)
+    if dim < 1:
         raise ValueError(f"bad dimension {dim!r}")
+    if not isinstance(obj["points"], dict):
+        raise ValueError("'points' must be an object from labels to coordinate rows")
     coords: dict[int, tuple[Fraction, ...]] = {}
     for key, row in obj["points"].items():
         try:
             label = int(key)
         except ValueError:
             raise ValueError(f"point label {key!r} is not an integer") from None
-        coords[label] = tuple(Fraction(str(c)) for c in row)
+        coords[label] = tuple(Fraction(str(c)) for c in _list(row, f"point {key}"))
     return PointConfiguration.from_dict(dim, coords)
 
 

@@ -11,18 +11,30 @@ import itertools
 import random
 from collections import Counter
 from fractions import Fraction
+from typing import Iterable
 
 from combisphere import Complex, from_facets
 from combisphere.core import (
+    DualGraph,
+    PseudomanifoldReport,
     Simplex,
     euler_characteristic,
     generalized_bistellar_move,
     link,
     pseudomanifold_check,
 )
-from combisphere.errors import NotStacked
+from combisphere.errors import (
+    LinkNotStandardSphere,
+    MovePreconditionFailed,
+    NonPure,
+    NotClosedPseudomanifold,
+    NotStacked,
+    RidgeInThreeFacets,
+    SigmaAlreadyFace,
+    VertexNotPresent,
+)
 from combisphere.polytopal import PointConfiguration
-from combisphere.recognition import REFUTED, Verdict, is_standard
+from combisphere.recognition import CERTIFIED, REFUTED, Verdict, is_standard
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -236,6 +248,222 @@ def reference_link_screen(X: Complex) -> Verdict | None:
                 f"link of vertex {v} has Euler characteristic {lchi} != {lexpected}",
             )
     return None
+
+
+# ---------------------------------------------------------------------------
+# reference core: the frozenset-keyed ridge map, the breadth-first searches
+# and the set comparisons of links that core and recognition ran before
+# these checks were shared.  The bodies are unchanged; only the names are
+# prefixed, and the copies call each other.  Outcomes, exception types and
+# messages are compared against them.
+# ---------------------------------------------------------------------------
+
+
+def _reference_ridge_map(X: Complex) -> dict[frozenset[int], list[int]]:
+    """Ridge -> indices of owning facets."""
+    ridges: dict[frozenset[int], list[int]] = {}
+    for i, fs in enumerate(X._fsets):
+        for v in X.facets[i]:
+            r = fs - {v}
+            ridges.setdefault(r, []).append(i)
+    return ridges
+
+
+def reference_boundary(X: Complex) -> Complex:
+    """Ridges lying in exactly one facet.  May be empty (closed input)."""
+    if X.dim < 1:
+        raise NonPure("boundary requires dimension >= 1")
+    ridges = _reference_ridge_map(X)
+    for r, owners in ridges.items():
+        if len(owners) > 2:
+            raise RidgeInThreeFacets(
+                f"ridge {tuple(sorted(r))} lies in {len(owners)} facets"
+            )
+    out = [r for r, owners in ridges.items() if len(owners) == 1]
+    if not out:
+        return Complex((), _canonical=True)
+    return Complex._from_vertex_sets(out)
+
+
+def reference_dual_graph(X: Complex) -> DualGraph:
+    """Facet adjacency along shared ridges, with the ridge index."""
+    ridges = _reference_ridge_map(X)
+    adj: dict[Simplex, set[Simplex]] = {f: set() for f in X.facets}
+    edges: set[tuple[Simplex, Simplex]] = set()
+    ridge_index: dict[Simplex, tuple[Simplex, ...]] = {}
+    for r, owners in sorted(ridges.items(), key=lambda kv: tuple(sorted(kv[0]))):
+        owner_facets = tuple(X.facets[i] for i in owners)
+        ridge_index[Simplex._raw(tuple(sorted(r)))] = owner_facets
+        for a, b in itertools.combinations(owner_facets, 2):
+            lo, hi = (a, b) if a <= b else (b, a)
+            edges.add((lo, hi))
+            adj[a].add(b)
+            adj[b].add(a)
+    return DualGraph(
+        X.facets,
+        tuple(sorted(edges)),
+        ridge_index,
+        {f: tuple(sorted(adj[f])) for f in X.facets},
+    )
+
+
+def reference_dual_graph_is_connected(g: DualGraph) -> bool:
+    """``DualGraph.is_connected`` as it was, a breadth-first search, reading
+    the adjacency through ``neighbors``."""
+    if not g.nodes:
+        return False
+    seen = {g.nodes[0]}
+    frontier = [g.nodes[0]]
+    while frontier:
+        nxt = []
+        for f in frontier:
+            for h in g.neighbors(f):
+                if h not in seen:
+                    seen.add(h)
+                    nxt.append(h)
+        frontier = nxt
+    return len(seen) == len(g.nodes)
+
+
+def reference_pseudomanifold_check(X: Complex) -> PseudomanifoldReport:
+    """Every ridge in at most two facets and the dual graph connected; closed
+    when every ridge is in exactly two."""
+    if X.is_empty:
+        return PseudomanifoldReport(False, False)
+    ridges = _reference_ridge_map(X)
+    counts = [len(owners) for owners in ridges.values()]
+    if any(c > 2 for c in counts):
+        return PseudomanifoldReport(False, False)
+    # connectivity over ridge-sharing, without building the full graph
+    adj: dict[int, list[int]] = {i: [] for i in range(len(X.facets))}
+    for owners in ridges.values():
+        if len(owners) == 2:
+            a, b = owners
+            adj[a].append(b)
+            adj[b].append(a)
+    seen = {0}
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for i in frontier:
+            for j in adj[i]:
+                if j not in seen:
+                    seen.add(j)
+                    nxt.append(j)
+        frontier = nxt
+    is_pm = len(seen) == len(X.facets)
+    return PseudomanifoldReport(is_pm, is_pm and all(c == 2 for c in counts))
+
+
+def reference_bistellar_move(X: Complex, v: int, sigma: Iterable[int]) -> Complex:
+    """Remove the star of v and fill with sigma; the inverse of a vertex split.
+
+    Requires link(X, v) to equal the boundary of sigma and sigma itself not to
+    be a face.  The result is a closed pseudomanifold on vertex_set(X) minus v.
+    """
+    sig = Simplex(sigma)
+    report = reference_pseudomanifold_check(X)
+    if not (report.is_pseudomanifold and report.closed):
+        raise NotClosedPseudomanifold("bistellar moves need a closed pseudomanifold")
+    if v not in X.vertex_set:
+        raise VertexNotPresent(f"vertex {v} not in the complex")
+    sig_set = frozenset(sig)
+    link_facets = {fs - {v} for fs in X._fsets if v in fs}
+    sigma_boundary = {sig_set - {x} for x in sig}
+    if link_facets != sigma_boundary:
+        raise LinkNotStandardSphere(
+            f"link of {v} is not the boundary of {tuple(sig)}"
+        )
+    if X.has_face(sig_set):
+        raise SigmaAlreadyFace(f"{tuple(sig)} is already a face")
+    keep = [f for f, fs in zip(X.facets, X._fsets) if v not in fs]
+    keep.append(sig)
+    return Complex._from_simplices(keep)
+
+
+def reference_generalized_bistellar_move(
+    X: Complex, a_face: Iterable[int], b_face: Iterable[int]
+) -> Complex:
+    """Exchange the star of face A for the complementary configuration on B.
+
+    Requires A a face whose link is exactly the boundary of B, B not a face,
+    and |A| + |B| = dim + 2.  With |B| = 1 this subdivides the facet A with a
+    fresh vertex; with |A| = 1 it is the vertex collapse of bistellar_move.
+    The move is an involution: applying (B, A) afterwards restores X.
+    """
+    A = Simplex(a_face)
+    B = Simplex(b_face)
+    report = reference_pseudomanifold_check(X)
+    if not (report.is_pseudomanifold and report.closed):
+        raise MovePreconditionFailed("moves need a closed pseudomanifold")
+    if len(A) + len(B) != X.dim + 2:
+        raise MovePreconditionFailed(
+            f"|A| + |B| = {len(A) + len(B)} != dim + 2 = {X.dim + 2}"
+        )
+    a_set, b_set = frozenset(A), frozenset(B)
+    if not X.has_face(a_set):
+        raise MovePreconditionFailed(f"{tuple(A)} is not a face")
+    if X.has_face(b_set):
+        raise MovePreconditionFailed(f"{tuple(B)} is already a face")
+    cofacets = [fs for fs in X._fsets if a_set <= fs]
+    actual_link = {fs - a_set for fs in cofacets}
+    expected_link = {b_set - {b} for b in B}
+    if actual_link != expected_link or len(cofacets) != len(B):
+        raise MovePreconditionFailed(
+            f"link of {tuple(A)} is not the boundary of {tuple(B)}"
+        )
+    new_facets = [fs for fs in X._fsets if not a_set <= fs]
+    new_facets.extend((a_set - {a}) | b_set for a in A)
+    return Complex._from_vertex_sets(new_facets)
+
+
+def _reference_is_single_cycle(L: Complex) -> bool:
+    if L.is_empty or L.dim != 1:
+        return False
+    report = reference_pseudomanifold_check(L)
+    return report.is_pseudomanifold and report.closed
+
+
+def reference_surface_link_loop(X: Complex) -> Verdict | None:
+    """The vertex-link loop that ``certify_sphere`` ran in dimension 2 after
+    its gates: the refutation of the first vertex whose link is not a single
+    cycle, or None."""
+    for v in X.vertices:
+        if not _reference_is_single_cycle(link(X, v)):
+            return Verdict(REFUTED, f"link of vertex {v} is not a single cycle")
+    return None
+
+
+def reference_certify_surface(X: Complex) -> Verdict:
+    """``certify_sphere`` on a 2-complex as it was: the pseudomanifold,
+    boundary and Euler gates, then the vertex-link loop.  The gates are
+    spelled out here on the reference ridge map, with the old reasons."""
+    assert X.dim == 2
+    report = reference_pseudomanifold_check(X)
+    if not report.is_pseudomanifold:
+        for r, owners in _reference_ridge_map(X).items():
+            if len(owners) > 2:
+                return Verdict(
+                    REFUTED,
+                    f"not a pseudomanifold: ridge {tuple(sorted(r))} "
+                    f"lies in {len(owners)} facets",
+                )
+        return Verdict(
+            REFUTED, "not a pseudomanifold: the facet-adjacency graph is disconnected"
+        )
+    if not report.closed:
+        bd = reference_boundary(X)
+        return Verdict(
+            REFUTED,
+            f"has boundary: ridge {tuple(bd.facets[0])} lies in exactly one facet",
+        )
+    chi = euler_characteristic(X)
+    if chi != 2:
+        return Verdict(REFUTED, f"Euler characteristic {chi} != 2")
+    return reference_surface_link_loop(X) or Verdict(
+        CERTIFIED,
+        "exact (dim 2): closed surface with Euler characteristic 2 and cycle links",
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -54,6 +54,19 @@ class TestInfo:
         code, out, _ = run(capsys, "info", "--in", "-")
         assert code == 0 and "dim: 1" in out
 
+    @pytest.mark.parametrize("text", [
+        '{"facets": 5}',
+        '{"facets": [5, 6]}',
+        '{"dim": true, "facets": [[1, 2]]}',
+    ])
+    def test_malformed_json_is_a_data_error(self, capsys, tmp_path, text):
+        path = tmp_path / "complex.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "info", "--in", str(path))
+        assert code == 65 and out == ""
+        assert "Traceback" not in err
+        assert err.startswith("combisphere: ") and err.count("\n") == 1
+
 
 class TestVerify:
     def test_sphere_certified(self, capsys):
@@ -214,6 +227,20 @@ class TestHull:
         code, _, err = run(capsys, "hull", "--points", octa_points_file)
         assert code == 65
         assert "general position" in err
+
+    @pytest.mark.parametrize("text", [
+        '{"dim": 2, "points": [[1, 2]]}',
+        '{"dim": 2, "points": {"1": 5, "2": [0, 1], "3": [1, 1]}}',
+        '{"dim": 2, "points": {"1": "10", "2": "01", "3": "11"}}',
+        '{"dim": true, "points": {"1": [1], "2": [2]}}',
+    ])
+    def test_malformed_points_are_a_data_error(self, capsys, tmp_path, text):
+        path = tmp_path / "points.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "hull", "--points", str(path))
+        assert code == 65 and out == ""
+        assert "Traceback" not in err
+        assert err.startswith("combisphere: ") and err.count("\n") == 1
 
     def test_perturb_needs_target(self, capsys, octa_points_file):
         code, _, err = run(capsys, "hull", "--points", octa_points_file,

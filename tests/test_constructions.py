@@ -20,10 +20,12 @@ from combisphere import (
     link,
     sphere_chain,
 )
+from combisphere import constructions
 from combisphere.errors import (
     DimensionTooLow,
     FactorJoinMismatch,
     FactorNotSphere,
+    IntermediateClaimFailed,
     NoDegreeDVertex,
     NotBall,
     NotDisc,
@@ -288,6 +290,30 @@ class TestCompleteBallDegreeD:
         result = complete_ball_degree_d(B)
         _check_contract(B, result, 3)
         assert certify_sphere(result.sphere).is_certified
+
+    def test_path_closes_to_a_cycle(self):
+        # in dimension 1 the boundary is two points, and u's link {()}
+        # bounds its one neighbour
+        result = complete_ball_degree_d(from_facets([(1, 2), (2, 3)]))
+        assert result.sphere == from_facets([(1, 2), (1, 3), (2, 3)])
+        assert result.trace == (
+            "input: ball certification certified",
+            "vertex 1 has degree 1; boundary link is the boundary of (2,)",
+            "verified cap intersects the ball exactly in the boundary",
+            "done: dim 1, 3 facets on 3 vertices",
+        )
+
+    def test_boundary_link_message(self, monkeypatch):
+        # A vertex in one facet has the boundary of that facet's opposite
+        # face as its boundary link, so only a wrong boundary fails here.
+        B = from_facets([(1, 2, 3), (2, 3, 4)])
+        monkeypatch.setattr(
+            constructions, "boundary",
+            lambda X: from_facets([(1, 4), (1, 5), (4, 5)]),
+        )
+        with pytest.raises(IntermediateClaimFailed) as exc:
+            complete_ball_degree_d(B, 1, trust=True)
+        assert str(exc.value) == "boundary link of 1 is not the boundary of (2, 3)"
 
     def test_random_stacked_balls(self):
         rng = random.Random(27)

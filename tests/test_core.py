@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from combisphere import (
     Complex,
@@ -37,11 +39,20 @@ from combisphere.errors import (
     VertexSetsOverlap,
 )
 from helpers import (
+    _reference_reduction_moves,
     face_polynomial,
     moebius_torus,
     poly_mul,
     random_closed_pseudomanifold,
+    random_disc,
+    random_stacked_ball,
     random_stacked_sphere,
+    reference_bistellar_move,
+    reference_boundary,
+    reference_dual_graph,
+    reference_dual_graph_is_connected,
+    reference_generalized_bistellar_move,
+    reference_pseudomanifold_check,
 )
 
 
@@ -359,3 +370,190 @@ class TestGeneralizedBistellarMove:
         S = boundary(from_facets([(1, 2, 3, 4), (2, 3, 4, 5)]))
         with pytest.raises(MovePreconditionFailed):
             generalized_bistellar_move(S, (2,), (1, 3, 4))
+
+
+# ---------------------------------------------------------------------------
+# the shared ridge map, connectivity walk and link-shape test against the
+# frozenset-keyed copies kept in helpers
+# ---------------------------------------------------------------------------
+
+
+def _shifted(X, shift):
+    return from_facets([tuple(v + shift for v in f) for f in X.facets])
+
+
+def _sample_complex(kind, rng):
+    if kind == "closed":
+        return random_closed_pseudomanifold(rng)
+    if kind == "cross":
+        return get(f"cross_polytope({rng.randint(1, 4)})").complex
+    if kind == "stacked sphere":
+        return random_stacked_sphere(rng, rng.randint(1, 3), rng.randint(5, 10))
+    if kind == "standard":
+        return get(f"standard_sphere({rng.randint(0, 3)})").complex
+    if kind == "points":
+        return from_facets([(v,) for v in range(1, rng.randint(2, 4))])
+    if kind == "ball":
+        d = rng.randint(1, 3)
+        return random_stacked_ball(rng, d, rng.randint(d + 1, d + 6))
+    if kind == "disc":
+        return random_disc(rng, rng.randint(3, 9))
+    if kind == "disjoint":
+        a = random_stacked_sphere(rng, 2, rng.randint(4, 7))
+        return from_facets(a.facets + _shifted(a, max(a.vertices)).facets)
+    # a sphere with facets hung on some of its ridges, each then in three
+    S = random_stacked_sphere(rng, 2, rng.randint(4, 7))
+    fresh = max(S.vertices) + 1
+    hung = [
+        (*rng.choice(S.facets)[:2], fresh + i) for i in range(rng.randint(1, 3))
+    ]
+    return from_facets(S.facets + tuple(hung))
+
+
+KINDS = ["closed", "cross", "stacked sphere", "standard", "points", "ball",
+         "disc", "disjoint", "triple ridge"]
+# closed pseudomanifolds are drawn more often: only they reach the link tests
+CLOSED_KINDS = ["closed", "cross", "stacked sphere", "standard"]
+
+
+@st.composite
+def complexes(draw):
+    kind = draw(st.sampled_from(KINDS + CLOSED_KINDS * 2))
+    return _sample_complex(kind, random.Random(draw(st.integers(0, 2**16))))
+
+
+def _vertex_lists(X, size):
+    """Lists of labels of X or fresh ones: `size` of them, or any number,
+    and now and then one invalid label or a repeated one."""
+    n = max(X.vertices)
+    sizes = st.just(size) if size is not None else st.integers(0, X.dim + 3)
+    valid = sizes.flatmap(
+        lambda k: st.lists(st.integers(1, n + 2), min_size=k, max_size=k, unique=True)
+    )
+    spoiled = st.tuples(valid, st.sampled_from([0, -1, True, 1.5, "2", n])).map(
+        lambda lb: [*lb[0], lb[1]]
+    )
+    return st.one_of(valid, valid, valid, spoiled)
+
+
+def _faces(X):
+    return sorted(
+        tuple(sorted(f)) for k in range(1, X.dim + 2) for f in X.faces_of_size(k)
+    )
+
+
+def _span_outside(X, A):
+    """The vertices outside A of the facets containing A: the B of a legal
+    move (A, B) when A is link-shaped."""
+    spanned = set().union(*(f for f in X.facets if set(A) <= set(f)))
+    return tuple(sorted(spanned - set(A)))
+
+
+def _outcome(fn, *args):
+    try:
+        result = fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return result, result.facets
+
+
+class TestSharedChecksMatchReference:
+    @settings(max_examples=300, deadline=None)
+    @given(X=complexes(), data=st.data())
+    def test_generalized_bistellar_move(self, X, data):
+        A = data.draw(st.one_of(
+            st.sampled_from(_faces(X)), st.sampled_from(_faces(X)),
+            _vertex_lists(X, None),
+        ))
+        size_b = X.dim + 2 - len(A)
+        candidates = [
+            st.just((max(X.vertices) + 1,)),
+            st.sampled_from(_faces(X)),
+            _vertex_lists(X, max(size_b, 0)),
+            _vertex_lists(X, None),
+        ]
+        if all(type(v) is int for v in A):
+            span = _span_outside(X, A)
+            candidates += [st.just(span)] * 3
+            if span:  # one vertex of B swapped for another label
+                candidates.append(_vertex_lists(X, 1).map(lambda w: [*span[1:], *w]))
+        B = data.draw(st.one_of(candidates))
+        legal = _reference_reduction_moves(X)
+        if legal and data.draw(st.booleans()):
+            A, B = data.draw(st.sampled_from(legal))
+        assert _outcome(generalized_bistellar_move, X, A, B) == _outcome(
+            reference_generalized_bistellar_move, X, A, B
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(X=complexes(), data=st.data())
+    def test_bistellar_move(self, X, data):
+        n = max(X.vertices)
+        v = data.draw(st.one_of(
+            st.sampled_from(X.vertices), st.sampled_from(X.vertices),
+            st.integers(n + 1, n + 2), st.sampled_from([0, -1, True, "1"]),
+        ))
+        candidates = [
+            st.just((n + 1,)),
+            st.sampled_from(_faces(X)),
+            _vertex_lists(X, X.dim + 1),
+            _vertex_lists(X, None),
+        ]
+        if v in X.vertex_set:
+            span = _span_outside(X, (v,))
+            candidates += [st.just(span)] * 3
+            candidates.append(_vertex_lists(X, 1).map(lambda w: [*span[1:], *w]))
+        sigma = data.draw(st.one_of(candidates))
+        legal = [(A, B) for A, B in _reference_reduction_moves(X) if len(A) == 1]
+        if legal and data.draw(st.booleans()):
+            (v,), sigma = data.draw(st.sampled_from(legal))
+        assert _outcome(bistellar_move, X, v, sigma) == _outcome(
+            reference_bistellar_move, X, v, sigma
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(X=complexes())
+    def test_ridge_map_users(self, X):
+        assert pseudomanifold_check(X) == reference_pseudomanifold_check(X)
+        assert _outcome(boundary, X) == _outcome(reference_boundary, X)
+        complexes_to_check = [X]
+        if X.dim >= 1 and reference_pseudomanifold_check(X).closed:
+            complexes_to_check.append(boundary(X))  # the empty complex
+        for Y in complexes_to_check:
+            g, ref = dual_graph(Y), reference_dual_graph(Y)
+            assert g.nodes == ref.nodes
+            assert g.edges == ref.edges
+            assert list(g.ridge_index.items()) == list(ref.ridge_index.items())
+            assert [g.neighbors(f) for f in g.nodes] == [
+                ref.neighbors(f) for f in ref.nodes
+            ]
+            assert g.is_connected() == reference_dual_graph_is_connected(ref)
+            assert g.max_ridge_multiplicity() == ref.max_ridge_multiplicity()
+
+    def test_moves_in_dimension_zero(self):
+        S0 = from_facets([(1,), (2,)])
+        for move, ref, args in [
+            (bistellar_move, reference_bistellar_move, (1, (3,))),
+            (bistellar_move, reference_bistellar_move, (1, (2,))),
+            (bistellar_move, reference_bistellar_move, (1, (1,))),
+            (bistellar_move, reference_bistellar_move, (1, (3, 4))),
+            (bistellar_move, reference_bistellar_move, (1, ())),
+            (generalized_bistellar_move, reference_generalized_bistellar_move,
+             ((1,), (3,))),
+            (generalized_bistellar_move, reference_generalized_bistellar_move,
+             ((), (1, 2))),
+        ]:
+            assert _outcome(move, S0, *args) == _outcome(ref, S0, *args)
+        assert bistellar_move(S0, 1, (3,)) == from_facets([(2,), (3,)])
+        assert generalized_bistellar_move(S0, (), (1, 2)).is_empty
+
+    def test_ridges_print_as_plain_tuples(self):
+        from combisphere import certify_sphere
+
+        X = from_facets([(1, 2, 3), (1, 2, 4), (1, 2, 5)])
+        with pytest.raises(RidgeInThreeFacets) as exc:
+            boundary(X)
+        assert str(exc.value) == "ridge (1, 2) lies in 3 facets"
+        assert certify_sphere(X).reason == (
+            "not a pseudomanifold: ridge (1, 2) lies in 3 facets"
+        )

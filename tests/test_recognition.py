@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -30,9 +31,11 @@ from helpers import (
     random_flag_2sphere,
     random_stacked_ball,
     random_stacked_sphere,
+    reference_certify_surface,
     reference_collapse_stacked_sphere_to_ball,
     reference_greedy_reduce,
     reference_link_screen,
+    reference_surface_link_loop,
 )
 
 
@@ -173,6 +176,89 @@ def _ridge_counts(X):
 def _chi(X):
     counts = face_polynomial(list(X.facets))
     return sum((-1) ** (k - 1) * c for k, c in counts.items() if k)
+
+
+def _pinch(X, rng, times):
+    """Identify pairs of vertices that share no edge, up to `times` times.
+
+    Pairs whose links are disjoint as well are preferred: identifying them
+    keeps a closed pseudomanifold, with one vertex link of two cycles.
+    """
+    for _ in range(times):
+        nbrs = {v: set() for v in X.vertices}
+        for f in X.facets:
+            for v in f:
+                nbrs[v].update(f)
+        pairs = [(a, b) for a, b in itertools.combinations(X.vertices, 2)
+                 if b not in nbrs[a]]
+        far = [(a, b) for a, b in pairs if not nbrs[a] & nbrs[b]]
+        if not pairs:
+            break
+        a, b = rng.choice(far if far and rng.random() < 0.7 else pairs)
+        X = from_facets(
+            {tuple(sorted(b if v == a else v for v in f)) for f in X.facets}
+        )
+    return X
+
+
+def _surface(kind, rng):
+    if kind == "stacked":
+        return random_stacked_sphere(rng, 2, rng.randint(4, 16))
+    if kind == "torus":
+        return moebius_torus()
+    a = random_stacked_sphere(rng, 2, rng.randint(4, 8))
+    b = random_stacked_sphere(rng, 2, rng.randint(4, 8))
+    shift = max(a.vertices)
+    return from_facets(a.facets + tuple(tuple(v + shift for v in f) for f in b.facets))
+
+
+class TestSurfaceLinksNeedNoCheck:
+    """certify_sphere no longer checks vertex links in dimension 2: a closed
+    connected 2-pseudomanifold with chi = 2 has only cycle links."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        kind=st.sampled_from(["stacked", "torus", "two spheres"]),
+        pinches=st.sampled_from([0, 1, 1, 2, 3]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_pinched_surfaces(self, kind, pinches, seed):
+        rng = random.Random(seed)
+        X = _pinch(_surface(kind, rng), rng, pinches)
+        verdict = certify_sphere(X)
+        assert verdict == reference_certify_surface(X)
+        if reference_surface_link_loop(X) is not None:
+            assert verdict.is_refuted
+            assert verdict.reason.startswith(
+                ("not a pseudomanifold", "has boundary", "Euler characteristic")
+            )
+
+    def test_pinched_stacked_sphere_is_refuted_by_euler(self):
+        # 2 and 9 have no common neighbour: the merged vertex 9 has a link
+        # of two cycles, and chi drops by one
+        S = random_stacked_sphere(random.Random(1), 2, 9)
+        X = from_facets(tuple(9 if v == 2 else v for v in f) for f in S.facets)
+        assert reference_surface_link_loop(X) == Verdict(
+            REFUTED, "link of vertex 9 is not a single cycle"
+        )
+        assert certify_sphere(X) == Verdict(REFUTED, "Euler characteristic 1 != 2")
+
+    def test_two_spheres_on_one_vertex_are_not_a_pseudomanifold(self):
+        X = from_facets(
+            list(itertools.combinations((1, 2, 3, 4), 3))
+            + list(itertools.combinations((4, 5, 6, 7), 3))
+        )
+        assert reference_surface_link_loop(X) == Verdict(
+            REFUTED, "link of vertex 4 is not a single cycle"
+        )
+        assert certify_sphere(X) == Verdict(
+            REFUTED, "not a pseudomanifold: the facet-adjacency graph is disconnected"
+        )
+
+    def test_certified_reason_is_unchanged(self):
+        assert certify_sphere(get("octahedron").complex).reason == (
+            "exact (dim 2): closed surface with Euler characteristic 2 and cycle links"
+        )
 
 
 class TestCertifyBall:

@@ -61,6 +61,18 @@ class TestJsonFormat:
         with pytest.raises(ValueError):
             complex_from_json_obj({"dim": 2})
 
+    @pytest.mark.parametrize("obj, message", [
+        ({"facets": 5}, "'facets' must be a list, got 5"),
+        ({"facets": [5, 6]}, "a facet must be a list, got 5"),
+        ({"facets": "12"}, "'facets' must be a list, got '12'"),
+        ({"facets": [[1, 2]], "dim": True}, "bad dimension True"),
+        ({"facets": [[1, 2]], "dim": "1"}, "bad dimension '1'"),
+    ])
+    def test_malformed_shapes_rejected(self, obj, message):
+        with pytest.raises(ValueError) as exc:
+            complex_from_json_obj(obj)
+        assert str(exc.value) == message
+
     def test_sniffing(self):
         X = get("octahedron").complex
         assert parse_complex(complex_to_json(X)) == X
@@ -91,6 +103,20 @@ class TestPointsFormat:
             parse_points('{"points": {}}')
         with pytest.raises(ValueError):
             parse_points('{"dim": 0, "points": {"1": []}}')
+
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"dim": 1, "points": [[1, 2]]}',
+         "'points' must be an object from labels to coordinate rows"),
+        ('{"dim": 1, "points": {"1": 5}}', "point 1 must be a list, got 5"),
+        ('{"dim": 2, "points": {"1": "10", "2": "01", "3": "11"}}',
+         "point 1 must be a list, got '10'"),
+        ('{"dim": true, "points": {"1": ["1"], "2": ["2"]}}', "bad dimension True"),
+    ])
+    def test_malformed_shapes_rejected(self, text, message):
+        with pytest.raises(ValueError) as exc:
+            parse_points(text)
+        assert str(exc.value) == message
 
 
 class TestReportObjects:
