@@ -1,9 +1,13 @@
 """Exact rational geometry: convex hulls, general position, perturbation.
 
-All arithmetic is over fractions.Fraction; there are no epsilons anywhere.
-Hull extraction is incremental beneath-beyond with exact sidedness
-predicates.  Boundary-complex extraction requires general position: any
-exact tie met during insertion raises NotSimplicial rather than guessing.
+Coordinates come in and supporting functionals go out as fractions.Fraction;
+there are no epsilons and no floating point anywhere.  The predicates run
+fraction-free: each point's denominators are cleared once into homogeneous
+integer coordinates, and one Bareiss elimination over Python ints decides
+affine independence and yields hyperplane functionals.  Hull extraction is
+incremental beneath-beyond with exact sidedness predicates.  Boundary-complex
+extraction requires general position: any exact tie met during insertion
+raises NotSimplicial rather than guessing.
 """
 
 from __future__ import annotations
@@ -12,6 +16,9 @@ import itertools
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 from .core import Complex, Simplex, anti_star, is_subcomplex, one_point_suspension
@@ -28,6 +35,8 @@ from .errors import (
 )
 
 Vector = tuple[Fraction, ...]
+Row = tuple[int, ...]
+Echelon = list[tuple[list[int], int]]  # reduced rows with their pivot columns
 
 
 @dataclass(frozen=True)
@@ -68,12 +77,20 @@ class PointConfiguration:
     def as_dict(self) -> dict[int, Vector]:
         return dict(self.points)
 
+    @cached_property
+    def _rows(self) -> dict[int, Row]:
+        """Homogeneous integer coordinates of every point, by label."""
+        return {label: _homogeneous(vec) for label, vec in self.points}
+
     def drop(self, label: int) -> "PointConfiguration":
         if label not in self.labels:
             raise VertexNotPresent(f"no point labeled {label}")
-        return PointConfiguration(
+        rest = PointConfiguration(
             self.dim, tuple((l, v) for l, v in self.points if l != label)
         )
+        # reuse the cleared rows instead of converting the points again
+        rest.__dict__["_rows"] = {l: h for l, h in self._rows.items() if l != label}
+        return rest
 
     def __len__(self) -> int:
         return len(self.points)
@@ -100,76 +117,94 @@ class HullResult:
 
 
 # ---------------------------------------------------------------------------
-# exact linear algebra on Fractions
+# fraction-free linear algebra on homogeneous integer rows
 # ---------------------------------------------------------------------------
 
 
-def _det(rows: list[list[Fraction]]) -> Fraction:
-    """Determinant by fraction-exact Gaussian elimination."""
-    n = len(rows)
-    m = [row[:] for row in rows]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if m[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                factor = m[r][col] / inv
-                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-    return det
+def _homogeneous(vec: Vector) -> Row:
+    """(L, L*x) with L > 0 the least common denominator of x.
+
+    A functional a . (1, x) keeps its sign when the row is scaled by L, so
+    every orientation and sidedness sign can be read off these rows.
+    """
+    L = lcm(*(c.denominator for c in vec))
+    return (L, *(c.numerator * (L // c.denominator) for c in vec))
 
 
-def _orientation(points: Sequence[Vector]) -> Fraction:
-    """Signed volume form of d+1 points in R^d (zero iff affinely dependent)."""
-    base = points[0]
-    rows = [[c - b for c, b in zip(p, base)] for p in points[1:]]
-    return _det(rows)
+def _extend(echelon: Echelon, row: Row) -> bool:
+    """Reduce a row against the echelon and append it unless it vanishes.
+
+    This is one row of a fraction-free elimination (Bareiss 1968): step j
+    scales by pivot j and divides exactly by pivot j - 1, so every entry
+    stays an integer minor.  Each kept row pivots on its first nonzero
+    column, which the later rows then clear.  False means the row depends
+    on the echelon's rows.
+    """
+    prev = 1
+    for top, col in echelon:
+        p, a = top[col], row[col]
+        row = [(p * x - a * y) // prev for x, y in zip(row, top)]
+        prev = p
+    for col, x in enumerate(row):
+        if x:
+            echelon.append((row, col))
+            return True
+    return False
 
 
-def _dot(a: Vector, b: Vector) -> Fraction:
-    return sum((x * y for x, y in zip(a, b)), Fraction(0))
+def _all_independent(rows: Sequence[Row], size: int, echelon: Echelon) -> bool:
+    """True when the echelon's rows plus any rows, up to size, are independent.
+
+    On homogeneous rows of d + 1 points this is a nonzero orientation.
+    Combinations are walked depth first, so they share the elimination of
+    their common prefix and each costs one more row reduction.
+    """
+    need = size - len(echelon)
+    if need == 0:
+        return True
+    for i in range(len(rows) - need + 1):
+        if not _extend(echelon, rows[i]):
+            return False
+        ok = _all_independent(rows[i + 1:], size, echelon)
+        echelon.pop()
+        if not ok:
+            return False
+    return True
 
 
-def _hyperplane(points: Sequence[Vector]) -> tuple[Vector, Fraction] | None:
-    """Normal and offset of the hyperplane through d points in R^d, or None."""
-    d = len(points[0])
-    base = points[0]
-    rows = [[c - b for c, b in zip(p, base)] for p in points[1:]]
-    normal = []
-    for j in range(d):
-        minor = [[row[k] for k in range(d) if k != j] for row in rows]
-        entry = _det(minor) if minor else Fraction(1)
-        normal.append(entry if j % 2 == 0 else -entry)
-    if all(c == 0 for c in normal):
+def _functional(rows: Sequence[Row]) -> Row | None:
+    """An integer a with a . h = 0 on the d rows, or None if they are dependent.
+
+    The d points span the hyperplane a[0] + a[1:] . x = 0.  Back substitution
+    from the last pivot placed at the free column is Cramer's rule on the
+    pivot columns, so every division is exact.
+    """
+    echelon: Echelon = []
+    if not all(_extend(echelon, row) for row in rows):
         return None
-    nvec = tuple(normal)
-    return nvec, _dot(nvec, base)
+    pivots = {col for _, col in echelon}
+    a = [0] * len(rows[0])
+    free = next(j for j in range(len(a)) if j not in pivots)
+    last_row, last_col = echelon[-1]
+    a[free] = last_row[last_col]  # the pivot columns' determinant, up to sign
+    for row, col in reversed(echelon):
+        a[col] = -_side(row, a) // row[col]
+    return tuple(a)
 
 
-def _primitive(normal: Vector, offset: Fraction) -> tuple[Vector, Fraction]:
-    from math import gcd
+def _side(a: Row, h: Row) -> int:
+    return sum(map(mul, a, h))
 
-    denominators = [c.denominator for c in normal] + [offset.denominator]
-    lcm = 1
-    for q in denominators:
-        lcm = lcm * q // gcd(lcm, q)
-    ints = [int(c * lcm) for c in normal] + [int(offset * lcm)]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    if g > 1:
-        ints = [x // g for x in ints]
-    return tuple(Fraction(x) for x in ints[:-1]), Fraction(ints[-1])
+
+def _primitive(a: Row) -> tuple[Vector, Fraction]:
+    """normal . x <= offset from an outward homogeneous functional a.
+
+    a . (L, L*x) = L * (a[0] + a[1:] . x) with L > 0, so (a[1:], -a[0]) is a
+    positive multiple of every rational form of the functional, and dividing
+    by its gcd gives the unique primitive integer one.
+    """
+    g = gcd(*a)
+    return tuple(Fraction(c // g) for c in a[1:]), Fraction(-a[0] // g)
 
 
 # ---------------------------------------------------------------------------
@@ -182,52 +217,18 @@ def general_position_check(pc: PointConfiguration) -> bool:
     d = pc.dim
     if len(pc) < d + 1:
         raise TooFewPoints(f"need at least {d + 1} points, have {len(pc)}")
-    coords = pc.as_dict()
-    for subset in itertools.combinations(pc.labels, d + 1):
-        if _orientation([coords[s] for s in subset]) == 0:
-            return False
-    return True
-
-
-def _rank(rows: list[list[Fraction]]) -> int:
-    m = [row[:] for row in rows]
-    rank = 0
-    cols = len(m[0]) if m else 0
-    for col in range(cols):
-        pivot = None
-        for r in range(rank, len(m)):
-            if m[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = m[rank][col]
-        for r in range(rank + 1, len(m)):
-            if m[r][col] != 0:
-                factor = m[r][col] / inv
-                m[r] = [a - factor * b for a, b in zip(m[r], m[rank])]
-        rank += 1
-    return rank
+    return _all_independent(list(pc._rows.values()), d + 1, [])
 
 
 def _affine_basis(pc: PointConfiguration) -> list[int]:
     """Greedy scan (ascending labels) for d + 1 affinely independent points."""
-    coords = pc.as_dict()
     basis: list[int] = []
+    echelon: Echelon = []
     for label in pc.labels:
-        if not basis:
+        if _extend(echelon, pc._rows[label]):
             basis.append(label)
-            continue
-        candidate = basis + [label]
-        diffs = [
-            [c - b for c, b in zip(coords[p], coords[candidate[0]])]
-            for p in candidate[1:]
-        ]
-        if _rank(diffs) == len(candidate) - 1:
-            basis.append(label)
-        if len(basis) == pc.dim + 1:
-            return basis
+            if len(basis) == pc.dim + 1:
+                return basis
     raise DegenerateSpan(
         f"points affinely span only {len(basis) - 1} dimensions, need {pc.dim}"
     )
@@ -236,8 +237,8 @@ def _affine_basis(pc: PointConfiguration) -> list[int]:
 @dataclass
 class _Facet:
     vertices: frozenset[int]
-    normal: Vector
-    offset: Fraction
+    functional: Row  # negative strictly beneath, at the interior reference
+    order: int  # creation order, which is also the order of the facet list
 
 
 def convex_hull(pc: PointConfiguration) -> HullResult:
@@ -250,30 +251,35 @@ def convex_hull(pc: PointConfiguration) -> HullResult:
     d = pc.dim
     if len(pc) < d + 1:
         raise TooFewPoints(f"need at least {d + 1} points, have {len(pc)}")
-    coords = pc.as_dict()
+    rows = pc._rows
     basis = _affine_basis(pc)
+    # the basis centroid, as a positive multiple of its homogeneous row
+    common = lcm(*(rows[b][0] for b in basis))
     ref = tuple(
-        sum((coords[b][j] for b in basis), Fraction(0)) / (d + 1) for j in range(d)
+        map(sum, zip(*([c * (common // rows[b][0]) for c in rows[b]] for b in basis)))
     )
+    ridge_owner: dict[frozenset[int], list[_Facet]] = {}  # kept up to date
+    created = itertools.count()
 
     def oriented(vertex_labels: Iterable[int]) -> _Facet:
         labels = frozenset(vertex_labels)
-        plane = _hyperplane([coords[v] for v in sorted(labels)])
-        if plane is None:
+        a = _functional([rows[v] for v in sorted(labels)])
+        if a is None:
             raise NotSimplicial(
                 f"facet candidate {tuple(sorted(labels))} is affinely degenerate"
             )
-        normal, offset = plane
-        side = _dot(normal, ref) - offset
+        side = _side(a, ref)
         if side == 0:
             raise NotSimplicial(
                 f"interior reference lies on the hyperplane of "
                 f"{tuple(sorted(labels))}"
             )
         if side > 0:
-            normal = tuple(-c for c in normal)
-            offset = -offset
-        return _Facet(labels, normal, offset)
+            a = tuple(-c for c in a)
+        facet = _Facet(labels, a, next(created))
+        for v in labels:
+            ridge_owner.setdefault(labels - {v}, []).append(facet)
+        return facet
 
     facets: list[_Facet] = [
         oriented(set(basis) - {skip}) for skip in basis
@@ -281,10 +287,10 @@ def convex_hull(pc: PointConfiguration) -> HullResult:
     for label in pc.labels:
         if label in basis:
             continue
-        x = coords[label]
+        x = rows[label]
         beyond: list[_Facet] = []
         for f in facets:
-            side = _dot(f.normal, x) - f.offset
+            side = _side(f.functional, x)
             if side > 0:
                 beyond.append(f)
             elif side == 0:
@@ -295,19 +301,34 @@ def convex_hull(pc: PointConfiguration) -> HullResult:
         if not beyond:
             continue  # interior of the current hull, hence never a vertex
         beyond_set = {id(f) for f in beyond}
-        ridge_owner: dict[frozenset[int], list[_Facet]] = {}
-        for f in facets:
+        # Scanning the ridges of every facet in list (= creation) order would
+        # meet each horizon ridge first in its older owner.  New facets are
+        # made in that order and from that owner's copy of the ridge, so the
+        # facet list, and with it the tie NotSimplicial names, is the one a
+        # full rescan gives.
+        horizon: list[tuple[tuple[int, int], frozenset[int]]] = []
+        for f in beyond:
             for v in f.vertices:
-                ridge_owner.setdefault(f.vertices - {v}, []).append(f)
-        new_facets: list[_Facet] = []
-        for ridge, owners in ridge_owner.items():
-            flags = [id(o) in beyond_set for o in owners]
-            if any(flags) and not all(flags):
-                new_facets.append(oriented(ridge | {label}))
-        facets = [f for f in facets if id(f) not in beyond_set] + new_facets
+                ridge = f.vertices - {v}
+                owners = ridge_owner[ridge]
+                owners.remove(f)
+                if not owners:
+                    del ridge_owner[ridge]
+                    continue
+                kept = owners[0]
+                if id(kept) in beyond_set:
+                    continue
+                first = min(f, kept, key=lambda o: o.order)
+                pos, w = next(
+                    (i, w) for i, w in enumerate(first.vertices) if w not in ridge
+                )
+                horizon.append(((first.order, pos), first.vertices - {w}))
+        horizon.sort(key=lambda h: h[0])
+        facets = [f for f in facets if id(f) not in beyond_set]
+        facets += [oriented(ridge | {label}) for _, ridge in horizon]
     hull_facets = []
     for f in sorted(facets, key=lambda f: tuple(sorted(f.vertices))):
-        normal, offset = _primitive(f.normal, f.offset)
+        normal, offset = _primitive(f.functional)
         hull_facets.append(
             HullFacet(Simplex._raw(tuple(sorted(f.vertices))), normal, offset)
         )
@@ -320,9 +341,7 @@ def convex_hull(pc: PointConfiguration) -> HullResult:
 # ---------------------------------------------------------------------------
 
 
-def _realizes(
-    coords: Mapping[int, Vector], target: Complex
-) -> bool:
+def _realizes(rows: Mapping[int, Row], target: Complex) -> bool:
     """True when target is exactly the hull boundary complex of the points.
 
     Checks that every facet hyperplane of the target has all remaining points
@@ -331,25 +350,15 @@ def _realizes(
     complex without computing a hull, degenerate interim coplanarities and
     all.
     """
-    if set(coords) != set(target.vertex_set):
+    if set(rows) != set(target.vertex_set):
         return False
-    labels = sorted(coords)
     for facet in target.facets:
-        plane = _hyperplane([coords[v] for v in facet])
-        if plane is None:
+        a = _functional([rows[v] for v in facet])
+        if a is None:
             return False
-        normal, offset = plane
-        sign = 0
-        for label in labels:
-            if label in facet:
-                continue
-            side = _dot(normal, coords[label]) - offset
-            if side == 0:
-                return False
-            if sign == 0:
-                sign = 1 if side > 0 else -1
-            elif (side > 0) != (sign > 0):
-                return False
+        sides = [_side(a, h) for label, h in rows.items() if label not in facet]
+        if not (all(s > 0 for s in sides) or all(s < 0 for s in sides)):
+            return False
     return True
 
 
@@ -372,11 +381,12 @@ def perturb_to_general_position(
         raise TooFewPoints(f"need at least {d + 1} points, have {len(pc)}")
     anchor = combinatorial_type.facets[0]
     coords = dict(pc.as_dict())
+    rows = dict(pc._rows)
     if len(anchor) != d:
         raise DegenerateSpan(
             f"target facets have {len(anchor)} vertices, expected {d}"
         )
-    if _hyperplane([coords[v] for v in anchor]) is None:
+    if not _all_independent([rows[v] for v in anchor], d, []):
         raise DegenerateSpan(
             f"anchor facet {tuple(anchor)} is affinely degenerate"
         )
@@ -385,7 +395,6 @@ def perturb_to_general_position(
     rest = [label for label in pc.labels if label not in set(anchor)]
     for label in rest:
         original = coords[label]
-        accepted = False
         for attempt in range(max_attempts):
             if attempt == 0:
                 candidate = original
@@ -395,31 +404,19 @@ def perturb_to_general_position(
                     c + scale * Fraction(rng.randint(-8, 8), 8) for c in original
                 )
             coords[label] = candidate
-            if _prefix_general_position(coords, processed, label, d) and _realizes(
-                coords, combinatorial_type
+            rows[label] = _homogeneous(candidate)
+            prefix = [rows[s] for s in processed]
+            if _all_independent(prefix, d + 1, [(rows[label], 0)]) and _realizes(
+                rows, combinatorial_type
             ):
-                accepted = True
                 break
-        if not accepted:
-            coords[label] = original
+        else:
             raise PerturbationBudgetExhausted(
                 f"no displacement of point {label} within {max_attempts} attempts "
                 f"keeps the hull combinatorics"
             )
         processed.append(label)
     return PointConfiguration.from_dict(d, coords)
-
-
-def _prefix_general_position(
-    coords: Mapping[int, Vector], processed: list[int], label: int, d: int
-) -> bool:
-    pool = processed
-    if len(pool) < d:
-        return True
-    for subset in itertools.combinations(pool, d):
-        if _orientation([coords[s] for s in subset] + [coords[label]]) == 0:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

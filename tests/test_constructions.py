@@ -1,6 +1,9 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from combisphere import (
     boundary,
@@ -12,6 +15,7 @@ from combisphere import (
     complete_join,
     complete_stacked_ball,
     complete_stacked_sphere,
+    degree,
     from_facets,
     get,
     is_standard,
@@ -20,12 +24,10 @@ from combisphere import (
     link,
     sphere_chain,
 )
-from combisphere import constructions
 from combisphere.errors import (
     DimensionTooLow,
     FactorJoinMismatch,
     FactorNotSphere,
-    IntermediateClaimFailed,
     NoDegreeDVertex,
     NotBall,
     NotDisc,
@@ -303,17 +305,26 @@ class TestCompleteBallDegreeD:
             "done: dim 1, 3 facets on 3 vertices",
         )
 
-    def test_boundary_link_message(self, monkeypatch):
-        # A vertex in one facet has the boundary of that facet's opposite
-        # face as its boundary link, so only a wrong boundary fails here.
-        B = from_facets([(1, 2, 3), (2, 3, 4)])
-        monkeypatch.setattr(
-            constructions, "boundary",
-            lambda X: from_facets([(1, 4), (1, 5), (4, 5)]),
-        )
-        with pytest.raises(IntermediateClaimFailed) as exc:
-            complete_ball_degree_d(B, 1, trust=True)
-        assert str(exc.value) == "boundary link of 1 is not the boundary of (2, 3)"
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 4), extra=st.integers(1, 6))
+    def test_boundary_link_of_a_degree_d_vertex_is_the_boundary_of_tau(
+        self, seed, d, extra
+    ):
+        # u of degree d lies only in the facet u * tau, so every ridge of it
+        # through u has one owner: the boundary link of u is always dtau,
+        # and the completion needs no check of it
+        B = random_stacked_ball(random.Random(seed), d, d + 1 + extra)
+        M = boundary(B)
+        for u in B.vertices:
+            if degree(B, u) != d:
+                continue
+            (tau,) = link(B, u).facets
+            boundary_link = {tuple(v for v in f if v != u) for f in M.facets if u in f}
+            assert boundary_link == set(itertools.combinations(tau, d - 1))
+            result = complete_ball_degree_d(B, u, trust=True)
+            assert result.trace[1] == (
+                f"vertex {u} has degree {d}; boundary link is the boundary of {tuple(tau)}"
+            )
 
     def test_random_stacked_balls(self):
         rng = random.Random(27)

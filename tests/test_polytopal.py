@@ -1,8 +1,11 @@
+import itertools
 import random
 from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from combisphere import (
     anti_star,
@@ -26,8 +29,27 @@ from combisphere.errors import (
     TooFewVertices,
     VertexNotPresent,
 )
-from combisphere.polytopal import PointConfiguration
-from helpers import cube_points, gale_evenness_facets, octahedron_points
+from combisphere.polytopal import (
+    PointConfiguration,
+    _all_independent,
+    _functional,
+    _homogeneous,
+    _primitive,
+    _realizes,
+)
+from helpers import (
+    _reference_primitive,
+    cube_points,
+    gale_evenness_facets,
+    octahedron_points,
+    reference_convex_hull,
+    reference_det,
+    reference_general_position_check,
+    reference_hyperplane,
+    reference_perturb_to_general_position,
+    reference_rank,
+    reference_realizes,
+)
 
 
 def _tetra_points():
@@ -242,3 +264,154 @@ class TestPolytopalComplete:
         pts = get("cyclic_polytope_points(6,3)").points
         with pytest.raises(VertexNotPresent):
             polytopal_complete(pts, 99)
+
+
+# ---------------------------------------------------------------------------
+# the integer kernel against the Fraction elimination it replaced
+# ---------------------------------------------------------------------------
+
+# negative, non-integer and mixed-denominator coordinates
+coordinates = st.fractions(min_value=-12, max_value=12, max_denominator=9)
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return "ok", fn(*args, **kwargs)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _affine_combination(draw, points):
+    """A point on the affine hull of the given points, rational weights."""
+    weights = [draw(coordinates) for _ in points[1:]]
+    weights.insert(0, 1 - sum(weights, Fraction(0)))
+    return tuple(
+        sum((w * p[c] for w, p in zip(weights, points)), Fraction(0))
+        for c in range(len(points[0]))
+    )
+
+
+@st.composite
+def point_lists(draw, d, n, plants=2):
+    """n points in R^d with planted repeats and affinely dependent subsets."""
+    points = [tuple(draw(coordinates) for _ in range(d)) for _ in range(n)]
+    for _ in range(draw(st.integers(0, plants))):
+        i = draw(st.integers(0, n - 1))
+        if n < 3 or draw(st.booleans()):
+            points[i] = points[draw(st.integers(0, n - 1))]
+        else:
+            k = draw(st.integers(2, max(2, min(d, n - 1))))
+            others = [j for j in range(n) if j != i]
+            chosen = draw(st.lists(st.sampled_from(others), min_size=k, max_size=k,
+                                   unique=True))
+            points[i] = _affine_combination(draw, [points[j] for j in chosen])
+    return points
+
+
+@st.composite
+def configurations(draw, min_dim=1, max_dim=5, plants=2):
+    d = draw(st.integers(min_dim, max_dim))
+    n = draw(st.integers(d + 1, d + 4))
+    labels = draw(st.lists(st.integers(1, 40), min_size=n, max_size=n, unique=True))
+    points = draw(point_lists(d, n, plants))
+    return PointConfiguration.from_dict(d, dict(zip(labels, points)))
+
+
+class TestIntegerKernelMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_independence_and_hyperplanes(self, data):
+        d = data.draw(st.integers(1, 5))
+        k = data.draw(st.integers(1, d + 1))
+        points = data.draw(point_lists(d, k))
+        rows = [_homogeneous(p) for p in points]
+        for p, row in zip(points, rows):
+            assert row[0] > 0
+            assert tuple(Fraction(c, row[0]) for c in row[1:]) == p
+        diffs = [[c - b for c, b in zip(p, points[0])] for p in points[1:]]
+        independent = reference_rank(diffs) == k - 1
+        assert _all_independent(rows, k, []) == independent
+        if k == d + 1:
+            assert independent == (reference_det(diffs) != 0)
+        if k == d:
+            a, plane = _functional(rows), reference_hyperplane(points)
+            assert (a is None) == (plane is None)
+            if a is not None:
+                normal, offset = _reference_primitive(*plane)
+                negated = tuple(-c for c in normal), -offset
+                assert _primitive(a) in ((normal, offset), negated)
+
+    @settings(max_examples=150, deadline=None)
+    @given(pc=configurations())
+    def test_hulls_and_general_position(self, pc):
+        assert _outcome(convex_hull, pc) == _outcome(reference_convex_hull, pc)
+        assert _outcome(general_position_check, pc) == _outcome(
+            reference_general_position_check, pc
+        )
+        v = pc.labels[0]
+        assert pc.drop(v)._rows == PointConfiguration(pc.dim, pc.drop(v).points)._rows
+
+    @settings(max_examples=120, deadline=None)
+    @given(pc=configurations(plants=0), data=st.data())
+    def test_point_on_a_facet_hyperplane(self, pc, data):
+        # A point on the affine hull of part of a hull facet lies on that
+        # facet's hyperplane (and, for part of a ridge, on two), so the tie
+        # that NotSimplicial names depends on the order of the facet list.
+        status, hull = _outcome(reference_convex_hull, pc)
+        assume(status == "ok")
+        facet = data.draw(st.sampled_from(hull.facets)).vertices
+        part = data.draw(st.lists(st.sampled_from(facet), min_size=1,
+                                  max_size=len(facet), unique=True))
+        x = _affine_combination(data.draw, [pc.coords(v) for v in part])
+        label = data.draw(st.one_of(
+            st.integers(max(pc.labels) + 1, max(pc.labels) + 3),
+            st.integers(1, 45).filter(lambda l: l not in pc.labels),
+        ))
+        planted = PointConfiguration.from_dict(pc.dim, {**pc.as_dict(), label: x})
+        assert _outcome(convex_hull, planted) == _outcome(reference_convex_hull, planted)
+        assert _outcome(general_position_check, planted) == _outcome(
+            reference_general_position_check, planted
+        )
+
+    @settings(max_examples=80, deadline=None)
+    @given(pc=configurations(max_dim=4), other=configurations(max_dim=4),
+           data=st.data())
+    def test_realizes_and_perturbation(self, pc, other, data):
+        # targets: the hull complex of a generic configuration on the same
+        # labels, or of some other configuration
+        generic = PointConfiguration.from_dict(pc.dim, {
+            label: tuple(data.draw(coordinates) for _ in range(pc.dim))
+            for label in pc.labels
+        })
+        for source in (generic, other):
+            status, hull = _outcome(reference_convex_hull, source)
+            if status != "ok":
+                continue
+            target = hull.boundary_complex
+            if target.dim == pc.dim - 1:  # facets of d vertices, as perturbation checks
+                assert _realizes(pc._rows, target) == reference_realizes(
+                    pc.as_dict(), target
+                )
+            seed = data.draw(st.integers(0, 1 << 16))
+            attempts = data.draw(st.integers(1, 6))
+            assert _outcome(
+                perturb_to_general_position, pc, target, seed, attempts
+            ) == _outcome(reference_perturb_to_general_position, pc, target, seed,
+                          attempts)
+
+    @pytest.mark.parametrize("points", [
+        octahedron_points(), cube_points(),
+        PointConfiguration.from_dict(3, {
+            i: c for i, c in enumerate(itertools.product(range(3), repeat=3), 1)
+        }),
+        PointConfiguration.from_dict(2, {
+            1: ("1/2", "-1/3"), 2: (5, "7/4"), 3: ("-5/6", 2), 4: ("1/2", "-1/3"),
+        }),
+    ])
+    def test_fixed_degenerate_inputs(self, points):
+        assert _outcome(convex_hull, points) == _outcome(reference_convex_hull, points)
+        octa = get("octahedron").complex
+        for seed in range(3):
+            assert _outcome(perturb_to_general_position, points, octa, seed) == (
+                _outcome(reference_perturb_to_general_position, points, octa, seed)
+            )
