@@ -222,13 +222,14 @@ def general_position_check(pc: PointConfiguration) -> bool:
 
 def _affine_basis(pc: PointConfiguration) -> list[int]:
     """Greedy scan (ascending labels) for d + 1 affinely independent points."""
-    basis: list[int] = []
-    echelon: Echelon = []
-    for label in pc.labels:
-        if _extend(echelon, pc._rows[label]):
+    rows = pc._rows
+    basis = [pc.labels[0]]
+    echelon: Echelon = [(list(rows[basis[0]]), 0)]  # pivots on L > 0
+    for label in pc.labels[1:]:
+        if _extend(echelon, rows[label]):
             basis.append(label)
-            if len(basis) == pc.dim + 1:
-                return basis
+        if len(basis) == pc.dim + 1:
+            return basis
     raise DegenerateSpan(
         f"points affinely span only {len(basis) - 1} dimensions, need {pc.dim}"
     )
@@ -395,6 +396,7 @@ def perturb_to_general_position(
     rest = [label for label in pc.labels if label not in set(anchor)]
     for label in rest:
         original = coords[label]
+        prefix = [rows[s] for s in processed]
         for attempt in range(max_attempts):
             if attempt == 0:
                 candidate = original
@@ -405,8 +407,8 @@ def perturb_to_general_position(
                 )
             coords[label] = candidate
             rows[label] = _homogeneous(candidate)
-            prefix = [rows[s] for s in processed]
-            if _all_independent(prefix, d + 1, [(rows[label], 0)]) and _realizes(
+            moved: Echelon = [(list(rows[label]), 0)]  # pivots on L > 0
+            if _all_independent(prefix, d + 1, moved) and _realizes(
                 rows, combinatorial_type
             ):
                 break

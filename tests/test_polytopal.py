@@ -407,7 +407,9 @@ class TestIntegerKernelMatchesReference:
         PointConfiguration.from_dict(2, {
             1: ("1/2", "-1/3"), 2: (5, "7/4"), 3: ("-5/6", 2), 4: ("1/2", "-1/3"),
         }),
-    ])
+        PointConfiguration.from_dict(0, {1: ()}),
+        PointConfiguration.from_dict(0, {1: (), 2: ()}),
+    ], ids=["octahedron", "cube", "grid", "repeated-rational", "dim0-one", "dim0-two"])
     def test_fixed_degenerate_inputs(self, points):
         assert _outcome(convex_hull, points) == _outcome(reference_convex_hull, points)
         octa = get("octahedron").complex
