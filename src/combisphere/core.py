@@ -12,7 +12,7 @@ constructor accepts an empty facet list and no other operation returns one.
 from __future__ import annotations
 
 import itertools
-from typing import Collection, Iterable, Mapping, NamedTuple
+from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
     DuplicateVertexInFacet,
@@ -375,17 +375,25 @@ def pseudomanifold_check(X: Complex) -> PseudomanifoldReport:
     when every ridge is in exactly two."""
     if X.is_empty:
         return PseudomanifoldReport(False, False)
-    ridges = _ridge_map(X)
+    return _pseudomanifold_report(_ridge_map(X), X.facets)
+
+
+def _pseudomanifold_report(
+    ridges: Mapping[tuple[int, ...], Collection[tuple[int, ...]]],
+    facets: Sequence[tuple[int, ...]],
+) -> PseudomanifoldReport:
+    """pseudomanifold_check for the given facets, read off their ridge map
+    (each ridge -> the facets owning it, as _ridge_map builds it)."""
     counts = [len(owners) for owners in ridges.values()]
     if any(c > 2 for c in counts):
         return PseudomanifoldReport(False, False)
-    adj: dict[Simplex, list[Simplex]] = {f: [] for f in X.facets}
+    adj: dict[tuple[int, ...], list[tuple[int, ...]]] = {f: [] for f in facets}
     for owners in ridges.values():
         if len(owners) == 2:
             a, b = owners
             adj[a].append(b)
             adj[b].append(a)
-    is_pm = _is_connected(adj, X.facets[0])
+    is_pm = _is_connected(adj, facets[0])
     return PseudomanifoldReport(is_pm, is_pm and all(c == 2 for c in counts))
 
 

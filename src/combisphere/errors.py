@@ -133,7 +133,8 @@ class TooFewPoints(GeometryError):
 
 
 class DegenerateSpan(GeometryError):
-    """The points do not affinely span the ambient space."""
+    """The points do not affinely span the ambient space, or the space has
+    dimension 0, where a hull has no boundary."""
 
 
 class NotSimplicial(GeometryError):

@@ -247,9 +247,16 @@ def convex_hull(pc: PointConfiguration) -> HullResult:
 
     Points are inserted in ascending label order.  Strictly interior points
     are skipped; a point exactly on a current facet hyperplane is a general
-    position violation and raises NotSimplicial.
+    position violation and raises NotSimplicial.  In dimension 0 the hull is
+    a single point with no boundary complex, and DegenerateSpan is raised
+    whatever the number of points.
     """
     d = pc.dim
+    if d < 1:
+        raise DegenerateSpan(
+            "points in dimension 0 have no hull boundary; "
+            "convex_hull needs dimension >= 1"
+        )
     if len(pc) < d + 1:
         raise TooFewPoints(f"need at least {d + 1} points, have {len(pc)}")
     rows = pc._rows

@@ -12,12 +12,14 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from typing import Collection, Mapping
 
 from .core import (
     Complex,
     Simplex,
     _is_connected,
     _link_shape,
+    _pseudomanifold_report,
     _ridge_map,
     boundary,
     euler_characteristic,
@@ -120,18 +122,32 @@ class _MoveIndex:
 
     Faces with 1..max_a vertices are indexed, and the legal moves are those
     with |A| <= max_a.  certify_sphere needs max_a = dim, which indexes every
-    face and so also serves its Euler and link screens; the vertex collapse
-    needs only max_a = 1, where every B has dim + 1 vertices and is looked up
-    among the facets.
+    face and so also serves its gates and its Euler and link screens; the
+    vertex collapse needs only max_a = 1, where every B has dim + 1 vertices
+    and is looked up among the facets.
 
-    The legal set is kept incrementally: _shape maps each link-shaped face A
-    to its B, _pointing maps each B back to the faces A with that shape, and
-    _legal[k] holds the faces A with k vertices whose B is not a face.  It
-    changes when the shape of A changes and when a face B appears or vanishes.
+    The cofacets are kept exact on every flip; legality is settled lazily,
+    one size |A| at a time.  _shape maps each link-shaped face A to its B,
+    _pointing maps each B back to the faces A with that shape, and _legal[k]
+    holds the faces A with k vertices whose B is not a face.  A flip does not
+    look at shapes: it only adds the facets it removes and adds to
+    _dirty[k] for every size k.  settle(k) reshapes the k-subfaces of the
+    dirty facets, and pool settles sizes in ascending order only until it
+    has a move.  On stacked spheres that is always |A| = 1, so the larger
+    sizes are never settled.
+
+    A settled size is exact.  The shape of A depends only on the cofacets of
+    A, which change only when a facet containing A is removed or added; that
+    facet stays in _dirty[|A|] until the size is settled, so settling
+    reshapes A.  And _legal agrees with the presence of B for every stored
+    shape, stale or not, at all times: _add and _remove call _toggle whenever
+    any face B appears or vanishes, and _reshape updates _legal whenever it
+    changes a stored shape.
     """
 
     __slots__ = (
-        "dim", "facets", "_sizes", "_cofacets", "_shape", "_pointing", "_legal"
+        "dim", "facets", "_sizes", "_cofacets", "_shape", "_pointing", "_legal",
+        "_dirty",
     )
 
     def __init__(self, X: Complex, max_a: int):
@@ -149,9 +165,10 @@ class _MoveIndex:
         self._legal: list[set[tuple[int, ...]]] = [set() for _ in range(max_a + 1)]
         for f in X.facets:
             self._add(tuple(f))
-        for faces in self._cofacets[1:]:
-            for face in faces:
-                self._reshape(face)
+        # _dirty[k]: facets whose k-subfaces may have changed shape
+        self._dirty: list[set[tuple[int, ...]]] = [
+            set(self.facets) for _ in range(max_a + 1)
+        ]
 
     def _add(self, facet: tuple[int, ...]) -> None:
         self.facets.add(facet)
@@ -208,6 +225,16 @@ class _MoveIndex:
         if not self.has_face(shape):
             legal.add(face)
 
+    def settle(self, k: int | None = None) -> None:
+        """Bring the shapes and legal moves with |A| = k, or of every size
+        when k is None, up to date."""
+        for size in self._sizes if k is None else (k,):
+            dirty = self._dirty[size]
+            faces = {face for f in dirty for face in itertools.combinations(f, size)}
+            dirty.clear()
+            for face in faces:
+                self._reshape(face)
+
     def has_face(self, face: tuple[int, ...]) -> bool:
         if len(face) == self.dim + 1:
             return face in self.facets
@@ -221,19 +248,19 @@ class _MoveIndex:
 
         A legal move brings in no vertex: A is link-shaped and B is not a
         face.  The move undo is left out unless it is the only legal move.
+        Sizes are settled in ascending order; a larger size is settled only
+        while every legal move found so far is undo.
         """
-        skip = None
-        if (
-            undo is not None
-            and self._shape.get(undo[0]) == undo[1]
-            and sum(map(len, self._legal)) > 1
-        ):
-            skip = undo[0]
-        for legal in self._legal:
-            faces = sorted(A for A in legal if A != skip)
-            if faces:
-                return [(A, self._shape[A]) for A in faces]
-        return []
+        undone = False
+        for k in self._sizes:
+            self.settle(k)
+            legal = self._legal[k]
+            if undo and undo[0] in legal and self._shape[undo[0]] == undo[1]:
+                legal = legal - {undo[0]}
+                undone = True
+            if legal:
+                return [(A, self._shape[A]) for A in sorted(legal)]
+        return [undo] if undone else []
 
     def flip(self, A: tuple[int, ...], B: tuple[int, ...]) -> None:
         """Replace the |B| facets of A * dB by the |A| facets of dA * B."""
@@ -243,12 +270,8 @@ class _MoveIndex:
             self._remove(f)
         for f in born:
             self._add(f)
-        touched: set[tuple[int, ...]] = set()
-        for f in gone + born:
-            for k in self._sizes:
-                touched.update(itertools.combinations(f, k))
-        for face in touched:
-            self._reshape(face)
+        for k in self._sizes:
+            self._dirty[k].update(gone, born)
 
     def euler_characteristics(self) -> tuple[int, dict[int, int]]:
         """chi of the complex and of each vertex link, in one pass over the faces.
@@ -273,20 +296,23 @@ class _MoveIndex:
         Needs max_a = dim and a closed pseudomanifold.  There every ridge of
         the link of v lies in exactly two of its facets, so the link is a
         closed pseudomanifold exactly when its facet-adjacency graph, which
-        this walks, is connected.
+        this walks, is connected.  The walk reads the owners of each ridge
+        through v directly, with no adjacency built first.
         """
         star = self._cofacets[1][(v,)]
         ridges = self._cofacets[self.dim]
-        adj = {
-            f: [
-                g
-                for i, u in enumerate(f)
-                if u != v
-                for g in ridges[f[:i] + f[i + 1 :]]
-            ]
-            for f in star
-        }
-        return _is_connected(adj, next(iter(star)))
+        root = next(iter(star))
+        seen = {root}
+        stack = [root]
+        while stack:
+            f = stack.pop()
+            for i, u in enumerate(f):
+                if u != v:
+                    for g in ridges[f[:i] + f[i + 1 :]]:
+                        if g not in seen:
+                            seen.add(g)
+                            stack.append(g)
+        return len(seen) == len(star)
 
 
 def _greedy_reduce(
@@ -295,9 +321,11 @@ def _greedy_reduce(
     """Walk the flip graph toward the boundary of a simplex.
 
     The walk flips the _MoveIndex it is given (built with max_a = dim) in
-    place.  Each flip updates the index only around the facets it removes and
-    adds, so a step costs the size of two stars plus sorting one pool, not a
-    rescan of every face against every facet.
+    place.  A step costs the cofacet updates of the facets the flip removes
+    and adds, then reshaping the subfaces of the facets dirtied since the
+    last step, for the sizes |A| that pool settles, plus sorting one pool.
+    While vertex collapses are legal that is |A| = 1 alone, and no step
+    rescans every face against every facet.
 
     Choice rule: immediately undoing the previous move is avoided unless it
     is the only legal move.  The pool is the remaining legal moves with the
@@ -332,11 +360,12 @@ def certify_sphere(
     bistellar reduction proves spheres, and when it stalls the vertex links
     are certified recursively to hunt for a refutation.
 
-    From dimension 3 on, one _MoveIndex is built after the pseudomanifold
-    gates.  The Euler characteristic of X and the vertex-link screen (each
-    link a closed pseudomanifold with the Euler characteristic of a sphere)
-    are read off it, and the walk then flips it; links are built only for
-    the recursion after a failed walk.
+    From dimension 3 on, one _MoveIndex is built first.  The pseudomanifold
+    and closedness gates (its size-dim cofacets are the ridge map), the Euler
+    characteristic of X and the vertex-link screen (each link a closed
+    pseudomanifold with the Euler characteristic of a sphere) are read off
+    it, and the walk then flips it; links are built only for the recursion
+    after a failed walk.
 
     Dimension 2 needs no link check after the gates.  In a connected closed
     2-pseudomanifold each vertex link is a disjoint union of c_v cycles.
@@ -347,19 +376,22 @@ def certify_sphere(
     if X.is_empty:
         return Verdict(REFUTED, "the empty complex is not a sphere")
     d = X.dim
-    report = pseudomanifold_check(X)
-    if not report.is_pseudomanifold:
-        return Verdict(REFUTED, _pm_failure_reason(X))
-    if not report.closed:
-        bd = boundary(X)
-        return Verdict(
-            REFUTED,
-            f"has boundary: ridge {tuple(bd.facets[0])} lies in exactly one facet",
-        )
     if d <= 2:
+        report = pseudomanifold_check(X)
+        if not report.is_pseudomanifold:
+            return Verdict(REFUTED, _pm_failure_reason(X, _ridge_map(X)))
+        if not report.closed:
+            bd = boundary(X)
+            return Verdict(
+                REFUTED,
+                f"has boundary: ridge {tuple(bd.facets[0])} lies in exactly one facet",
+            )
         chi = euler_characteristic(X)
     else:
         index = _MoveIndex(X, d)
+        failure = _gate_failure(X, index._cofacets[d])
+        if failure is not None:
+            return Verdict(REFUTED, failure)
         chi, link_chis = index.euler_characteristics()
     expected = 1 + (-1) ** d
     if chi != expected:
@@ -409,10 +441,39 @@ def certify_sphere(
     )
 
 
-def _pm_failure_reason(X: Complex) -> str:
-    for r, owners in _ridge_map(X).items():
-        if len(owners) > 2:
-            return f"not a pseudomanifold: ridge {r} lies in {len(owners)} facets"
+def _gate_failure(
+    X: Complex, ridges: Mapping[tuple[int, ...], Collection[tuple[int, ...]]]
+) -> str | None:
+    """Why X, with ridge map ridges, is not a closed pseudomanifold, or None.
+
+    The reasons and their order are those of pseudomanifold_check,
+    _pm_failure_reason and boundary: a ridge in three or more facets, then a
+    disconnected facet graph, then the smallest ridge in one facet.
+    """
+    report = _pseudomanifold_report(ridges, X.facets)
+    if not report.is_pseudomanifold:
+        return _pm_failure_reason(X, ridges)
+    if not report.closed:
+        ridge = min(r for r, owners in ridges.items() if len(owners) == 1)
+        return f"has boundary: ridge {ridge} lies in exactly one facet"
+    return None
+
+
+def _pm_failure_reason(
+    X: Complex, ridges: Mapping[tuple[int, ...], Collection[tuple[int, ...]]]
+) -> str:
+    """Why X, with ridge map ridges, is not a pseudomanifold.
+
+    The ridge named is the first with three or more owners in _ridge_map
+    order: facets in canonical order, each facet's ridges by dropped
+    position.  With none, the facet graph is disconnected.
+    """
+    for f in X.facets:
+        for i in range(len(f)):
+            ridge = f[:i] + f[i + 1 :]
+            owners = len(ridges[ridge])
+            if owners > 2:
+                return f"not a pseudomanifold: ridge {ridge} lies in {owners} facets"
     return "not a pseudomanifold: the facet-adjacency graph is disconnected"
 
 
@@ -433,7 +494,7 @@ def certify_ball(
         return Verdict(REFUTED, "a 0-ball is a single point")
     report = pseudomanifold_check(X)
     if not report.is_pseudomanifold:
-        return Verdict(REFUTED, _pm_failure_reason(X))
+        return Verdict(REFUTED, _pm_failure_reason(X, _ridge_map(X)))
     if report.closed:
         return Verdict(REFUTED, "no boundary: a closed pseudomanifold is not a ball")
     bd = boundary(X)

@@ -472,6 +472,65 @@ def reference_certify_surface(X: Complex) -> Verdict:
 
 
 # ---------------------------------------------------------------------------
+# reference gates and pool: the pseudomanifold and closedness gates that
+# certify_sphere ran before it read them off the move index, and the move pool
+# as it was before legality was settled lazily.  The bodies are unchanged;
+# only the names are prefixed, and the copies call each other and the
+# reference core above.
+# ---------------------------------------------------------------------------
+
+
+def _reference_ordered_ridge_map(X: Complex) -> dict[tuple[int, ...], list[Simplex]]:
+    """Ridge -> owning facets, in facet order.  Ridges are sorted tuples."""
+    ridges: dict[tuple[int, ...], list[Simplex]] = {}
+    for f in X.facets:
+        for i in range(len(f)):
+            ridges.setdefault(f[:i] + f[i + 1 :], []).append(f)
+    return ridges
+
+
+def reference_pm_failure_reason(X: Complex) -> str:
+    for r, owners in _reference_ordered_ridge_map(X).items():
+        if len(owners) > 2:
+            return f"not a pseudomanifold: ridge {r} lies in {len(owners)} facets"
+    return "not a pseudomanifold: the facet-adjacency graph is disconnected"
+
+
+def reference_sphere_gates(X: Complex) -> Verdict | None:
+    """The refutation by ``certify_sphere``'s pseudomanifold or closedness
+    gate, or None when X is a closed pseudomanifold."""
+    report = reference_pseudomanifold_check(X)
+    if not report.is_pseudomanifold:
+        return Verdict(REFUTED, reference_pm_failure_reason(X))
+    if not report.closed:
+        bd = reference_boundary(X)
+        return Verdict(
+            REFUTED,
+            f"has boundary: ridge {tuple(bd.facets[0])} lies in exactly one facet",
+        )
+    return None
+
+
+def reference_pool(index, undo=None) -> list:
+    """``_MoveIndex.pool`` as it was when every size was kept settled: the
+    index is settled in full first.  The undo move is left out only when some
+    other move, of any size, is legal."""
+    index.settle()
+    skip = None
+    if (
+        undo is not None
+        and index._shape.get(undo[0]) == undo[1]
+        and sum(map(len, index._legal)) > 1
+    ):
+        skip = undo[0]
+    for legal in index._legal:
+        faces = sorted(A for A in legal if A != skip)
+        if faces:
+            return [(A, index._shape[A]) for A in faces]
+    return []
+
+
+# ---------------------------------------------------------------------------
 # reference geometry: the Fraction Gaussian elimination, hyperplanes, hull,
 # general-position test and perturbation that polytopal ran before its
 # predicates moved to homogeneous integer rows.  The bodies are unchanged;

@@ -52,6 +52,11 @@ from helpers import (
 )
 
 
+DIM0_HULL = (
+    "points in dimension 0 have no hull boundary; convex_hull needs dimension >= 1"
+)
+
+
 def _tetra_points():
     return PointConfiguration.from_dict(3, {
         1: (0, 0, 0), 2: (4, 0, 0), 3: (0, 4, 0), 4: (0, 0, 4),
@@ -135,6 +140,13 @@ class TestConvexHull:
     def test_needs_enough_points(self):
         with pytest.raises(TooFewPoints):
             convex_hull(PointConfiguration.from_dict(3, {1: (0, 0, 0)}))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_dimension_zero_has_no_hull(self, n):
+        pc = PointConfiguration.from_dict(0, {label: () for label in range(1, n + 1)})
+        with pytest.raises(DegenerateSpan) as exc:
+            convex_hull(pc)
+        assert str(exc.value) == DIM0_HULL
 
     def test_supporting_functionals_are_exact_and_primitive(self):
         pts = get("cyclic_polytope_points(7,3)").points
@@ -411,7 +423,13 @@ class TestIntegerKernelMatchesReference:
         PointConfiguration.from_dict(0, {1: (), 2: ()}),
     ], ids=["octahedron", "cube", "grid", "repeated-rational", "dim0-one", "dim0-two"])
     def test_fixed_degenerate_inputs(self, points):
-        assert _outcome(convex_hull, points) == _outcome(reference_convex_hull, points)
+        if points.dim == 0:
+            # the reference raised DegenerateSpan or IndexError, by the count
+            assert _outcome(convex_hull, points) == (DegenerateSpan, DIM0_HULL)
+        else:
+            assert _outcome(convex_hull, points) == _outcome(
+                reference_convex_hull, points
+            )
         octa = get("octahedron").complex
         for seed in range(3):
             assert _outcome(perturb_to_general_position, points, octa, seed) == (

@@ -2,11 +2,12 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from combisphere import (
     boundary,
+    generalized_bistellar_move,
     certify_ball,
     certify_sphere,
     collapse_stacked_sphere_to_ball,
@@ -35,6 +36,8 @@ from helpers import (
     reference_collapse_stacked_sphere_to_ball,
     reference_greedy_reduce,
     reference_link_screen,
+    reference_pool,
+    reference_sphere_gates,
     reference_surface_link_loop,
 )
 
@@ -210,6 +213,110 @@ def _surface(kind, rng):
     b = random_stacked_sphere(rng, 2, rng.randint(4, 8))
     shift = max(a.vertices)
     return from_facets(a.facets + tuple(tuple(v + shift for v in f) for f in b.facets))
+
+
+def _suspend(X):
+    top = max(X.vertices)
+    return join(X, from_facets([(top + 1,), (top + 2,)]))
+
+
+def _gate_base(kind, dim, rng):
+    if kind == "stacked":
+        return random_stacked_sphere(rng, dim, rng.randint(dim + 2, dim + 8))
+    if kind == "cross":
+        return get(f"cross_polytope({dim + 1})").complex
+    if kind == "torus":  # closed, not a sphere: suspension points link a torus
+        X = moebius_torus()
+    else:  # closed, not a sphere, with the Euler characteristic of one
+        X = pinched_coned_solid_torus(rng.randint(1, 10), rng.randint(11, 20))
+    while X.dim < dim:
+        X = _suspend(X)
+    return X
+
+
+def _planted_complex(kind, dim, union, removed, planted, rng):
+    """A pure dim-complex from a closed base: optionally a second copy glued
+    on (disjointly, at one vertex, or along an edge, never along a ridge),
+    some facets removed, facets planted on existing ridges so that they have
+    three or more owners, then randomly relabelled."""
+    X = _gate_base(kind, dim, rng)
+    facets = [tuple(f) for f in X.facets]
+    top = max(X.vertices)
+    if union is not None:
+        Y = _gate_base(kind, dim, rng)
+        shared = {"disjoint": 0, "wedge": 1, "edge": 2}[union]
+        glue = dict(zip(Y.facets[0][:shared], facets[0][:shared]))
+        facets += [tuple(glue.get(v, v + top) for v in f) for f in Y.facets]
+        top += max(Y.vertices)
+    for _ in range(min(removed, len(facets) - 1)):
+        facets.pop(rng.randrange(len(facets)))
+    for _ in range(planted):
+        f = rng.choice(facets)
+        i = rng.randrange(dim + 1)
+        ridge = f[:i] + f[i + 1 :]
+        apex = rng.choice([top + 1, top + 2, rng.randint(1, top)])
+        if apex not in ridge:
+            facets.append(ridge + (apex,))
+    labels = sorted({v for f in facets for v in f})
+    relabel = dict(zip(labels, rng.sample(range(1, 3 * len(labels) + 1), len(labels))))
+    return from_facets([relabel[v] for v in f] for f in facets)
+
+
+class TestSphereGatesMatchReference:
+    """From dimension 3 on, certify_sphere reads its pseudomanifold and
+    closedness gates off the move index.  Their verdicts, down to the ridge
+    each reason names, are those of the ridge-map gates it ran before."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        kind=st.sampled_from(["stacked", "cross", "torus", "pinched"]),
+        dim=st.sampled_from([3, 4]),
+        union=st.sampled_from([None] * 6 + ["disjoint", "wedge", "edge"]),
+        removed=st.sampled_from([0] * 4 + [1, 2, 3]),
+        planted=st.sampled_from([0] * 4 + [1, 2, 3, 5]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_planted_features(self, kind, dim, union, removed, planted, seed):
+        X = _planted_complex(kind, dim, union, removed, planted, random.Random(seed))
+        verdict = certify_sphere(X, budget=20)
+        expected = reference_sphere_gates(X)
+        if expected is not None:
+            assert verdict == expected
+        else:
+            assert not verdict.reason.startswith(
+                ("not a pseudomanifold", "has boundary")
+            )
+
+    def test_named_ridge_follows_ridge_map_order(self):
+        # the ridges (1, 2, 3) and (1, 2, 4) each lie in three facets; the
+        # ridge map reaches (1, 2, 4) first, by dropped position in the facet
+        # (1, 2, 3, 4), where itertools.combinations gives (1, 2, 3) first
+        X = from_facets([(1, 2, 3, 4), (1, 2, 3, 5), (1, 2, 3, 6), (1, 2, 4, 7),
+                         (1, 2, 4, 8)])
+        expected = Verdict(
+            REFUTED, "not a pseudomanifold: ridge (1, 2, 4) lies in 3 facets"
+        )
+        assert reference_sphere_gates(X) == expected
+        assert certify_sphere(X) == expected
+
+    def test_no_ridge_map_on_the_index_path(self, monkeypatch):
+        def only_below_dim_3(fn):
+            def guarded(X):
+                assert X.dim <= 2, f"{fn.__name__} on a {X.dim}-complex"
+                return fn(X)
+            return guarded
+
+        for name in ("pseudomanifold_check", "_ridge_map"):
+            monkeypatch.setattr(
+                recognition, name, only_below_dim_3(getattr(recognition, name))
+            )
+        for X in (
+            get("cross_polytope(4)").complex,
+            pinched_coned_solid_torus(1, 2),
+            join(moebius_torus(), _shifted_torus()),
+            _planted_complex("stacked", 3, "wedge", 1, 2, random.Random(3)),
+        ):
+            assert certify_sphere(X, budget=20).reason
 
 
 class TestSurfaceLinksNeedNoCheck:
@@ -508,8 +615,74 @@ class TestWalkMatchesReference:
         assert ok and is_standard(apply_trace(S, trace)).sphere
 
 
+def _subdivided(X, rng):
+    """X with a random facet subdivided by a fresh vertex v, and the move
+    that undoes the subdivision.  The collapse of v is then legal, so a walk
+    from here can always make its first move."""
+    F = rng.choice(X.facets)
+    v = max(X.vertices) + 1
+    return generalized_bistellar_move(X, F, (v,)), ((v,), tuple(F))
+
+
+def _walk_start(kind, dim, extra, rng):
+    if kind == "stacked":
+        X = random_stacked_sphere(rng, dim, dim + 1 + extra)
+    else:
+        X = get(f"cross_polytope({dim + 1})").complex
+    return _subdivided(X, rng)
+
+
+def _settled_fresh(index, max_a):
+    fresh = recognition._MoveIndex(Complex._from_vertex_sets(index.facets), max_a)
+    fresh.settle()
+    return fresh
+
+
 class TestMoveIndexMatchesRebuild:
+    """The index flipped in place, settled, equals an index built afresh
+    from its facets and settled; pool, which settles only the sizes it
+    needs, equals the pool of the fresh index under the eager rule."""
+
     @settings(max_examples=30, deadline=None)
+    @given(
+        kind=st.sampled_from(["stacked", "cross"]),
+        dim=st.integers(3, 5),
+        extra=st.integers(1, 7),
+        vertex_moves_only=st.booleans(),
+        steps=st.integers(1, 30),
+        settle_every=st.integers(1, 3),
+        seed=st.integers(0, 2**16),
+    )
+    def test_random_flips_match_a_fresh_index(
+        self, kind, dim, extra, vertex_moves_only, steps, settle_every, seed
+    ):
+        rng = random.Random(seed)
+        X, _ = _walk_start(kind, dim, extra, rng)
+        max_a = 1 if vertex_moves_only else X.dim
+        index = recognition._MoveIndex(X, max_a)
+        flips = 0
+        while True:
+            fresh = _settled_fresh(index, max_a)
+            moves = sorted(
+                (A, fresh._shape[A]) for legal in fresh._legal for A in legal
+            )
+            if flips % settle_every == 0 or flips == steps or not moves:
+                index.settle()
+                assert index.facets == fresh.facets
+                assert index._cofacets == fresh._cofacets
+                assert index._shape == fresh._shape
+                assert index._pointing == fresh._pointing
+                assert index._legal == fresh._legal
+                assert set().union(*index._legal) == {
+                    A for A, B in index._shape.items() if not index.has_face(B)
+                }
+            if flips == steps or not moves:
+                break
+            index.flip(*rng.choice(moves))
+            flips += 1
+        assert flips >= 1
+
+    @settings(max_examples=100, deadline=None)
     @given(
         kind=st.sampled_from(["stacked", "cross"]),
         dim=st.integers(3, 5),
@@ -518,31 +691,36 @@ class TestMoveIndexMatchesRebuild:
         steps=st.integers(1, 30),
         seed=st.integers(0, 2**16),
     )
-    def test_random_flips_match_a_fresh_index(
+    # a ridge flip makes edge moves legal, and size 2 is not settled again
+    # until the third pool, after a vertex collapse
+    @example(
+        kind="cross", dim=3, extra=1, vertex_moves_only=False, steps=3, seed=0
+    )
+    def test_pool_matches_a_fresh_settled_index(
         self, kind, dim, extra, vertex_moves_only, steps, seed
     ):
         rng = random.Random(seed)
-        if kind == "stacked":
-            X = random_stacked_sphere(rng, dim, dim + 1 + extra)
-        else:
-            X = get(f"cross_polytope({dim + 1})").complex
+        X, undo = _walk_start(kind, dim, extra, rng)
         max_a = 1 if vertex_moves_only else X.dim
         index = recognition._MoveIndex(X, max_a)
         for _ in range(steps):
-            moves = sorted(
-                (A, index._shape[A]) for legal in index._legal for A in legal
-            )
-            if not moves:
+            pool = index.pool(undo)
+            assert pool == reference_pool(_settled_fresh(index, max_a), undo)
+            if not pool:
                 break
-            index.flip(*rng.choice(moves))
-            fresh = recognition._MoveIndex(
-                Complex._from_vertex_sets(index.facets), max_a
-            )
-            assert index.facets == fresh.facets
-            assert index._cofacets == fresh._cofacets
-            assert index._shape == fresh._shape
-            assert index._pointing == fresh._pointing
-            assert index._legal == fresh._legal
-            assert set().union(*index._legal) == {
-                A for A, B in index._shape.items() if not index.has_face(B)
-            }
+            A, B = rng.choice(pool)
+            index.flip(A, B)
+            undo = (B, A)
+
+    @pytest.mark.parametrize("max_a", [1, 3])
+    def test_only_the_undo_is_legal_at_the_smallest_size(self, max_a):
+        # the collapse of the subdividing vertex is the only vertex move of
+        # a subdivided cross-polytope; only ridge flips are legal besides it
+        X, undo = _subdivided(get("cross_polytope(4)").complex, random.Random(0))
+        index = recognition._MoveIndex(X, max_a)
+        pool = index.pool(undo)
+        assert pool == reference_pool(_settled_fresh(index, max_a), undo)
+        if max_a == 1:
+            assert pool == [undo]
+        else:
+            assert pool and all(len(A) == 3 for A, B in pool)
