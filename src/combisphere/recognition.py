@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Collection, Mapping
+from typing import Collection, Iterable, Mapping
 
 from .core import (
     Complex,
@@ -150,9 +150,12 @@ class _MoveIndex:
         "_dirty",
     )
 
-    def __init__(self, X: Complex, max_a: int):
+    def __init__(self, X: Complex, max_a: int, sizes: Iterable[int] | None = None):
+        """Index the faces with k vertices for each k in sizes, all of
+        1..max_a by default; index(k) adds the others, and every size must be
+        indexed before the first flip or pool."""
         self.dim = X.dim
-        self.facets: set[tuple[int, ...]] = set()
+        self.facets: set[tuple[int, ...]] = {tuple(f) for f in X.facets}
         self._sizes = range(1, max_a + 1)
         # _cofacets[k]: each face with k vertices -> the facets containing it;
         # a face that is gone has no key.
@@ -163,12 +166,27 @@ class _MoveIndex:
         self._shape: dict[tuple[int, ...], tuple[int, ...]] = {}
         self._pointing: dict[tuple[int, ...], set[tuple[int, ...]]] = {}
         self._legal: list[set[tuple[int, ...]]] = [set() for _ in range(max_a + 1)]
-        for f in X.facets:
-            self._add(tuple(f))
         # _dirty[k]: facets whose k-subfaces may have changed shape
-        self._dirty: list[set[tuple[int, ...]]] = [
-            set(self.facets) for _ in range(max_a + 1)
+        self._dirty: list[set[tuple[int, ...]]] = [set()] + [
+            set(self.facets) for _ in self._sizes
         ]
+        for k in self._sizes if sizes is None else sizes:
+            self.index(k)
+
+    def index(self, k: int) -> None:
+        """Fill the cofacets of the faces with k vertices.
+
+        No shape is stored before the first settle, so unlike _add this
+        has no legality to toggle.
+        """
+        faces = self._cofacets[k]
+        for facet in self.facets:
+            for face in itertools.combinations(facet, k):
+                owners = faces.get(face)
+                if owners is None:
+                    faces[face] = {facet}
+                else:
+                    owners.add(facet)
 
     def _add(self, facet: tuple[int, ...]) -> None:
         self.facets.add(facet)
@@ -225,15 +243,13 @@ class _MoveIndex:
         if not self.has_face(shape):
             legal.add(face)
 
-    def settle(self, k: int | None = None) -> None:
-        """Bring the shapes and legal moves with |A| = k, or of every size
-        when k is None, up to date."""
-        for size in self._sizes if k is None else (k,):
-            dirty = self._dirty[size]
-            faces = {face for f in dirty for face in itertools.combinations(f, size)}
-            dirty.clear()
-            for face in faces:
-                self._reshape(face)
+    def settle(self, k: int) -> None:
+        """Bring the shapes and legal moves with |A| = k up to date."""
+        dirty = self._dirty[k]
+        faces = {face for f in dirty for face in itertools.combinations(f, k)}
+        dirty.clear()
+        for face in faces:
+            self._reshape(face)
 
     def has_face(self, face: tuple[int, ...]) -> bool:
         if len(face) == self.dim + 1:
@@ -360,12 +376,14 @@ def certify_sphere(
     bistellar reduction proves spheres, and when it stalls the vertex links
     are certified recursively to hunt for a refutation.
 
-    From dimension 3 on, one _MoveIndex is built first.  The pseudomanifold
-    and closedness gates (its size-dim cofacets are the ridge map), the Euler
-    characteristic of X and the vertex-link screen (each link a closed
+    The pseudomanifold and closedness gates read one ridge map: _ridge_map's
+    through dimension 2, and from dimension 3 on the size-dim cofacets of a
+    _MoveIndex that indexes its smaller faces only once the gates pass.  The
+    Euler characteristic of X and the vertex-link screen (each link a closed
     pseudomanifold with the Euler characteristic of a sphere) are read off
-    it, and the walk then flips it; links are built only for the recursion
-    after a failed walk.
+    the same index, and the walk then flips it; links are built only for the
+    recursion after a failed walk.  In dimension 0 the one ridge is the
+    empty face, so a single point is refuted for its boundary.
 
     Dimension 2 needs no link check after the gates.  In a connected closed
     2-pseudomanifold each vertex link is a disjoint union of c_v cycles.
@@ -376,22 +394,21 @@ def certify_sphere(
     if X.is_empty:
         return Verdict(REFUTED, "the empty complex is not a sphere")
     d = X.dim
+    ridges: Mapping[tuple[int, ...], Collection[tuple[int, ...]]]
     if d <= 2:
-        report = pseudomanifold_check(X)
-        if not report.is_pseudomanifold:
-            return Verdict(REFUTED, _pm_failure_reason(X, _ridge_map(X)))
-        if not report.closed:
-            bd = boundary(X)
-            return Verdict(
-                REFUTED,
-                f"has boundary: ridge {tuple(bd.facets[0])} lies in exactly one facet",
-            )
+        ridges = _ridge_map(X)
+    else:
+        # the gates read only the ridges; a refused input indexes no more
+        index = _MoveIndex(X, d, sizes=(d,))
+        ridges = index._cofacets[d]
+    failure = _gate_failure(X, ridges)
+    if failure is not None:
+        return Verdict(REFUTED, failure)
+    if d <= 2:
         chi = euler_characteristic(X)
     else:
-        index = _MoveIndex(X, d)
-        failure = _gate_failure(X, index._cofacets[d])
-        if failure is not None:
-            return Verdict(REFUTED, failure)
+        for k in range(1, d):
+            index.index(k)
         chi, link_chis = index.euler_characteristics()
     expected = 1 + (-1) ** d
     if chi != expected:

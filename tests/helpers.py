@@ -515,7 +515,8 @@ def reference_pool(index, undo=None) -> list:
     """``_MoveIndex.pool`` as it was when every size was kept settled: the
     index is settled in full first.  The undo move is left out only when some
     other move, of any size, is legal."""
-    index.settle()
+    for k in index._sizes:
+        index.settle(k)
     skip = None
     if (
         undo is not None

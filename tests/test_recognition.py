@@ -21,7 +21,7 @@ from combisphere import (
     link,
 )
 from combisphere import Complex, recognition
-from combisphere.recognition import DEFAULT_BUDGET, REFUTED, Verdict
+from combisphere.recognition import CERTIFIED, DEFAULT_BUDGET, REFUTED, Verdict
 from combisphere.errors import NotStacked
 from helpers import (
     apply_trace,
@@ -263,9 +263,9 @@ def _planted_complex(kind, dim, union, removed, planted, rng):
 
 
 class TestSphereGatesMatchReference:
-    """From dimension 3 on, certify_sphere reads its pseudomanifold and
-    closedness gates off the move index.  Their verdicts, down to the ridge
-    each reason names, are those of the ridge-map gates it ran before."""
+    """certify_sphere reads its pseudomanifold and closedness gates off one
+    ridge map, from dimension 3 on the move index's.  Their verdicts, down to
+    the ridge each reason names, are those of the gates it ran before."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -286,6 +286,49 @@ class TestSphereGatesMatchReference:
             assert not verdict.reason.startswith(
                 ("not a pseudomanifold", "has boundary")
             )
+
+    @settings(max_examples=150, deadline=None)
+    @given(dim=st.sampled_from([1, 2]), data=st.data())
+    def test_low_dimensions(self, dim, data):
+        simplices = list(itertools.combinations(range(1, 8), dim + 1))
+        facets = st.sets(st.sampled_from(simplices), min_size=1, max_size=14)
+        X = from_facets(data.draw(facets))
+        verdict = certify_sphere(X)
+        expected = reference_sphere_gates(X)
+        if expected is not None:
+            assert verdict == expected
+        else:
+            assert not verdict.reason.startswith(
+                ("not a pseudomanifold", "has boundary")
+            )
+
+    def test_points(self):
+        # the empty face is the one ridge of a 0-complex
+        assert certify_sphere(from_facets([(1,)])) == Verdict(
+            REFUTED, "has boundary: ridge () lies in exactly one facet"
+        )
+        assert certify_sphere(from_facets([(1,), (2,)])) == Verdict(
+            CERTIFIED, "exact (dim 0): two points"
+        )
+        assert certify_sphere(from_facets([(1,), (2,), (3,)])) == Verdict(
+            REFUTED, "not a pseudomanifold: ridge () lies in 3 facets"
+        )
+
+    def test_refused_inputs_index_only_the_ridges(self, monkeypatch):
+        sizes = []
+        index = recognition._MoveIndex.index
+
+        def recorded(self, k):
+            sizes.append(k)
+            index(self, k)
+
+        monkeypatch.setattr(recognition._MoveIndex, "index", recorded)
+        X = _planted_complex("stacked", 4, "wedge", 0, 0, random.Random(3))
+        assert certify_sphere(X).is_refuted
+        assert sizes == [4]
+        sizes.clear()
+        assert certify_sphere(get("cross_polytope(5)").complex).is_certified
+        assert sorted(sizes) == [1, 2, 3, 4]
 
     def test_named_ridge_follows_ridge_map_order(self):
         # the ridges (1, 2, 3) and (1, 2, 4) each lie in three facets; the
@@ -632,9 +675,14 @@ def _walk_start(kind, dim, extra, rng):
     return _subdivided(X, rng)
 
 
+def _settle_all(index):
+    for k in index._sizes:
+        index.settle(k)
+
+
 def _settled_fresh(index, max_a):
     fresh = recognition._MoveIndex(Complex._from_vertex_sets(index.facets), max_a)
-    fresh.settle()
+    _settle_all(fresh)
     return fresh
 
 
@@ -667,7 +715,7 @@ class TestMoveIndexMatchesRebuild:
                 (A, fresh._shape[A]) for legal in fresh._legal for A in legal
             )
             if flips % settle_every == 0 or flips == steps or not moves:
-                index.settle()
+                _settle_all(index)
                 assert index.facets == fresh.facets
                 assert index._cofacets == fresh._cofacets
                 assert index._shape == fresh._shape
