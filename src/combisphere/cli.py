@@ -9,7 +9,6 @@ unreadable input.  Output is deterministic for a fixed invocation and seed.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from typing import Any

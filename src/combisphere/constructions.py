@@ -70,11 +70,11 @@ class CompletionResult:
 
 
 def _union(X: Complex, Y: Complex) -> Complex:
-    return Complex._from_vertex_sets(itertools.chain(X._fsets, Y._fsets))
+    return Complex._from_simplices(itertools.chain(X.facets, Y.facets))
 
 
 def _cone(apex: int, X: Complex) -> Complex:
-    return Complex._from_vertex_sets(fs | {apex} for fs in X._fsets)
+    return Complex._from_vertex_sets(f + (apex,) for f in X.facets)
 
 
 def _closure(vertices: Sequence[int]) -> Complex:
@@ -97,27 +97,54 @@ def _finish(
     return CompletionResult(sphere, True, tuple(trace))
 
 
+# each kind of input: the error refusing it and its trace label
+_INPUT_CHECKS = {
+    "sphere": (NotSphere, "certification"),
+    "ball": (NotBall, "ball certification"),
+    "disc": (NotDisc, "disc certification"),
+}
+
+
 def _certify_input(
-    X: Complex, what: str, trust: bool, budget: int, seed: int, trace: list[str]
+    X: Complex, kind: str, trust: bool, budget: int, seed: int, trace: list[str]
 ) -> None:
     if trust:
-        trace.append(f"{what}: certification skipped (trusted)")
+        trace.append("input: certification skipped (trusted)")
         return
-    verdict = certify_sphere(X, budget, seed)
+    error, label = _INPUT_CHECKS[kind]
+    certify = certify_sphere if kind == "sphere" else certify_ball
+    verdict = certify(X, budget, seed)
     if verdict.is_refuted:
-        raise NotSphere(f"{what} is not a sphere: {verdict.reason}")
-    trace.append(f"{what}: certification {verdict.status}")
+        raise error(f"input is not a {kind}: {verdict.reason}")
+    trace.append(f"input: {label} {verdict.status}")
 
 
-def _faces_subset_of(sub_faces: set[frozenset[int]], X: Complex) -> bool:
-    return all(X.has_face(f) for f in sub_faces)
+def _degree_d_vertex(X: Complex, v: int | None, d: int) -> int:
+    """v, or the smallest vertex of degree d when v is None; NoDegreeDVertex
+    when v has another degree or no vertex has degree d."""
+    if v is None:
+        for cand in X.vertices:
+            if degree(X, cand) == d:
+                return cand
+        raise NoDegreeDVertex(f"no vertex of degree {d}")
+    if degree(X, v) != d:
+        raise NoDegreeDVertex(f"vertex {v} has degree {degree(X, v)} != {d}")
+    return v
 
 
-def _all_faces(X: Complex) -> set[frozenset[int]]:
-    out: set[frozenset[int]] = set()
-    for k in range(1, X.dim + 2):
-        out |= X.faces_of_size(k)
-    return out
+def _meet_inside(P: Complex, Q: Complex, R: Complex) -> bool:
+    """Whether every face that P and Q share is a face of R.
+
+    The shared faces are the subsets of the intersections p & q of a facet p
+    of P and a facet q of Q, and R is closed under taking subsets, so it is
+    enough that R has p & q for each pair that shares a vertex.  Those pairs
+    are read off Q's vertex stars.
+    """
+    return all(
+        R.has_face(q.intersection(p))
+        for p in P.facets
+        for q in {q for v in p for q in Q._star(v)}
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -198,20 +225,12 @@ def complete_degree_d(
     contains the input.
     """
     trace: list[str] = []
-    _certify_input(S, "input", trust, budget, seed, trace)
+    _certify_input(S, "sphere", trust, budget, seed, trace)
     d = S.dim + 1
     n = S.n_vertices
     if n < d + 2:
         raise TooFewVertices(f"need at least {d + 2} vertices, have {n}")
-    if v is None:
-        for cand in S.vertices:
-            if degree(S, cand) == d:
-                v = cand
-                break
-        else:
-            raise NoDegreeDVertex(f"no vertex of degree {d}")
-    elif degree(S, v) != d:
-        raise NoDegreeDVertex(f"vertex {v} has degree {degree(S, v)} != {d}")
+    v = _degree_d_vertex(S, v, d)
     sigma = Simplex._raw(tuple(sorted(link(S, v).vertex_set)))
     try:
         collapsed = bistellar_move(S, v, sigma)
@@ -244,13 +263,11 @@ def complete_flag(
     finishes the job.
     """
     trace: list[str] = []
-    _certify_input(S, "input", trust, budget, seed, trace)
+    _certify_input(S, "sphere", trust, budget, seed, trace)
     if not is_flag(S):
         raise NotFlag("input is not a flag sphere")
     if v is None:
         v = min(S.vertices)
-    if v not in S.vertex_set:
-        raise VertexNotPresent(f"vertex {v} not in the complex")
     L = link(S, v)
     if u is None:
         u = min(L.vertices)
@@ -260,8 +277,7 @@ def complete_flag(
     d3 = _cone(u, anti_star(L, u))
     if not (is_subcomplex(L, d2) and is_subcomplex(L, d3)):
         raise IntermediateClaimFailed("the link of v is not contained in both balls")
-    common = {f for f in _all_faces(d3) if d2.has_face(f)}
-    if not _faces_subset_of(common, L):
+    if not _meet_inside(d3, d2, L):
         raise IntermediateClaimFailed(
             "the two balls meet outside the link of v; flagness violated"
         )
@@ -374,28 +390,12 @@ def complete_ball_degree_d(
     of the same dimension on the same vertices.
     """
     trace: list[str] = []
-    if trust:
-        trace.append("input: certification skipped (trusted)")
-    else:
-        verdict = certify_ball(B, budget, seed)
-        if verdict.is_refuted:
-            raise NotBall(f"input is not a ball: {verdict.reason}")
-        trace.append(f"input: ball certification {verdict.status}")
+    _certify_input(B, "ball", trust, budget, seed, trace)
     d = B.dim
     n = B.n_vertices
     if n < d + 2:
         raise TooFewVertices(f"need at least {d + 2} vertices, have {n}")
-    if u is None:
-        for cand in B.vertices:
-            if degree(B, cand) == d:
-                u = cand
-                break
-        else:
-            raise NoDegreeDVertex(f"no vertex of degree {d}")
-    elif u not in B.vertex_set:
-        raise VertexNotPresent(f"vertex {u} not in the complex")
-    elif degree(B, u) != d:
-        raise NoDegreeDVertex(f"vertex {u} has degree {degree(B, u)} != {d}")
+    u = _degree_d_vertex(B, u, d)
     u_link = link(B, u)
     if u_link.n_facets != 1:
         raise IntermediateClaimFailed(
@@ -411,8 +411,7 @@ def complete_ball_degree_d(
         f"vertex {u} has degree {d}; boundary link is the boundary of {tuple(tau)}"
     )
     cap = _cone(u, anti_star(M, u))
-    common = {f for f in _all_faces(cap) if B.has_face(f)}
-    if not _faces_subset_of(common, M):
+    if not _meet_inside(cap, B, M):
         raise IntermediateClaimFailed("cap and ball meet outside the boundary")
     trace.append("verified cap intersects the ball exactly in the boundary")
     sphere = _union(B, cap)
@@ -437,13 +436,7 @@ def complete_disc(
     if B.n_vertices < 4:
         raise TooFewVertices(f"need at least 4 vertices, have {B.n_vertices}")
     trace: list[str] = []
-    if trust:
-        trace.append("input: certification skipped (trusted)")
-    else:
-        verdict = certify_ball(B, budget, seed)
-        if verdict.is_refuted:
-            raise NotDisc(f"input is not a disc: {verdict.reason}")
-        trace.append(f"input: disc certification {verdict.status}")
+    _certify_input(B, "disc", trust, budget, seed, trace)
     cur = B
     while True:
         cycle = _boundary_cycle(cur)
@@ -454,7 +447,7 @@ def complete_disc(
                 raise IntermediateClaimFailed(
                     f"boundary triangle {tuple(sorted(cap))} is already a face"
                 )
-            cur = Complex._from_vertex_sets(list(cur._fsets) + [cap])
+            cur = Complex._from_vertex_sets(list(cur.facets) + [cap])
             trace.append(f"capped the final triangle {tuple(sorted(cap))}")
             break
         filled = False
@@ -462,7 +455,7 @@ def complete_disc(
             prev, here, nxt = cycle[i - 1], cycle[i], cycle[(i + 1) % m]
             if not cur.has_face({prev, nxt}):
                 cur = Complex._from_vertex_sets(
-                    list(cur._fsets) + [frozenset((prev, here, nxt))]
+                    list(cur.facets) + [frozenset((prev, here, nxt))]
                 )
                 trace.append(
                     f"filled ear at {here} with ({prev},{here},{nxt}); "

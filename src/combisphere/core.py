@@ -64,19 +64,21 @@ class Simplex(tuple):
 
 
 class Complex:
-    """A pure simplicial complex, identified with its facet set."""
+    """A pure simplicial complex, identified with its canonical facet tuple.
 
-    __slots__ = (
-        "_facets", "_fsets", "_fset_family", "_vertices", "_vertex_set", "_faces",
-        "_hash",
-    )
+    The vertices, the faces of each size and the star map (vertex -> the
+    vertex sets of the facets through it, in facet order) are derived on first
+    use.  Queries for the facets containing a vertex or a face read the star
+    map.
+    """
+
+    __slots__ = ("_facets", "_stars", "_vertices", "_vertex_set", "_faces", "_hash")
 
     def __init__(self, facets: tuple[Simplex, ...], *, _canonical: bool = False):
         if not _canonical:
             raise TypeError("use from_facets() or the module operations")
         self._facets = facets
-        self._fsets = tuple(frozenset(f) for f in facets)
-        self._fset_family = frozenset(self._fsets)
+        self._stars: dict[int, list[frozenset[int]]] | None = None
         self._vertices: tuple[int, ...] | None = None
         self._vertex_set: frozenset[int] | None = None
         self._faces: dict[int, frozenset[frozenset[int]]] = {}
@@ -118,10 +120,7 @@ class Complex:
     @property
     def vertices(self) -> tuple[int, ...]:
         if self._vertices is None:
-            seen: set[int] = set()
-            for f in self._fsets:
-                seen |= f
-            self._vertices = tuple(sorted(seen))
+            self._vertices = tuple(sorted(set().union(*self._facets)))
         return self._vertices
 
     @property
@@ -150,19 +149,35 @@ class Complex:
         return tuple(len(self.faces_of_size(k)) for k in range(1, self.dim + 2))
 
     def has_face(self, face: Iterable[int]) -> bool:
-        fs = frozenset(face)
-        return any(fs <= f for f in self._fsets)
+        return bool(self._facets_containing(face))
+
+    def _star(self, v: int) -> list[frozenset[int]]:
+        """The facets through v as vertex sets, in facet order; [] for a non-vertex."""
+        if self._stars is None:
+            self._stars = {}
+            for f in self._facets:
+                fs = frozenset(f)
+                for u in f:
+                    self._stars.setdefault(u, []).append(fs)
+        return self._stars.get(v, [])
+
+    def _facets_containing(self, face: Iterable[int]) -> list[frozenset[int]]:
+        """The facets containing face as vertex sets, in facet order: the
+        smallest vertex star of face, filtered.  Every facet for the empty face."""
+        vs = frozenset(face)
+        star = min(map(self._star, vs), key=len) if vs else map(frozenset, self._facets)
+        return [fs for fs in star if vs <= fs]
 
     # -- value semantics -----------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Complex):
             return NotImplemented
-        return self._fset_family == other._fset_family
+        return self._facets == other._facets
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(self._fset_family)
+            self._hash = hash(self._facets)
         return self._hash
 
     def __repr__(self) -> str:
@@ -225,32 +240,32 @@ def from_facets(facet_list: Iterable[Iterable[int]]) -> Complex:
 
 def link(X: Complex, v: int) -> Complex:
     """The link of vertex v: facets are sigma minus v over facets containing v."""
-    if v not in X.vertex_set:
+    star = X._star(v)
+    if not star:
         raise VertexNotPresent(f"vertex {v} not in the complex")
     if X.dim == 0:
         raise NonPureResult("link of a vertex in a 0-complex is empty")
-    return Complex._from_vertex_sets(fs - {v} for fs in X._fsets if v in fs)
+    return Complex._from_vertex_sets(fs - {v} for fs in star)
 
 
 def anti_star(X: Complex, v: int) -> Complex:
-    """All faces avoiding v.  Must be pure of full dimension to be a Complex."""
-    if v not in X.vertex_set:
+    """All faces avoiding v.  Must be pure of full dimension to be a Complex:
+    no face f - v of a facet f through v may lie only in facets through v."""
+    star = X._star(v)
+    if not star:
         raise VertexNotPresent(f"vertex {v} not in the complex")
-    keep = [f for f, fs in zip(X.facets, X._fsets) if v not in fs]
-    if not keep:
+    if len(star) == X.n_facets:
         raise NonPureResult(
             f"every facet contains {v}; the anti-star drops a dimension"
         )
-    keep_sets = [frozenset(f) for f in keep]
-    for fs in X._fsets:
-        if v in fs:
-            rest = fs - {v}
-            if not any(rest <= ks for ks in keep_sets):
-                raise NonPureResult(
-                    f"face {tuple(sorted(rest))} is maximal in the anti-star "
-                    f"but has dimension {len(rest) - 1} < {X.dim}"
-                )
-    return Complex._from_simplices(keep)
+    for fs in star:
+        rest = fs - {v}
+        if all(v in g for g in X._facets_containing(rest)):
+            raise NonPureResult(
+                f"face {tuple(sorted(rest))} is maximal in the anti-star "
+                f"but has dimension {len(rest) - 1} < {X.dim}"
+            )
+    return Complex._from_simplices(f for f in X.facets if v not in f)
 
 
 def join(X: Complex, Y: Complex) -> Complex:
@@ -260,9 +275,7 @@ def join(X: Complex, Y: Complex) -> Complex:
     overlap = X.vertex_set & Y.vertex_set
     if overlap:
         raise VertexSetsOverlap(f"factors share vertices {sorted(overlap)}")
-    return Complex._from_vertex_sets(
-        a | b for a in X._fsets for b in Y._fsets
-    )
+    return Complex._from_vertex_sets(a + b for a in X.facets for b in Y.facets)
 
 
 def complement(X: Complex, Y: Complex) -> Complex:
@@ -273,13 +286,12 @@ def complement(X: Complex, Y: Complex) -> Complex:
         raise NotProperSubcomplex(
             f"dimension mismatch: {Y.dim} != {X.dim}"
         )
-    if not Y._fset_family <= X._fset_family:
+    drop = set(Y.facets)
+    if not drop.issubset(X.facets):
         raise NotProperSubcomplex("some facet of the second complex is not a facet of the first")
-    if Y._fset_family == X._fset_family:
+    if len(drop) == X.n_facets:
         raise NotProperSubcomplex("the complexes are equal; the complement is empty")
-    return Complex._from_simplices(
-        f for f, fs in zip(X.facets, X._fsets) if fs not in Y._fset_family
-    )
+    return Complex._from_simplices(f for f in X.facets if f not in drop)
 
 
 def _ridge_map(X: Complex) -> dict[tuple[int, ...], list[Simplex]]:
@@ -326,8 +338,8 @@ def _link_shape(
 
 def _flip(X: Complex, A: tuple[int, ...], B: tuple[int, ...]) -> Complex:
     """Replace the facets of A * dB by the facets of dA * B."""
-    a_set = frozenset(A)
-    keep = [f for f, fs in zip(X.facets, X._fsets) if not a_set <= fs]
+    gone = {tuple(sorted(fs)) for fs in X._facets_containing(A)}
+    keep = [f for f in X.facets if f not in gone]
     keep.extend(
         Simplex._raw(tuple(sorted(A[:i] + A[i + 1 :] + B))) for i in range(len(A))
     )
@@ -338,7 +350,11 @@ def boundary(X: Complex) -> Complex:
     """Ridges lying in exactly one facet.  May be empty (closed input)."""
     if X.dim < 1:
         raise NonPure("boundary requires dimension >= 1")
-    ridges = _ridge_map(X)
+    return _boundary(_ridge_map(X))
+
+
+def _boundary(ridges: Mapping[tuple[int, ...], Collection[Simplex]]) -> Complex:
+    """boundary, read off a ridge map as _ridge_map builds it."""
     for r, owners in ridges.items():
         if len(owners) > 2:
             raise RidgeInThreeFacets(f"ridge {r} lies in {len(owners)} facets")
@@ -403,9 +419,7 @@ def euler_characteristic(X: Complex) -> int:
 
 def is_subcomplex(A: Complex, X: Complex) -> bool:
     """True when every facet of A is a face of X."""
-    if A.is_empty:
-        return True
-    return all(any(a <= f for f in X._fsets) for a in A._fsets)
+    return all(X._facets_containing(a) for a in A.facets)
 
 
 def one_point_suspension(X: Complex, u: int, v: int) -> Complex:
@@ -427,8 +441,8 @@ def one_point_suspension(X: Complex, u: int, v: int) -> Complex:
     if v in X.vertex_set:
         raise FreshVertexCollision(f"vertex {v} is already present")
     ast = anti_star(X, u)
-    new_facets = [fs | {u} for fs in ast._fsets]
-    new_facets.extend(fs | {v} for fs in X._fsets)
+    new_facets = [f + (u,) for f in ast.facets]
+    new_facets.extend(f + (v,) for f in X.facets)
     return Complex._from_vertex_sets(new_facets)
 
 
@@ -444,7 +458,7 @@ def bistellar_move(X: Complex, v: int, sigma: Iterable[int]) -> Complex:
         raise NotClosedPseudomanifold("bistellar moves need a closed pseudomanifold")
     if v not in X.vertex_set:
         raise VertexNotPresent(f"vertex {v} not in the complex")
-    star = [fs for fs in X._fsets if v in fs]
+    star = X._star(v)
     # in dimension 0 the link {()} of v bounds every single vertex
     if not (X.dim == 0 and len(sig) == 1) and _link_shape(star, (v,), X.dim) != sig:
         raise LinkNotStandardSphere(
@@ -474,12 +488,11 @@ def generalized_bistellar_move(
         raise MovePreconditionFailed(
             f"|A| + |B| = {len(A) + len(B)} != dim + 2 = {X.dim + 2}"
         )
-    if not X.has_face(A):
+    cofacets = X._facets_containing(A)
+    if not cofacets:
         raise MovePreconditionFailed(f"{tuple(A)} is not a face")
     if X.has_face(B):
         raise MovePreconditionFailed(f"{tuple(B)} is already a face")
-    a_set = frozenset(A)
-    cofacets = [fs for fs in X._fsets if a_set <= fs]
     # with |B| = 1 the face A is a facet, whose link {()} bounds every vertex
     if len(B) > 1 and _link_shape(cofacets, A, X.dim) != B:
         raise MovePreconditionFailed(

@@ -17,11 +17,11 @@ from typing import Collection, Iterable, Mapping
 from .core import (
     Complex,
     Simplex,
+    _boundary,
     _is_connected,
     _link_shape,
     _pseudomanifold_report,
     _ridge_map,
-    boundary,
     euler_characteristic,
     link,
     pseudomanifold_check,
@@ -97,13 +97,10 @@ def is_standard(X: Complex) -> StandardReport:
 
 def degree(X: Complex, v: int) -> int:
     """Number of edges through v."""
-    if v not in X.vertex_set:
+    star = X._star(v)
+    if not star:
         raise VertexNotPresent(f"vertex {v} not in the complex")
-    neighbors: set[int] = set()
-    for fs in X._fsets:
-        if v in fs:
-            neighbors |= fs
-    return len(neighbors) - 1
+    return len(set().union(*star)) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -509,18 +506,19 @@ def certify_ball(
         return Verdict(CERTIFIED, "standard ball: the closure of one simplex")
     if X.dim == 0:
         return Verdict(REFUTED, "a 0-ball is a single point")
-    report = pseudomanifold_check(X)
+    ridges = _ridge_map(X)
+    report = _pseudomanifold_report(ridges, X.facets)
     if not report.is_pseudomanifold:
-        return Verdict(REFUTED, _pm_failure_reason(X, _ridge_map(X)))
+        return Verdict(REFUTED, _pm_failure_reason(X, ridges))
     if report.closed:
         return Verdict(REFUTED, "no boundary: a closed pseudomanifold is not a ball")
-    bd = boundary(X)
+    bd = _boundary(ridges)
     bd_verdict = certify_sphere(bd, budget, seed)
     if bd_verdict.is_refuted:
         return Verdict(REFUTED, f"boundary is not a sphere: {bd_verdict.reason}")
     apex = max(X.vertices) + 1
     capped = Complex._from_vertex_sets(
-        list(X._fsets) + [fs | {apex} for fs in bd._fsets]
+        list(X.facets) + [f + (apex,) for f in bd.facets]
     )
     capped_verdict = certify_sphere(capped, budget, seed)
     if capped_verdict.is_certified:
@@ -648,13 +646,8 @@ def is_flag(S: Complex) -> bool:
         return False
     if is_standard(S).sphere:
         return False
-    edges = S.faces_of_size(2)
-    adjacency: dict[int, set[int]] = {v: set() for v in S.vertices}
-    for e in edges:
-        a, b = sorted(e)
-        adjacency[a].add(b)
-        adjacency[b].add(a)
-    cliques: set[frozenset[int]] = set(edges)
+    adjacency = {v: set().union(*S._star(v)) - {v} for v in S.vertices}
+    cliques: set[frozenset[int]] = set(S.faces_of_size(2))
     while cliques:
         grown: set[frozenset[int]] = set()
         for c in cliques:

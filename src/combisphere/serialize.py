@@ -27,6 +27,14 @@ def dumps(obj: Any) -> str:
     return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
 
 
+def _loads(text: str) -> Any:
+    """json.loads, with nesting too deep for the parser reported as bad data."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
+
+
 # ---------------------------------------------------------------------------
 # complexes
 # ---------------------------------------------------------------------------
@@ -84,7 +92,7 @@ def parse_complex(text: str) -> Complex:
     """Accept either format, sniffing on the first non-space character."""
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        return complex_from_json_obj(json.loads(text))
+        return complex_from_json_obj(_loads(text))
     return complex_from_text(text)
 
 
@@ -114,6 +122,8 @@ def points_from_json_obj(obj: Any) -> PointConfiguration:
             label = int(key)
         except ValueError:
             raise ValueError(f"point label {key!r} is not an integer") from None
+        if label in coords:
+            raise ValueError(f"point label {key!r} repeats the label {label}")
         coords[label] = tuple(Fraction(str(c)) for c in _list(row, f"point {key}"))
     return PointConfiguration.from_dict(dim, coords)
 
@@ -123,7 +133,7 @@ def points_to_json(pc: PointConfiguration) -> str:
 
 
 def parse_points(text: str) -> PointConfiguration:
-    return points_from_json_obj(json.loads(text))
+    return points_from_json_obj(_loads(text))
 
 
 # ---------------------------------------------------------------------------

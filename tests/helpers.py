@@ -29,7 +29,9 @@ from combisphere.errors import (
     LinkNotStandardSphere,
     MovePreconditionFailed,
     NonPure,
+    NonPureResult,
     NotClosedPseudomanifold,
+    NotProperSubcomplex,
     NotSimplicial,
     NotStacked,
     PerturbationBudgetExhausted,
@@ -136,7 +138,7 @@ def _reference_reduction_moves(X: Complex) -> list[tuple[Simplex, Simplex]]:
     for size_a in range(1, d + 1):
         size_b = d + 2 - size_a
         for a_set in sorted(X.faces_of_size(size_a), key=sorted):
-            cofacets = [fs for fs in X._fsets if a_set <= fs]
+            cofacets = [fs for fs in map(frozenset, X.facets) if a_set <= fs]
             if len(cofacets) != size_b:
                 continue
             link_facets = {fs - a_set for fs in cofacets}
@@ -155,7 +157,7 @@ def _reference_reduction_moves(X: Complex) -> list[tuple[Simplex, Simplex]]:
 
 def _reference_apply_move(X: Complex, A: Simplex, B: Simplex) -> Complex:
     a_set, b_set = frozenset(A), frozenset(B)
-    new_facets = [fs for fs in X._fsets if not a_set <= fs]
+    new_facets = [fs for fs in map(frozenset, X.facets) if not a_set <= fs]
     new_facets.extend((a_set - {a}) | b_set for a in A)
     return Complex._from_vertex_sets(new_facets)
 
@@ -208,7 +210,7 @@ def reference_collapse_stacked_sphere_to_ball(S: Complex) -> Complex:
     while not is_standard(cur).sphere:
         found = None
         for v in cur.vertices:
-            link_facets = [fs - {v} for fs in cur._fsets if v in fs]
+            link_facets = [fs - {v} for fs in map(frozenset, cur.facets) if v in fs]
             union: frozenset[int] = frozenset().union(*link_facets)
             if len(union) != cur.dim + 1:
                 continue
@@ -267,7 +269,7 @@ def reference_link_screen(X: Complex) -> Verdict | None:
 def _reference_ridge_map(X: Complex) -> dict[frozenset[int], list[int]]:
     """Ridge -> indices of owning facets."""
     ridges: dict[frozenset[int], list[int]] = {}
-    for i, fs in enumerate(X._fsets):
+    for i, fs in enumerate(map(frozenset, X.facets)):
         for v in X.facets[i]:
             r = fs - {v}
             ridges.setdefault(r, []).append(i)
@@ -373,7 +375,7 @@ def reference_bistellar_move(X: Complex, v: int, sigma: Iterable[int]) -> Comple
     if v not in X.vertex_set:
         raise VertexNotPresent(f"vertex {v} not in the complex")
     sig_set = frozenset(sig)
-    link_facets = {fs - {v} for fs in X._fsets if v in fs}
+    link_facets = {fs - {v} for fs in map(frozenset, X.facets) if v in fs}
     sigma_boundary = {sig_set - {x} for x in sig}
     if link_facets != sigma_boundary:
         raise LinkNotStandardSphere(
@@ -381,7 +383,7 @@ def reference_bistellar_move(X: Complex, v: int, sigma: Iterable[int]) -> Comple
         )
     if X.has_face(sig_set):
         raise SigmaAlreadyFace(f"{tuple(sig)} is already a face")
-    keep = [f for f, fs in zip(X.facets, X._fsets) if v not in fs]
+    keep = [f for f, fs in zip(X.facets, map(frozenset, X.facets)) if v not in fs]
     keep.append(sig)
     return Complex._from_simplices(keep)
 
@@ -410,16 +412,117 @@ def reference_generalized_bistellar_move(
         raise MovePreconditionFailed(f"{tuple(A)} is not a face")
     if X.has_face(b_set):
         raise MovePreconditionFailed(f"{tuple(B)} is already a face")
-    cofacets = [fs for fs in X._fsets if a_set <= fs]
+    cofacets = [fs for fs in map(frozenset, X.facets) if a_set <= fs]
     actual_link = {fs - a_set for fs in cofacets}
     expected_link = {b_set - {b} for b in B}
     if actual_link != expected_link or len(cofacets) != len(B):
         raise MovePreconditionFailed(
             f"link of {tuple(A)} is not the boundary of {tuple(B)}"
         )
-    new_facets = [fs for fs in X._fsets if not a_set <= fs]
+    new_facets = [fs for fs in map(frozenset, X.facets) if not a_set <= fs]
     new_facets.extend((a_set - {a}) | b_set for a in A)
     return Complex._from_vertex_sets(new_facets)
+
+
+# ---------------------------------------------------------------------------
+# reference incidence queries: the facet scans that core, recognition and
+# constructions ran before Complex kept a vertex -> facets star map.  The
+# bodies read map(frozenset, X.facets) where they read the frozenset copies
+# Complex used to keep; otherwise they are unchanged.
+# ---------------------------------------------------------------------------
+
+
+def reference_has_face(X: Complex, face: Iterable[int]) -> bool:
+    fs = frozenset(face)
+    return any(fs <= f for f in map(frozenset, X.facets))
+
+
+def reference_link(X: Complex, v: int) -> Complex:
+    """The link of vertex v: facets are sigma minus v over facets containing v."""
+    if v not in X.vertex_set:
+        raise VertexNotPresent(f"vertex {v} not in the complex")
+    if X.dim == 0:
+        raise NonPureResult("link of a vertex in a 0-complex is empty")
+    return Complex._from_vertex_sets(
+        fs - {v} for fs in map(frozenset, X.facets) if v in fs
+    )
+
+
+def reference_anti_star(X: Complex, v: int) -> Complex:
+    """All faces avoiding v.  Must be pure of full dimension to be a Complex."""
+    if v not in X.vertex_set:
+        raise VertexNotPresent(f"vertex {v} not in the complex")
+    keep = [f for f, fs in zip(X.facets, map(frozenset, X.facets)) if v not in fs]
+    if not keep:
+        raise NonPureResult(
+            f"every facet contains {v}; the anti-star drops a dimension"
+        )
+    keep_sets = [frozenset(f) for f in keep]
+    for fs in map(frozenset, X.facets):
+        if v in fs:
+            rest = fs - {v}
+            if not any(rest <= ks for ks in keep_sets):
+                raise NonPureResult(
+                    f"face {tuple(sorted(rest))} is maximal in the anti-star "
+                    f"but has dimension {len(rest) - 1} < {X.dim}"
+                )
+    return Complex._from_simplices(keep)
+
+
+def reference_degree(X: Complex, v: int) -> int:
+    """Number of edges through v."""
+    if v not in X.vertex_set:
+        raise VertexNotPresent(f"vertex {v} not in the complex")
+    neighbors: set[int] = set()
+    for fs in map(frozenset, X.facets):
+        if v in fs:
+            neighbors |= fs
+    return len(neighbors) - 1
+
+
+def reference_is_subcomplex(A: Complex, X: Complex) -> bool:
+    """True when every facet of A is a face of X."""
+    if A.is_empty:
+        return True
+    return all(
+        any(a <= f for f in map(frozenset, X.facets))
+        for a in map(frozenset, A.facets)
+    )
+
+
+def reference_complement(X: Complex, Y: Complex) -> Complex:
+    """Facets of X that are not facets of Y; Y must be a proper facet subset."""
+    if Y.is_empty or X.is_empty:
+        raise NotProperSubcomplex("complement needs nonempty complexes")
+    if Y.dim != X.dim:
+        raise NotProperSubcomplex(
+            f"dimension mismatch: {Y.dim} != {X.dim}"
+        )
+    x_family = frozenset(map(frozenset, X.facets))
+    y_family = frozenset(map(frozenset, Y.facets))
+    if not y_family <= x_family:
+        raise NotProperSubcomplex("some facet of the second complex is not a facet of the first")
+    if y_family == x_family:
+        raise NotProperSubcomplex("the complexes are equal; the complement is empty")
+    return Complex._from_simplices(
+        f for f, fs in zip(X.facets, map(frozenset, X.facets)) if fs not in y_family
+    )
+
+
+def _reference_faces(X: Complex) -> set[frozenset[int]]:
+    return {
+        frozenset(c)
+        for f in X.facets
+        for k in range(1, len(f) + 1)
+        for c in itertools.combinations(f, k)
+    }
+
+
+def reference_meet_inside(P: Complex, Q: Complex, R: Complex) -> bool:
+    """Whether every face that P and Q share is a face of R: the common
+    faces, listed by enumerating every face of P, then tested against R."""
+    common = {f for f in _reference_faces(P) if reference_has_face(Q, f)}
+    return all(reference_has_face(R, f) for f in common)
 
 
 def _reference_is_single_cycle(L: Complex) -> bool:

@@ -10,7 +10,12 @@ import pytest
 
 from combisphere import from_facets, get
 from combisphere.cli import main
-from combisphere.serialize import complex_to_text, parse_complex, parse_points
+from combisphere.serialize import (
+    complex_to_text,
+    parse_complex,
+    parse_points,
+    points_to_json,
+)
 from helpers import moebius_torus, octahedron_points
 
 
@@ -301,6 +306,59 @@ class TestChain:
         obj = json.loads(outj)
         assert codej == 0
         assert [step["dim"] for step in obj["chain"]] == [1, 2, 3]
+
+
+DEEP = 100_000
+DEEP_COMPLEX = '{"facets": ' + "[" * DEEP + "]" * DEEP + "}"
+DEEP_POINTS = '{"dim": 1, "points": {"1": ' + "[" * DEEP + "]" * DEEP + "}}"
+# "01" and "1" both parse to the label 1
+COLLIDING_POINTS = '{"dim": 1, "points": {"1": ["0"], "01": ["5"], "2": ["2"]}}'
+
+
+class TestHostileInput:
+    """Input that used to escape as a traceback or be read silently wrong."""
+
+    @staticmethod
+    def _run(capsys, monkeypatch, tmp_path, text, via):
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        source = str(path)
+        if via.endswith("stdin"):
+            monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+            source = "-"
+        cycle = tmp_path / "cycle.txt"
+        cycle.write_text("1 2\n2 3\n1 3\n")
+        (tmp_path / "octa.json").write_text(points_to_json(octahedron_points()))
+        argv = {
+            "in": ["info", "--in", source],
+            "in-stdin": ["info", "--in", source],
+            "factor": ["complete", "join", "--in", str(cycle),
+                       "--factor", source, "--factor", str(cycle)],
+            "target": ["hull", "--points", str(tmp_path / "octa.json"),
+                       "--perturb", "--target", source],
+            "points": ["hull", "--points", source],
+            "points-stdin": ["hull", "--points", source],
+        }[via]
+        code, out, err = run(capsys, *argv)
+        assert code == 65 and out == ""
+        assert "Traceback" not in err
+        assert err.startswith("combisphere: ") and err.count("\n") == 1
+        return err
+
+    @pytest.mark.parametrize("via", ["in", "in-stdin", "factor", "target"])
+    def test_deeply_nested_complex(self, capsys, monkeypatch, tmp_path, via):
+        err = self._run(capsys, monkeypatch, tmp_path, DEEP_COMPLEX, via)
+        assert "nested too deeply" in err
+
+    @pytest.mark.parametrize("via", ["points", "points-stdin"])
+    def test_deeply_nested_points(self, capsys, monkeypatch, tmp_path, via):
+        err = self._run(capsys, monkeypatch, tmp_path, DEEP_POINTS, via)
+        assert "nested too deeply" in err
+
+    @pytest.mark.parametrize("via", ["points", "points-stdin"])
+    def test_colliding_point_labels(self, capsys, monkeypatch, tmp_path, via):
+        err = self._run(capsys, monkeypatch, tmp_path, COLLIDING_POINTS, via)
+        assert "'01'" in err
 
 
 class TestPlumbing:

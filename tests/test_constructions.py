@@ -38,12 +38,14 @@ from combisphere.errors import (
     TooFewVertices,
     VertexNotPresent,
 )
+from combisphere.constructions import _meet_inside
 from helpers import (
     moebius_torus,
     random_disc,
     random_flag_2sphere,
     random_stacked_ball,
     random_stacked_sphere,
+    reference_meet_inside,
 )
 
 S0_12 = [(1,), (2,)]
@@ -388,3 +390,16 @@ class TestCompleteDisc:
     def test_single_triangle_too_small(self):
         with pytest.raises(TooFewVertices):
             complete_disc(from_facets([(1, 2, 3)]))
+
+
+class TestMeetCheckMatchesReference:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**16), pick=st.integers(0, 4))
+    def test_random_ball_pairs(self, seed, pick):
+        rng = random.Random(seed)
+        d, e = rng.randint(1, 3), rng.randint(1, 3)
+        P = random_stacked_ball(rng, d, rng.randint(d + 1, d + 6))
+        Q = random_stacked_ball(rng, e, rng.randint(e + 1, e + 6))
+        R = [P, Q, boundary(P), boundary(Q),
+             random_stacked_ball(rng, d, rng.randint(d + 1, d + 6))][pick]
+        assert _meet_inside(P, Q, R) == reference_meet_inside(P, Q, R)

@@ -11,6 +11,7 @@ from combisphere import (
     bistellar_move,
     boundary,
     complement,
+    degree,
     dual_graph,
     euler_characteristic,
     from_facets,
@@ -47,11 +48,17 @@ from helpers import (
     random_disc,
     random_stacked_ball,
     random_stacked_sphere,
+    reference_anti_star,
     reference_bistellar_move,
     reference_boundary,
+    reference_complement,
+    reference_degree,
     reference_dual_graph,
     reference_dual_graph_is_connected,
     reference_generalized_bistellar_move,
+    reference_has_face,
+    reference_is_subcomplex,
+    reference_link,
     reference_pseudomanifold_check,
 )
 
@@ -454,7 +461,7 @@ def _outcome(fn, *args):
         result = fn(*args)
     except Exception as exc:
         return type(exc), str(exc)
-    return result, result.facets
+    return result, getattr(result, "facets", None)
 
 
 class TestSharedChecksMatchReference:
@@ -557,3 +564,85 @@ class TestSharedChecksMatchReference:
         assert certify_sphere(X).reason == (
             "not a pseudomanifold: ridge (1, 2) lies in 3 facets"
         )
+
+
+# ---------------------------------------------------------------------------
+# the star-map incidence queries against the facet scans they replaced
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def pure_complexes(draw):
+    """Random pure complexes of dimension 0..4 on a few vertices."""
+    d = draw(st.integers(0, 4))
+    n = draw(st.integers(d + 1, d + 5))
+    facets = draw(st.lists(
+        st.sets(st.integers(1, n), min_size=d + 1, max_size=d + 1),
+        min_size=1, max_size=12,
+    ))
+    return from_facets(facets)
+
+
+def _labels(X):
+    """A vertex of X most of the time, otherwise a label it does not use."""
+    n = max(X.vertices)
+    return st.one_of(
+        st.sampled_from(X.vertices), st.sampled_from(X.vertices),
+        st.integers(n + 1, n + 3),
+    )
+
+
+def _subfaces(X):
+    """A face of X, the empty face, or any set of labels up to two past X's."""
+    n = max(X.vertices)
+    return st.one_of(
+        st.sampled_from(X.facets).flatmap(lambda f: st.sets(st.sampled_from(f))),
+        st.just(()),
+        st.sets(st.integers(1, n + 2), max_size=X.dim + 2),
+    )
+
+
+class TestStarQueriesMatchReference:
+    @settings(max_examples=300, deadline=None)
+    @given(X=pure_complexes(), data=st.data())
+    def test_vertex_queries(self, X, data):
+        v = data.draw(_labels(X))
+        assert _outcome(link, X, v) == _outcome(reference_link, X, v)
+        assert _outcome(anti_star, X, v) == _outcome(reference_anti_star, X, v)
+        assert _outcome(degree, X, v) == _outcome(reference_degree, X, v)
+
+    @settings(max_examples=300, deadline=None)
+    @given(X=pure_complexes(), data=st.data())
+    def test_has_face(self, X, data):
+        face = data.draw(_subfaces(X))
+        assert X.has_face(face) == reference_has_face(X, face)
+        assert X.has_face(iter(face)) == reference_has_face(X, face)
+
+    @settings(max_examples=300, deadline=None)
+    @given(X=pure_complexes(), data=st.data())
+    def test_two_complex_queries(self, X, data):
+        n = max(X.vertices)
+        faces_of_x = st.integers(1, X.dim + 1).flatmap(
+            lambda k: st.lists(st.sampled_from(sorted(map(sorted, X.faces_of_size(k)))),
+                               min_size=1)
+        )
+        Y = data.draw(st.one_of(
+            st.lists(st.sampled_from(X.facets), min_size=1).map(from_facets),
+            faces_of_x.map(from_facets),
+            pure_complexes(),
+            st.just(from_facets([(n + 1,)])),
+        ))
+        for A, B in [(X, Y), (Y, X)]:
+            assert is_subcomplex(A, B) == reference_is_subcomplex(A, B)
+            assert _outcome(complement, A, B) == _outcome(reference_complement, A, B)
+        assert (X == Y) == (set(X.facets) == set(Y.facets))
+        if X == Y:
+            assert hash(X) == hash(Y)
+
+    def test_empty_complex(self):
+        X = from_facets([(1, 2), (2, 3)])
+        empty = boundary(from_facets([(1, 2), (2, 3), (1, 3)]))
+        assert X.has_face(()) and not empty.has_face(())
+        assert is_subcomplex(empty, X) and reference_is_subcomplex(empty, X)
+        assert not is_subcomplex(X, empty) and not reference_is_subcomplex(X, empty)
+        assert _outcome(complement, X, empty) == _outcome(reference_complement, X, empty)
