@@ -25,7 +25,7 @@ from .constructions import (
     complete_stacked_sphere,
     sphere_chain,
 )
-from .core import Complex, euler_characteristic, pseudomanifold_check
+from .core import Complex, pseudomanifold_check
 from .errors import (
     ComplexError,
     FactorNotSphere,
@@ -212,12 +212,13 @@ def _emit(text: str, args: argparse.Namespace) -> None:
 def _do_info(args: argparse.Namespace) -> tuple[str, int]:
     X = _load_complex(args)
     report = pseudomanifold_check(X)
+    f_vector = X.f_vector  # counted once: euler_characteristic would count again
     obj: dict[str, Any] = {
         "dim": X.dim,
         "n_vertices": X.n_vertices,
         "n_facets": X.n_facets,
-        "f_vector": list(X.f_vector),
-        "euler_characteristic": euler_characteristic(X),
+        "f_vector": list(f_vector),
+        "euler_characteristic": sum((-1) ** j * fj for j, fj in enumerate(f_vector)),
         "pseudomanifold": report.is_pseudomanifold,
         "closed": report.closed,
     }

@@ -146,7 +146,15 @@ class Complex:
 
     @property
     def f_vector(self) -> tuple[int, ...]:
-        return tuple(len(self.faces_of_size(k)) for k in range(1, self.dim + 2))
+        """The number of faces with 1..dim + 1 vertices.  Facets are sorted
+        tuples, so distinct vertex combinations are distinct faces."""
+        counts = []
+        for k in range(1, self.dim + 2):
+            faces: set[tuple[int, ...]] = set()
+            for f in self._facets:
+                faces.update(itertools.combinations(f, k))
+            counts.append(len(faces))
+        return tuple(counts)
 
     def has_face(self, face: Iterable[int]) -> bool:
         return bool(self._facets_containing(face))

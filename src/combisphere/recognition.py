@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass
 from typing import Collection, Iterable, Mapping
 
@@ -109,74 +110,74 @@ def degree(X: Complex, v: int) -> int:
 
 
 class _MoveIndex:
-    """The facets of a closed pseudomanifold, with the cofacets of its faces
-    and the legal bistellar moves.
+    """The facets of a closed pseudomanifold, with the cofacets of the faces
+    its readers use and the legal bistellar moves.
 
     Built once per certification and updated in place by each flip.  A flip
     changes only the star of the face it acts on, so only the subfaces of the
     facets it removes and adds are looked at again.  Faces and facets are
-    sorted tuples.
+    sorted tuples.  The legal moves are those with |A| <= max_a:
+    certify_sphere uses max_a = dim, and the vertex collapse max_a = 1.
 
-    Faces with 1..max_a vertices are indexed, and the legal moves are those
-    with |A| <= max_a.  certify_sphere needs max_a = dim, which indexes every
-    face and so also serves its gates and its Euler and link screens; the
-    vertex collapse needs only max_a = 1, where every B has dim + 1 vertices
-    and is looked up among the facets.
+    Only the face sizes a reader uses are indexed.  Size 1 is always kept:
+    is_standard_sphere and the vertex moves read it.  index(k) fills one
+    size, as certify_sphere does for the ridges its gates and link screen
+    read, and the first flip drops every size not kept.  The first settle(k)
+    keeps size k and its partner size dim + 2 - k, the size of the B of its
+    moves (the facets for k = 1), indexing either only if it is not indexed
+    still.  On stacked spheres pool settles only size 1, so no size in
+    2..dim - 1 is ever indexed with owners.
 
-    The cofacets are kept exact on every flip; legality is settled lazily,
-    one size |A| at a time.  _shape maps each link-shaped face A to its B,
-    _pointing maps each B back to the faces A with that shape, and _legal[k]
-    holds the faces A with k vertices whose B is not a face.  A flip does not
-    look at shapes: it only adds the facets it removes and adds to
-    _dirty[k] for every size k.  settle(k) reshapes the k-subfaces of the
-    dirty facets, and pool settles sizes in ascending order only until it
-    has a move.  On stacked spheres that is always |A| = 1, so the larger
-    sizes are never settled.
+    The cofacets of a kept size are exact after every flip; legality is
+    settled lazily, one size |A| at a time.  _shape maps each link-shaped
+    face A to its B, _pointing maps each B back to the faces A with that
+    shape, and _legal[k] holds the faces A with k vertices whose B is not a
+    face.  A flip adds the facets it removes and adds to _dirty[k] for each
+    settled size k.  settle(k) reshapes the k-subfaces of the dirty facets
+    (every k-face the first time); a face with no stored shape is skipped
+    unless it has dim + 2 - k cofacets, as a link-shaped face must.
 
     A settled size is exact.  The shape of A depends only on the cofacets of
     A, which change only when a facet containing A is removed or added; that
     facet stays in _dirty[|A|] until the size is settled, so settling
     reshapes A.  And _legal agrees with the presence of B for every stored
-    shape, stale or not, at all times: _add and _remove call _toggle whenever
-    any face B appears or vanishes, and _reshape updates _legal whenever it
-    changes a stored shape.
+    shape, stale or not, at all times, by this invariant: while size k holds
+    stored shapes, size dim + 2 - k is kept.  So _add and _remove call
+    _toggle whenever a face B of a stored shape appears or vanishes, and
+    settle updates _legal whenever it changes a stored shape.
     """
 
     __slots__ = (
-        "dim", "facets", "_sizes", "_cofacets", "_shape", "_pointing", "_legal",
-        "_dirty",
+        "dim", "facets", "_sizes", "_kept", "_cofacets", "_shape", "_pointing",
+        "_legal", "_dirty",
     )
 
-    def __init__(self, X: Complex, max_a: int, sizes: Iterable[int] | None = None):
-        """Index the faces with k vertices for each k in sizes, all of
-        1..max_a by default; index(k) adds the others, and every size must be
-        indexed before the first flip or pool."""
+    def __init__(self, X: Complex, max_a: int, sizes: Iterable[int] = (1,)):
+        """Index the faces with k vertices for each k in sizes.  Size 1 must
+        be indexed before the first flip, pool or is_standard_sphere."""
         self.dim = X.dim
         self.facets: set[tuple[int, ...]] = {tuple(f) for f in X.facets}
         self._sizes = range(1, max_a + 1)
-        # _cofacets[k]: each face with k vertices -> the facets containing it;
-        # a face that is gone has no key.
-        self._cofacets: list[dict[tuple[int, ...], set[tuple[int, ...]]]] = [
-            {} for _ in range(max_a + 1)
-        ]
+        self._kept = {1}
+        # _cofacets[k], for each indexed size k: each face with k vertices ->
+        # the facets containing it; a face that is gone has no key.
+        self._cofacets: dict[int, dict[tuple[int, ...], set[tuple[int, ...]]]] = {}
         # A -> B for each link-shaped face A: its cofacets are exactly A * dB.
         self._shape: dict[tuple[int, ...], tuple[int, ...]] = {}
         self._pointing: dict[tuple[int, ...], set[tuple[int, ...]]] = {}
         self._legal: list[set[tuple[int, ...]]] = [set() for _ in range(max_a + 1)]
-        # _dirty[k]: facets whose k-subfaces may have changed shape
-        self._dirty: list[set[tuple[int, ...]]] = [set()] + [
-            set(self.facets) for _ in self._sizes
-        ]
-        for k in self._sizes if sizes is None else sizes:
+        # _dirty[k], for each settled size k: facets whose k-faces may have new shapes
+        self._dirty: dict[int, set[tuple[int, ...]]] = {}
+        for k in sizes:
             self.index(k)
 
     def index(self, k: int) -> None:
         """Fill the cofacets of the faces with k vertices.
 
-        No shape is stored before the first settle, so unlike _add this
-        has no legality to toggle.
+        No stored shape has a B with k vertices before size k is kept, so
+        unlike _add this has no legality to toggle.
         """
-        faces = self._cofacets[k]
+        faces: dict[tuple[int, ...], set[tuple[int, ...]]] = {}
         for facet in self.facets:
             for face in itertools.combinations(facet, k):
                 owners = faces.get(face)
@@ -184,12 +185,12 @@ class _MoveIndex:
                     faces[face] = {facet}
                 else:
                     owners.add(facet)
+        self._cofacets[k] = faces
 
     def _add(self, facet: tuple[int, ...]) -> None:
         self.facets.add(facet)
         self._toggle(facet, True)
-        for k in self._sizes:
-            faces = self._cofacets[k]
+        for k, faces in self._cofacets.items():
             for face in itertools.combinations(facet, k):
                 owners = faces.get(face)
                 if owners is None:
@@ -201,8 +202,7 @@ class _MoveIndex:
     def _remove(self, facet: tuple[int, ...]) -> None:
         self.facets.remove(facet)
         self._toggle(facet, False)
-        for k in self._sizes:
-            faces = self._cofacets[k]
+        for k, faces in self._cofacets.items():
             for face in itertools.combinations(facet, k):
                 owners = faces[face]
                 owners.remove(facet)
@@ -220,33 +220,43 @@ class _MoveIndex:
             else:
                 legal |= pointers
 
-    def _reshape(self, face: tuple[int, ...]) -> None:
-        shape = _link_shape(self._cofacets[len(face)].get(face, ()), face, self.dim)
-        old = self._shape.get(face)
-        if shape == old:
-            return
-        legal = self._legal[len(face)]
-        if old is not None:
-            pointers = self._pointing[old]
-            pointers.remove(face)
-            if not pointers:
-                del self._pointing[old]
-            legal.discard(face)
-        if shape is None:
-            del self._shape[face]
-            return
-        self._shape[face] = shape
-        self._pointing.setdefault(shape, set()).add(face)
-        if not self.has_face(shape):
-            legal.add(face)
-
     def settle(self, k: int) -> None:
         """Bring the shapes and legal moves with |A| = k up to date."""
-        dirty = self._dirty[k]
-        faces = {face for f in dirty for face in itertools.combinations(f, k)}
-        dirty.clear()
+        n = self.dim + 2 - k
+        dirty = self._dirty.get(k)
+        if dirty is None:
+            for j in (k, n):
+                if j <= self.dim:
+                    self._kept.add(j)
+                    if j not in self._cofacets:
+                        self.index(j)
+            faces: Iterable[tuple[int, ...]] = self._cofacets[k]
+            self._dirty[k] = set()
+        else:
+            faces = {face for f in dirty for face in itertools.combinations(f, k)}
+            dirty.clear()
+        cofacets, shapes, legal = self._cofacets[k], self._shape, self._legal[k]
         for face in faces:
-            self._reshape(face)
+            owners = cofacets.get(face, ())
+            old = shapes.get(face)
+            if old is None and len(owners) != n:
+                continue
+            shape = _link_shape(owners, face, self.dim)
+            if shape == old:
+                continue
+            if old is not None:
+                pointers = self._pointing[old]
+                pointers.remove(face)
+                if not pointers:
+                    del self._pointing[old]
+                legal.discard(face)
+            if shape is None:
+                del shapes[face]
+                continue
+            shapes[face] = shape
+            self._pointing.setdefault(shape, set()).add(face)
+            if not self.has_face(shape):
+                legal.add(face)
 
     def has_face(self, face: tuple[int, ...]) -> bool:
         if len(face) == self.dim + 1:
@@ -279,52 +289,70 @@ class _MoveIndex:
         """Replace the |B| facets of A * dB by the |A| facets of dA * B."""
         gone = list(self._cofacets[len(A)][A])
         born = [tuple(sorted(A[:i] + A[i + 1 :] + B)) for i in range(len(A))]
+        for k in self._cofacets.keys() - self._kept:
+            del self._cofacets[k]
         for f in gone:
             self._remove(f)
         for f in born:
             self._add(f)
-        for k in self._sizes:
-            self._dirty[k].update(gone, born)
+        for dirty in self._dirty.values():
+            dirty.update(gone, born)
 
     def euler_characteristics(self) -> tuple[int, dict[int, int]]:
         """chi of the complex and of each vertex link, in one pass over the faces.
 
-        Needs max_a = dim.  A face tau through v is the face tau - v of the
-        link of v, so it adds (-1)^|tau| to chi(lk v).
+        Reads sizes 1 and dim, indexed with no flip since, and lists the
+        faces of the sizes in between as plain sets.  A face tau through v
+        is the face tau - v of the link of v, so it adds (-1)^|tau| to
+        chi(lk v).
         """
+        middle = []
+        for k in range(2, self.dim):
+            faces: set[tuple[int, ...]] = set()
+            for f in self.facets:
+                faces.update(itertools.combinations(f, k))
+            middle.append(faces)
         chi = 0
         links = {v: 0 for (v,) in self._cofacets[1]}
-        for k, faces in enumerate([*self._cofacets[1:], self.facets], start=1):
+        sizes = [self._cofacets[1], *middle, self._cofacets[self.dim], self.facets]
+        for k, faces in enumerate(sizes, start=1):
             sign = (-1) ** k
             chi -= sign * len(faces)
             if k > 1:
-                for face in faces:
-                    for v in face:
-                        links[v] += sign
+                for v, n in Counter(itertools.chain.from_iterable(faces)).items():
+                    links[v] += sign * n
         return chi, links
 
-    def link_is_closed_pseudomanifold(self, v: int) -> bool:
+    def across_ridges(self) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
+        """Each facet f -> the facets across its ridges, the i-th across the
+        ridge without f[i].  Needs the ridges of a closed pseudomanifold,
+        indexed with no flip since."""
+        ridges = self._cofacets[self.dim]
+        return {
+            f: [g for i in range(len(f)) for g in ridges[f[:i] + f[i + 1 :]] if g != f]
+            for f in self.facets
+        }
+
+    def link_is_closed_pseudomanifold(
+        self, v: int, across: dict[tuple[int, ...], list[tuple[int, ...]]]
+    ) -> bool:
         """Whether the facets through v are connected across the ridges through v.
 
-        Needs max_a = dim and a closed pseudomanifold.  There every ridge of
-        the link of v lies in exactly two of its facets, so the link is a
-        closed pseudomanifold exactly when its facet-adjacency graph, which
-        this walks, is connected.  The walk reads the owners of each ridge
-        through v directly, with no adjacency built first.
+        Needs a closed pseudomanifold, and across as across_ridges gives it.
+        There every ridge of the link of v lies in exactly two of its facets,
+        so the link is a closed pseudomanifold exactly when its
+        facet-adjacency graph, which this walks, is connected.
         """
         star = self._cofacets[1][(v,)]
-        ridges = self._cofacets[self.dim]
         root = next(iter(star))
         seen = {root}
         stack = [root]
         while stack:
             f = stack.pop()
-            for i, u in enumerate(f):
-                if u != v:
-                    for g in ridges[f[:i] + f[i + 1 :]]:
-                        if g not in seen:
-                            seen.add(g)
-                            stack.append(g)
+            for u, g in zip(f, across[f]):
+                if u != v and g not in seen:
+                    seen.add(g)
+                    stack.append(g)
         return len(seen) == len(star)
 
 
@@ -333,12 +361,13 @@ def _greedy_reduce(
 ) -> tuple[bool, tuple[MovePair, ...]]:
     """Walk the flip graph toward the boundary of a simplex.
 
-    The walk flips the _MoveIndex it is given (built with max_a = dim) in
-    place.  A step costs the cofacet updates of the facets the flip removes
-    and adds, then reshaping the subfaces of the facets dirtied since the
-    last step, for the sizes |A| that pool settles, plus sorting one pool.
-    While vertex collapses are legal that is |A| = 1 alone, and no step
-    rescans every face against every facet.
+    The walk flips the _MoveIndex it is given (max_a = dim, size 1 indexed)
+    in place.  A step costs the cofacet updates of the facets the flip
+    removes and adds, for the sizes kept so far, then reshaping the subfaces
+    of the facets dirtied since the last step, for the sizes |A| that pool
+    settles, plus sorting one pool.  While vertex collapses are legal that
+    is |A| = 1 alone; a walk of vertex collapses keeps only the vertices,
+    and no step rescans every face against every facet.
 
     Choice rule: immediately undoing the previous move is avoided unless it
     is the only legal move.  The pool is the remaining legal moves with the
@@ -375,12 +404,13 @@ def certify_sphere(
 
     The pseudomanifold and closedness gates read one ridge map: _ridge_map's
     through dimension 2, and from dimension 3 on the size-dim cofacets of a
-    _MoveIndex that indexes its smaller faces only once the gates pass.  The
-    Euler characteristic of X and the vertex-link screen (each link a closed
+    _MoveIndex that indexes nothing else until the gates pass.  The Euler
+    characteristic of X and the vertex-link screen (each link a closed
     pseudomanifold with the Euler characteristic of a sphere) are read off
-    the same index, and the walk then flips it; links are built only for the
-    recursion after a failed walk.  In dimension 0 the one ridge is the
-    empty face, so a single point is refuted for its boundary.
+    its vertices and ridges, and the walk then flips it, keeping only the
+    sizes its moves use; links are built only for the recursion after a
+    failed walk.  In dimension 0 the one ridge is the empty face, so a
+    single point is refuted for its boundary.
 
     Dimension 2 needs no link check after the gates.  In a connected closed
     2-pseudomanifold each vertex link is a disjoint union of c_v cycles.
@@ -404,8 +434,7 @@ def certify_sphere(
     if d <= 2:
         chi = euler_characteristic(X)
     else:
-        for k in range(1, d):
-            index.index(k)
+        index.index(1)
         chi, link_chis = index.euler_characteristics()
     expected = 1 + (-1) ** d
     if chi != expected:
@@ -424,8 +453,9 @@ def certify_sphere(
         )
     # d >= 3: cheap link screen before spending the budget
     lexpected = 1 + (-1) ** (d - 1)
+    across = index.across_ridges()
     for v in X.vertices:
-        if not index.link_is_closed_pseudomanifold(v):
+        if not index.link_is_closed_pseudomanifold(v, across):
             return Verdict(
                 REFUTED, f"link of vertex {v} is not a closed pseudomanifold"
             )

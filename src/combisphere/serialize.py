@@ -28,11 +28,21 @@ def dumps(obj: Any) -> str:
 
 
 def _loads(text: str) -> Any:
-    """json.loads, with nesting too deep for the parser reported as bad data."""
+    """json.loads, with nesting too deep for the parser and an object that
+    repeats a key reported as bad data."""
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except RecursionError:
         raise ValueError("JSON nested too deeply") from None
+
+
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    obj: dict[str, Any] = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"JSON object repeats the key {key!r}")
+        obj[key] = value
+    return obj
 
 
 # ---------------------------------------------------------------------------

@@ -634,6 +634,27 @@ def reference_pool(index, undo=None) -> list:
     return []
 
 
+def reference_link_is_closed_pseudomanifold(index, v: int) -> bool:
+    """``_MoveIndex.link_is_closed_pseudomanifold`` as it was before the link
+    screen read one adjacency across the ridges: the star of v is walked
+    through the owners of each ridge through v, sliced out of each facet.
+    Reads sizes 1 and dim of the index."""
+    star = index._cofacets[1][(v,)]
+    ridges = index._cofacets[index.dim]
+    root = next(iter(star))
+    seen = {root}
+    stack = [root]
+    while stack:
+        f = stack.pop()
+        for i, u in enumerate(f):
+            if u != v:
+                for g in ridges[f[:i] + f[i + 1 :]]:
+                    if g not in seen:
+                        seen.add(g)
+                        stack.append(g)
+    return len(seen) == len(star)
+
+
 # ---------------------------------------------------------------------------
 # reference geometry: the Fraction Gaussian elimination, hyperplanes, hull,
 # general-position test and perturbation that polytopal ran before its

@@ -313,6 +313,9 @@ DEEP_COMPLEX = '{"facets": ' + "[" * DEEP + "]" * DEEP + "}"
 DEEP_POINTS = '{"dim": 1, "points": {"1": ' + "[" * DEEP + "]" * DEEP + "}}"
 # "01" and "1" both parse to the label 1
 COLLIDING_POINTS = '{"dim": 1, "points": {"1": ["0"], "01": ["5"], "2": ["2"]}}'
+# a repeated key: json.loads alone keeps the last value and drops the first
+REPEATED_POINT = '{"dim": 1, "points": {"1": ["0"], "1": ["5"], "2": ["2"]}}'
+REPEATED_FACETS = '{"dim": 1, "facets": [[1, 2], [2, 3]], "facets": [[1, 2]]}'
 
 
 class TestHostileInput:
@@ -359,6 +362,16 @@ class TestHostileInput:
     def test_colliding_point_labels(self, capsys, monkeypatch, tmp_path, via):
         err = self._run(capsys, monkeypatch, tmp_path, COLLIDING_POINTS, via)
         assert "'01'" in err
+
+    @pytest.mark.parametrize("via", ["points", "points-stdin"])
+    def test_repeated_point_label(self, capsys, monkeypatch, tmp_path, via):
+        err = self._run(capsys, monkeypatch, tmp_path, REPEATED_POINT, via)
+        assert "repeats the key '1'" in err
+
+    @pytest.mark.parametrize("via", ["in", "in-stdin"])
+    def test_repeated_facets_key(self, capsys, monkeypatch, tmp_path, via):
+        err = self._run(capsys, monkeypatch, tmp_path, REPEATED_FACETS, via)
+        assert "repeats the key 'facets'" in err
 
 
 class TestPlumbing:

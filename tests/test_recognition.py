@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -35,6 +36,7 @@ from helpers import (
     reference_certify_surface,
     reference_collapse_stacked_sphere_to_ball,
     reference_greedy_reduce,
+    reference_link_is_closed_pseudomanifold,
     reference_link_screen,
     reference_pool,
     reference_sphere_gates,
@@ -315,20 +317,41 @@ class TestSphereGatesMatchReference:
         )
 
     def test_refused_inputs_index_only_the_ridges(self, monkeypatch):
-        sizes = []
-        index = recognition._MoveIndex.index
+        events = []
+        index, flip = recognition._MoveIndex.index, recognition._MoveIndex.flip
 
-        def recorded(self, k):
-            sizes.append(k)
+        def recorded_index(self, k):
+            events.append(k)
             index(self, k)
 
-        monkeypatch.setattr(recognition._MoveIndex, "index", recorded)
+        def recorded_flip(self, A, B):
+            events.append("flip")
+            flip(self, A, B)
+
+        monkeypatch.setattr(recognition._MoveIndex, "index", recorded_index)
+        monkeypatch.setattr(recognition._MoveIndex, "flip", recorded_flip)
         X = _planted_complex("stacked", 4, "wedge", 0, 0, random.Random(3))
         assert certify_sphere(X).is_refuted
-        assert sizes == [4]
-        sizes.clear()
-        assert certify_sphere(get("cross_polytope(5)").complex).is_certified
-        assert sorted(sizes) == [1, 2, 3, 4]
+        assert events == [4]
+        # a stacked sphere is reduced by vertex collapses alone: past the
+        # ridges for the gates and the vertices, no size is indexed
+        rng = random.Random(5)
+        for d in (3, 4, 5):
+            events.clear()
+            assert certify_sphere(random_stacked_sphere(rng, d, d + 12)).is_certified
+            assert [k for k in events if k != "flip"] == [d, 1]
+        # a size is indexed again only once a flip has dropped it: the first
+        # edge moves of cross_polytope(5) reuse the ridges of the gates, and
+        # subdivided, its first move (the collapse) drops them before
+        cp5 = get("cross_polytope(5)").complex
+        for X, expected, before_first_flip in (
+            (cp5, [4, 1, 2, 3], 4),
+            (_subdivided(cp5, random.Random(0))[0], [4, 1, 2, 4, 3], 2),
+        ):
+            events.clear()
+            assert certify_sphere(X).is_certified
+            assert [k for k in events if k != "flip"] == expected
+            assert events.index("flip") == before_first_flip
 
     def test_named_ridge_follows_ridge_map_order(self):
         # the ridges (1, 2, 3) and (1, 2, 4) each lie in three facets; the
@@ -360,6 +383,36 @@ class TestSphereGatesMatchReference:
             _planted_complex("stacked", 3, "wedge", 1, 2, random.Random(3)),
         ):
             assert certify_sphere(X, budget=20).reason
+
+
+class TestLinkScreenMatchesReference:
+    """The link screen walks each vertex star over one adjacency across the
+    ridges, where it walked the ridge owners sliced out of each facet (kept
+    in tests/helpers.py).  Both call the same links closed, so the first
+    failing vertex and its reason are unchanged."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        kind=st.sampled_from(["stacked", "cross", "torus", "pinched"]),
+        dim=st.sampled_from([3, 4]),
+        pinches=st.sampled_from([0, 1, 1, 2, 3]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_closed_pseudomanifolds(self, kind, dim, pinches, seed):
+        rng = random.Random(seed)
+        X = _pinch(_planted_complex(kind, dim, None, 0, 0, rng), rng, pinches)
+        if reference_sphere_gates(X) is not None:
+            return
+        index = recognition._MoveIndex(X, X.dim, sizes=(X.dim, 1))
+        across = index.across_ridges()
+        for v in X.vertices:
+            assert index.link_is_closed_pseudomanifold(v, across) == (
+                reference_link_is_closed_pseudomanifold(index, v)
+            ), v
+        screen = reference_link_screen(X)
+        verdict = certify_sphere(X, budget=20)
+        if screen is not None and not verdict.reason.startswith("Euler"):
+            assert verdict == screen
 
 
 class TestSurfaceLinksNeedNoCheck:
@@ -658,6 +711,65 @@ class TestWalkMatchesReference:
         assert ok and is_standard(apply_trace(S, trace)).sphere
 
 
+def _pinned_input(name):
+    if name.startswith("C"):  # the join of two cycles and a 0-sphere
+        a, b = int(name[1]), int(name[4])
+        S0 = from_facets([(a + b + 1,), (a + b + 2,)])
+        return join(_join_of_cycles(a, b), S0)
+    if name.startswith("stacked_ball"):
+        dim, n = map(int, name[13:-1].split(", "))
+        return random_stacked_ball(random.Random(2020), dim, n)
+    return get(name).complex
+
+
+class TestCertifiedBytesArePinned:
+    """The sha256 of (status, reason, trace) of certify_sphere and
+    certify_ball, recorded before the move index kept only the face sizes
+    its readers use.  Any change to a verdict, a reason or a trace shows."""
+
+    @pytest.mark.parametrize(
+        "name, budget, seed, digest",
+        [
+            ("cross_polytope(4)", DEFAULT_BUDGET, 0,
+             "71b97eb633a8e3d69d802ebdbf731890fc0bc892dcd7fccea48f559f363a91e2"),
+            ("cross_polytope(4)", DEFAULT_BUDGET, 7,
+             "e0415c65ca0a8c73358bc9ad358580b0f754efe3136a8a8a51befe86680ee218"),
+            ("cross_polytope(5)", DEFAULT_BUDGET, 0,
+             "786ec8ef56604058682686fff61a14b7d1b08967f1425f029f1bae6432d6bfde"),
+            ("cross_polytope(5)", DEFAULT_BUDGET, 7,
+             "5eee3083506d53a20c17bd3fe77f470a03e5c10f94f5a5cd082076b4fe18f2b0"),
+            ("cross_polytope(6)", 100, 0,
+             "31e44e6cd01a7a40b4bbf53298742794272810da765e05e40886936f9fc0459d"),
+            ("C4*C5*S0", DEFAULT_BUDGET, 0,
+             "64c55d5495fdb9884ade6227952ce9c04158bf254c51c88381e02fe14502624d"),
+            ("C4*C5*S0", DEFAULT_BUDGET, 7,
+             "8797697dda81ee285af462451c21bdf10bcbf17644e97812191245cf681e54fc"),
+            ("C5*C6*S0", DEFAULT_BUDGET, 0,
+             "67ce67ca167da4645afeeb88210fb84dcf27e884e33c94ef490e20088e22b0f4"),
+            ("C5*C6*S0", DEFAULT_BUDGET, 7,
+             "9674c580c79e6c86087d289f1a64b934739ccf8d928b881db1497d37ab252250"),
+            ("gs_s48", DEFAULT_BUDGET, 0,
+             "7d8e8584bdb688c1980845db59fc50dfaf6c5d03420d5e0c10c360ac2f2c2396"),
+            ("gs_s48", DEFAULT_BUDGET, 7,
+             "054ce2ffecb13161cb338f13c03ed164962af7598b1d8f65cfd9233d912d579a"),
+            ("barnette_join", DEFAULT_BUDGET, 0,
+             "252f0fd82a6f016d58b05e5fc8312e5de4f468f3e2e4fae8ec979921fdc15cc7"),
+            ("barnette_join", DEFAULT_BUDGET, 7,
+             "e1377688e82a98885b62173ceb3f90f25f6006e5e708dc1d44438d8f8bc73247"),
+            ("stacked_ball(3, 20)", DEFAULT_BUDGET, 0,
+             "df731288be01a622460efcdf04bb5c3a7d775637252b9918a2eac70832b71f1d"),
+            ("stacked_ball(4, 25)", DEFAULT_BUDGET, 7,
+             "ed1c48bdfb9dc88ad1dfaeaa8c606c2f43acb95d70a76d2e109a3ef6a76a7ea5"),
+        ],
+    )
+    def test_verdict_digest(self, name, budget, seed, digest):
+        X = _pinned_input(name)
+        certify = certify_ball if name.startswith("stacked_ball") else certify_sphere
+        v = certify(X, budget, seed)
+        blob = repr((v.status, v.reason, v.trace)).encode()
+        assert hashlib.sha256(blob).hexdigest() == digest, v
+
+
 def _subdivided(X, rng):
     """X with a random facet subdivided by a fresh vertex v, and the move
     that undoes the subdivision.  The collapse of v is then legal, so a walk
@@ -759,6 +871,50 @@ class TestMoveIndexMatchesRebuild:
             A, B = rng.choice(pool)
             index.flip(A, B)
             undo = (B, A)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(["stacked", "cross"]),
+        dim=st.integers(3, 5),
+        extra=st.integers(1, 7),
+        subdivide=st.booleans(),
+        steps=st.integers(1, 30),
+        seed=st.integers(0, 2**16),
+    )
+    # the collapse of the subdividing vertex drops the ridges, and the edge
+    # moves that follow index them again
+    @example(kind="cross", dim=4, extra=1, subdivide=True, steps=4, seed=0)
+    def test_sizes_indexed_on_demand_match_a_fresh_index(
+        self, kind, dim, extra, subdivide, steps, seed
+    ):
+        # built as certify_sphere builds it: the ridges, then the vertices,
+        # then whatever sizes the walk comes to use
+        rng = random.Random(seed)
+        if subdivide:
+            X, _ = _walk_start(kind, dim, extra, rng)
+        elif kind == "stacked":
+            X = random_stacked_sphere(rng, dim, dim + 1 + extra)
+        else:
+            X = get(f"cross_polytope({dim + 1})").complex
+        index = recognition._MoveIndex(X, X.dim, sizes=(X.dim,))
+        index.index(1)
+        undo = None
+        for _ in range(steps):
+            fresh = _settled_fresh(index, X.dim)
+            pool = index.pool(undo)
+            assert pool == reference_pool(fresh, undo)
+            for k, faces in index._cofacets.items():
+                assert faces == fresh._cofacets[k], k
+            if not pool:
+                break
+            A, B = rng.choice(pool)
+            index.flip(A, B)
+            undo = (B, A)
+        _settle_all(index)
+        fresh = _settled_fresh(index, X.dim)
+        assert index._cofacets == fresh._cofacets
+        assert index._shape == fresh._shape
+        assert index._legal == fresh._legal
 
     @pytest.mark.parametrize("max_a", [1, 3])
     def test_only_the_undo_is_legal_at_the_smallest_size(self, max_a):
