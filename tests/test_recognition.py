@@ -712,7 +712,9 @@ class TestWalkMatchesReference:
 
 
 def _pinned_input(name):
-    if name.startswith("C"):  # the join of two cycles and a 0-sphere
+    """A catalog entry; Ca*Cb*S0, the join of two cycles and a 0-sphere; or
+    stacked_ball(dim, n), grown from the seed 2020."""
+    if name.startswith("C"):
         a, b = int(name[1]), int(name[4])
         S0 = from_facets([(a + b + 1,), (a + b + 2,)])
         return join(_join_of_cycles(a, b), S0)
