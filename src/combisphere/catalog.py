@@ -3,12 +3,13 @@
 Two facet lists are hand-entered golden data, stored in canonical order and
 guarded by checksum tests: the Gruenbaum-Sreedharan sphere and Barnette's
 sphere, the two classical non-polytopal 3-spheres on 8 vertices.  Everything
-else is either derived from them through library operations or generated
-parametrically.
+else is derived from them through library operations or generated
+parametrically.  One table, `_TABLE`, holds every entry.
 """
 
 from __future__ import annotations
 
+import inspect
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -121,212 +122,112 @@ def cyclic_polytope_points(n: int, d: int = 3) -> PointConfiguration:
     )
 
 
-@lru_cache(maxsize=None)
-def _entry(name: str, *args: int) -> NamedExample:
-    if name == "gs_m38":
-        return NamedExample(
-            "gs_m38",
-            from_facets(_GS_M38),
-            _GS_CITE,
-            (
-                ("dim", 3),
-                ("n_vertices", 8),
-                ("n_facets", 20),
-                ("euler_characteristic", 0),
-            ),
-        )
-    if name == "gs_ball_C":
-        return NamedExample(
-            "gs_ball_C",
-            from_facets(_GS_BALL_C),
-            _GS_CITE,
-            (
-                ("dim", 3),
-                ("n_vertices", 7),
-                ("n_facets", 4),
-                ("euler_characteristic", 1),
-            ),
-        )
-    if name == "gs_ball_D":
-        return NamedExample(
-            "gs_ball_D",
-            from_facets(_GS_BALL_D),
-            _GS_CITE,
-            (
-                ("dim", 3),
-                ("n_vertices", 7),
-                ("n_facets", 10),
-                ("euler_characteristic", 1),
-            ),
-        )
-    if name == "gs_s37":
-        return NamedExample(
-            "gs_s37",
-            from_facets(_GS_BALL_C + _GS_BALL_D),
-            "union of the two 3-balls gs_ball_C and gs_ball_D along their "
-            "common boundary; a polytopal 3-sphere on 7 vertices",
-            (
-                ("dim", 3),
-                ("n_vertices", 7),
-                ("n_facets", 14),
-                ("euler_characteristic", 0),
-            ),
-        )
-    if name == "gs_s48":
-        return NamedExample(
-            "gs_s48",
-            one_point_suspension(_entry("gs_s37").complex, 7, 8),
-            "one-point suspension of gs_s37 over (7, 8); a polytopal "
-            "4-sphere on 8 vertices containing gs_m38",
-            (
-                ("dim", 4),
-                ("n_vertices", 8),
-                ("n_facets", 20),
-                ("euler_characteristic", 2),
-            ),
-        )
-    if name == "barnette":
-        return NamedExample(
-            "barnette",
-            from_facets(_BARNETTE),
-            _BARNETTE_CITE,
-            (
-                ("dim", 3),
-                ("n_vertices", 8),
-                ("n_facets", 19),
-                ("euler_characteristic", 0),
-            ),
-        )
-    if name == "barnette_join":
-        two_points = from_facets([(7,), (8,)])
-        triangle_a = from_facets([(1, 2), (2, 5), (1, 5)])
-        triangle_b = from_facets([(3, 4), (4, 6), (3, 6)])
-        return NamedExample(
-            "barnette_join",
-            join(join(two_points, triangle_a), triangle_b),
-            "join of a 0-sphere on {7,8} with two 3-cycles on {1,2,5} and "
-            "{3,4,6}; a 4-sphere on 8 vertices containing barnette",
-            (
-                ("dim", 4),
-                ("n_vertices", 8),
-                ("n_facets", 18),
-                ("euler_characteristic", 2),
-            ),
-        )
-    if name == "example43_ball":
-        return NamedExample(
-            "example43_ball",
-            from_facets(_GS_BALL_D + ((1, 2, 4, 8),)),
-            "gs_ball_D with the single facet 1248 glued on; an 8-vertex "
-            "3-ball whose completion through its degree-3 vertex 8 "
-            "reproduces gs_m38",
-            (
-                ("dim", 3),
-                ("n_vertices", 8),
-                ("n_facets", 11),
-                ("euler_characteristic", 1),
-            ),
-        )
-    if name == "octahedron":
-        return NamedExample(
-            "octahedron",
-            octahedron(),
-            "boundary of the 3-dimensional cross-polytope",
-            (
-                ("dim", 2),
-                ("n_vertices", 6),
-                ("n_facets", 8),
-                ("euler_characteristic", 2),
-            ),
-        )
-    if name == "standard_sphere":
-        (d,) = args
-        return NamedExample(
-            f"standard_sphere({d})",
-            standard_sphere(d),
-            "boundary of a simplex",
-            (
-                ("dim", d),
-                ("n_vertices", d + 2),
-                ("n_facets", d + 2),
-                ("euler_characteristic", 1 + (-1) ** d),
-            ),
-        )
-    if name == "standard_ball":
-        (d,) = args
-        return NamedExample(
-            f"standard_ball({d})",
-            standard_ball(d),
-            "closure of a simplex",
-            (
-                ("dim", d),
-                ("n_vertices", d + 1),
-                ("n_facets", 1),
-                ("euler_characteristic", 1),
-            ),
-        )
-    if name == "cycle":
-        (n,) = args
-        return NamedExample(
-            f"cycle({n})",
-            cycle(n),
-            "polygon boundary",
-            (
-                ("dim", 1),
-                ("n_vertices", n),
-                ("n_facets", n),
-                ("euler_characteristic", 0),
-            ),
-        )
-    if name == "cross_polytope":
-        (k,) = args
-        return NamedExample(
-            f"cross_polytope({k})",
-            cross_polytope(k),
-            "boundary of the k-dimensional cross-polytope",
-            (
-                ("dim", k - 1),
-                ("n_vertices", 2 * k),
-                ("n_facets", 2**k),
-                ("euler_characteristic", 1 + (-1) ** (k - 1)),
-            ),
-        )
-    if name == "cyclic_polytope_points":
-        n, d = args if len(args) == 2 else (args[0], 3)
-        return NamedExample(
-            f"cyclic_polytope_points({n},{d})",
-            None,
-            "moment curve t -> (t, t^2, ..., t^d) at t = 1..n",
-            (("dim", d), ("n_points", n)),
-            points=cyclic_polytope_points(n, d),
-        )
-    raise UnknownName(f"no catalog entry named {name!r}")
+def _barnette_join() -> Complex:
+    two_points = from_facets([(7,), (8,)])
+    triangle_a = from_facets([(1, 2), (2, 5), (1, 5)])
+    triangle_b = from_facets([(3, 4), (4, 6), (3, 6)])
+    return join(join(two_points, triangle_a), triangle_b)
 
 
-_FIXED = (
-    "barnette",
-    "barnette_join",
-    "example43_ball",
-    "gs_ball_C",
-    "gs_ball_D",
-    "gs_m38",
-    "gs_s37",
-    "gs_s48",
-    "octahedron",
-)
-_PARAMETRIC = (
-    "cross_polytope(k)",
-    "cycle(n)",
-    "cyclic_polytope_points(n,d)",
-    "standard_ball(d)",
-    "standard_sphere(d)",
-)
+# The catalog in listing order: name -> (builder, provenance, stated properties).
+# A builder's parameters are the entry's arguments, with their defaults.  The
+# stated properties are golden data, a function of the same arguments: dim,
+# n_vertices, n_facets and euler_characteristic of a complex, or dim and
+# n_points of a point configuration.  Builders call library operations inside
+# their bodies only, so that a traced run sees those calls.
+_TABLE = {
+    "barnette": (lambda: from_facets(_BARNETTE), _BARNETTE_CITE, lambda: (3, 8, 19, 0)),
+    "barnette_join": (
+        _barnette_join,
+        "join of a 0-sphere on {7,8} with two 3-cycles on {1,2,5} and "
+        "{3,4,6}; a 4-sphere on 8 vertices containing barnette",
+        lambda: (4, 8, 18, 2),
+    ),
+    "example43_ball": (
+        lambda: from_facets(_GS_BALL_D + ((1, 2, 4, 8),)),
+        "gs_ball_D with the single facet 1248 glued on; an 8-vertex "
+        "3-ball whose completion through its degree-3 vertex 8 "
+        "reproduces gs_m38",
+        lambda: (3, 8, 11, 1),
+    ),
+    "gs_ball_C": (lambda: from_facets(_GS_BALL_C), _GS_CITE, lambda: (3, 7, 4, 1)),
+    "gs_ball_D": (lambda: from_facets(_GS_BALL_D), _GS_CITE, lambda: (3, 7, 10, 1)),
+    "gs_m38": (lambda: from_facets(_GS_M38), _GS_CITE, lambda: (3, 8, 20, 0)),
+    "gs_s37": (
+        lambda: from_facets(_GS_BALL_C + _GS_BALL_D),
+        "union of the two 3-balls gs_ball_C and gs_ball_D along their "
+        "common boundary; a polytopal 3-sphere on 7 vertices",
+        lambda: (3, 7, 14, 0),
+    ),
+    "gs_s48": (
+        lambda: one_point_suspension(_build("gs_s37").complex, 7, 8),
+        "one-point suspension of gs_s37 over (7, 8); a polytopal "
+        "4-sphere on 8 vertices containing gs_m38",
+        lambda: (4, 8, 20, 2),
+    ),
+    "octahedron": (
+        octahedron, "boundary of the 3-dimensional cross-polytope", lambda: (2, 6, 8, 2)
+    ),
+    "cross_polytope": (
+        cross_polytope,
+        "boundary of the k-dimensional cross-polytope",
+        lambda k: (k - 1, 2 * k, 2**k, 1 + (-1) ** (k - 1)),
+    ),
+    "cycle": (cycle, "polygon boundary", lambda n: (1, n, n, 0)),
+    "cyclic_polytope_points": (
+        cyclic_polytope_points,
+        "moment curve t -> (t, t^2, ..., t^d) at t = 1..n",
+        lambda n, d: (d, n),
+    ),
+    "standard_ball": (standard_ball, "closure of a simplex", lambda d: (d, d + 1, 1, 1)),
+    "standard_sphere": (
+        standard_sphere,
+        "boundary of a simplex",
+        lambda d: (d, d + 2, d + 2, 1 + (-1) ** d),
+    ),
+}
+_COMPLEX_PROPERTIES = ("dim", "n_vertices", "n_facets", "euler_characteristic")
+_POINT_PROPERTIES = ("dim", "n_points")
 
 _NAME_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)(?:\(([^()]*)\))?$")
 
 
+@lru_cache(maxsize=None)
+def _build(base: str, *args: int) -> NamedExample:
+    """Build the entry of row `base` of the table at `args`, once per argument list."""
+    build, provenance, stated = _TABLE[base]
+    signature = inspect.signature(build)
+    names = tuple(signature.parameters)
+    required = sum(p.default is p.empty for p in signature.parameters.values())
+    if not required <= len(args) <= len(names):
+        if not names:
+            expected = "no arguments"
+        elif required == len(names):
+            expected = f"{required} integer argument(s), got {len(args)}"
+        else:
+            short, full = ", ".join(names[:required]), ", ".join(names)
+            expected = f"({short}) or ({full}) integer arguments"
+        raise UnknownName(f"{base} takes {expected}")
+    bound = signature.bind(*args)
+    bound.apply_defaults()
+    args = bound.args
+    name = f"{base}({','.join(map(str, args))})" if names else base
+    built = build(*args)
+    if isinstance(built, PointConfiguration):
+        properties = tuple(zip(_POINT_PROPERTIES, stated(*args)))
+        return NamedExample(name, None, provenance, properties, points=built)
+    properties = tuple(zip(_COMPLEX_PROPERTIES, stated(*args)))
+    return NamedExample(name, built, provenance, properties)
+
+
+@lru_cache(maxsize=None)
 def available() -> tuple[str, ...]:
-    return _FIXED + _PARAMETRIC
+    """Every name get() accepts; a parametric entry is listed with its parameters."""
+    listed = []
+    for base, (build, _, _) in _TABLE.items():
+        names = inspect.signature(build).parameters
+        listed.append(f"{base}({','.join(names)})" if names else base)
+    return tuple(listed)
 
 
 def get(name: str) -> NamedExample:
@@ -342,25 +243,6 @@ def get(name: str) -> NamedExample:
             args = tuple(int(p) for p in parts)
         except ValueError:
             raise UnknownName(f"non-integer arguments in {name!r}") from None
-    parametric = {
-        "standard_sphere": 1,
-        "standard_ball": 1,
-        "cycle": 1,
-        "cross_polytope": 1,
-    }
-    if base in parametric:
-        if len(args) != parametric[base]:
-            raise UnknownName(
-                f"{base} takes {parametric[base]} integer argument(s), "
-                f"got {len(args)}"
-            )
-        return _entry(base, *args)
-    if base == "cyclic_polytope_points":
-        if len(args) not in (1, 2):
-            raise UnknownName(
-                "cyclic_polytope_points takes (n) or (n, d) integer arguments"
-            )
-        return _entry(base, *args)
-    if args:
-        raise UnknownName(f"{base} takes no arguments")
-    return _entry(base)
+    if base not in _TABLE:
+        raise UnknownName(f"no catalog entry named {base!r}")
+    return _build(base, *args)

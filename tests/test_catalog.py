@@ -149,10 +149,82 @@ class TestParametricBuilders:
         assert facets == gale_evenness_facets(6, 3)
 
 
+# What get() gives for each name: the entry's name, or the UnknownName message.
+# Recorded before the catalog became one table; only the three unknown names
+# given arguments (last) changed, from "<base> takes no arguments".
+LOOKUP_OUTCOMES = {
+    "cycle(": "malformed catalog name 'cycle('",
+    "cycle)4(": "malformed catalog name 'cycle)4('",
+    "cycle((4))": "malformed catalog name 'cycle((4))'",
+    "cycle(4)(5)": "malformed catalog name 'cycle(4)(5)'",
+    "3cycle": "malformed catalog name '3cycle'",
+    "gs m38": "malformed catalog name 'gs m38'",
+    "": "malformed catalog name ''",
+    " ": "malformed catalog name ' '",
+    "cycle(x)": "non-integer arguments in 'cycle(x)'",
+    "cycle(1.5)": "non-integer arguments in 'cycle(1.5)'",
+    "nope(x)": "non-integer arguments in 'nope(x)'",
+    "no_such_thing": "no catalog entry named 'no_such_thing'",
+    "GS_M38": "no catalog entry named 'GS_M38'",
+    "_entry": "no catalog entry named '_entry'",
+    "get": "no catalog entry named 'get'",
+    "gs_m38(3)": "gs_m38 takes no arguments",
+    "cycle(3,4)": "cycle takes 1 integer argument(s), got 2",
+    "cyclic_polytope_points(1,2,3)":
+        "cyclic_polytope_points takes (n) or (n, d) integer arguments",
+    "cycle(2)": "cycle needs n >= 3, got 2",
+    "cycle(-0)": "cycle needs n >= 3, got 0",
+    "cross_polytope(0)": "cross_polytope needs k >= 1, got 0",
+    "standard_sphere(-1)": "standard_sphere needs d >= 0, got -1",
+    "standard_ball(-1)": "standard_ball needs d >= 0, got -1",
+    "cyclic_polytope_points(3,3)":
+        "cyclic_polytope_points needs n >= d + 1 = 4, got 3",
+    "cyclic_polytope_points(3,0)": "cyclic_polytope_points needs d >= 1, got 0",
+    "cycle()": "cycle takes 1 integer argument(s), got 0",
+    "standard_sphere": "standard_sphere takes 1 integer argument(s), got 0",
+    "cyclic_polytope_points()":
+        "cyclic_polytope_points takes (n) or (n, d) integer arguments",
+    "cyclic_polytope_points":
+        "cyclic_polytope_points takes (n) or (n, d) integer arguments",
+    "octahedron()": "octahedron",
+    "cycle(5,)": "cycle(5)",
+    "cycle(,5,)": "cycle(5)",
+    " cycle( 5 ) ": "cycle(5)",
+    "\tgs_m38\n": "gs_m38",
+    "cycle(+5)": "cycle(5)",
+    "cyclic_polytope_points( 5 )": "cyclic_polytope_points(5,3)",
+    "cyclic_polytope_points(5, 2)": "cyclic_polytope_points(5,2)",
+    "no_such_thing(3)": "no catalog entry named 'no_such_thing'",
+    "Cycle(4)": "no catalog entry named 'Cycle'",
+    "nope(2)": "no catalog entry named 'nope'",
+}
+
+# One sample argument list for each parametric pattern in available().
+SAMPLE_ARGUMENTS = {
+    "cross_polytope(k)": "cross_polytope(3)",
+    "cycle(n)": "cycle(4)",
+    "cyclic_polytope_points(n,d)": "cyclic_polytope_points(5,2)",
+    "standard_ball(d)": "standard_ball(2)",
+    "standard_sphere(d)": "standard_sphere(2)",
+}
+
+
 class TestLookup:
     def test_unknown_name(self):
         with pytest.raises(UnknownName):
             get("no_such_thing")
+
+    @pytest.mark.parametrize("name", sorted(LOOKUP_OUTCOMES), ids=repr)
+    def test_lookup_outcome(self, name):
+        try:
+            outcome = get(name).name
+        except UnknownName as exc:
+            outcome = exc.args[0]
+        assert outcome == LOOKUP_OUTCOMES[name]
+
+    def test_repeated_lookup_is_not_rebuilt(self):
+        assert get("gs_s48").complex is get(" gs_s48 ").complex
+        assert get("cycle(7)") is get("cycle(7)")
 
     def test_malformed_names(self):
         for bad in ("cycle(", "cycle)4(", "cycle(x)", "gs_m38(3)", "cycle()"):
@@ -177,6 +249,9 @@ class TestLookup:
     def test_every_fixed_entry_resolves(self):
         for name in available():
             if "(" in name:
+                entry = get(SAMPLE_ARGUMENTS[name])
+                assert entry.name == SAMPLE_ARGUMENTS[name]
+                assert (entry.complex is None) != (entry.points is None)
                 continue
             entry = get(name)
             assert entry.name == name

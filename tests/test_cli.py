@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -259,6 +260,64 @@ class TestHull:
         assert parse_points(out).labels == (1, 2, 3, 4, 5, 6)
 
 
+# sha256 of repr((exit code, stdout, stderr)) for `catalog ARGV`, recorded
+# before the catalog became one table.
+CATALOG_SHA256 = {
+    "list":
+        "34009f5879ecd049bb5c49737c4804171a1b0660155b0a6483e5c610a0b5cae9",
+    "list --json":
+        "d5cef67d530206dfe3b24d9164efdb9791febf96208ce0ab065da4717633dac4",
+    "show barnette":
+        "593a56c065f2a34d4d19f0a3656531c25d3ef3d3fffa6ebfe1bcac06964c6773",
+    "show barnette --json":
+        "96c84fbf3b9f10408df1f15946d306806080275065424c70b86bf6666b5c0eb7",
+    "show barnette_join":
+        "7d8a453d1967f8b43eaebc93241ae61501a101ab7aa2fa6a1f95a7c6f4b74b46",
+    "show barnette_join --json":
+        "d8b4613da5ba44543f73f3f93578f4ab1e2a276fc5304aa72b61f071dce8a0df",
+    "show example43_ball":
+        "4d28c93934091bf09c4b272252bb5d25a66c4ff6fba7ffed6514044fa0475b64",
+    "show example43_ball --json":
+        "038e538ee5ac5963c0f19f92260a75ba16db21cabe043942b9d1b84ad1659960",
+    "show gs_ball_C":
+        "94f34a6d9a69a4eafbdfce207d7239a9e4ce7d19028484a14e18bf0ed65c30cb",
+    "show gs_ball_C --json":
+        "e7388c79f96b2405fcb3211ee0d1f25d8310ef2e0dc0fffc4ce33d925e3644a8",
+    "show gs_ball_D":
+        "02cff41af5a17ee21098e330da256329ed372e7c58183f34769a2745ecb93e79",
+    "show gs_ball_D --json":
+        "c9d7dde9251030ad83aef53b2834cf77f5a74ff07dde6ea717491aa14177c30f",
+    "show gs_m38":
+        "39aad4f42512ea94ddb7e62026dafe460bb3bc306de6ebdc6d5c66a633d1a519",
+    "show gs_m38 --json":
+        "ed6666db22b1ff1740ee9d3413c88f61f38ee6055bf536039cb18e33fd5419c3",
+    "show gs_s37":
+        "80340044226b0387c20063b1464ff7dc3e91721fa2ad543a71ddc19efb6bf5ee",
+    "show gs_s37 --json":
+        "3a10a9624c503a3a7da87d5c894e676aa3f8e3bf1f79536e601df7823252b607",
+    "show gs_s48":
+        "6448c2eee00bdac13cc184815ff63c9313c027e45a7a8470b926eb7c2863e38f",
+    "show gs_s48 --json":
+        "388a77189370bd1ea772b14018462fcce2b1acdc9c43c94d09d34c975abf445a",
+    "show octahedron":
+        "1b27472ff85849175221ff0a7ed6d5937e222d669d8b675bf5e1db40dd1ea401",
+    "show octahedron --json":
+        "e1246d7630263d402d3bdc9f543cfe3490d4a622b4177993bfd3b65386866b50",
+    "show cross_polytope(4)":
+        "b7259c193092ccb78c77f0b2ce96ef7fb8a579b019c3b2528e3b947472f0913e",
+    "show cross_polytope(4) --json":
+        "3a79664e44eeefc24f862ec4f714eb09a587f4182c0405029c096a11f4451e84",
+    "show cyclic_polytope_points(6,3)":
+        "25b18d57a09c5247b2de89f39613d1dd8a779f479624bfb652acb287bae7da09",
+    "show cyclic_polytope_points(6,3) --json":
+        "2518cbd99d4b24f4c5fc13ddee5e61eeff7730fbb865abb1b888366dc032a103",
+    "show":
+        "8e6459bdb2445b30cd87c1c8b1b9be15e8d7bd5e377da4f30ef0b975076f10ca",
+    "show nope":
+        "e2efef3796185772889d8d9863de89d393f0f4d279c4b474b596c203535a83b9",
+}
+
+
 class TestCatalog:
     def test_list(self, capsys):
         code, out, _ = run(capsys, "catalog", "list")
@@ -291,6 +350,17 @@ class TestCatalog:
     def test_show_needs_name(self, capsys):
         code, _, err = run(capsys, "catalog", "show")
         assert code == 65
+
+    def test_unknown_name_with_arguments(self, capsys):
+        code, out, err = run(capsys, "catalog", "show", "nope(2)")
+        assert (code, out) == (65, "")
+        assert err == "combisphere: no catalog entry named 'nope'\n"
+
+    @pytest.mark.parametrize("argv", sorted(CATALOG_SHA256))
+    def test_output_digest(self, capsys, argv):
+        code, out, err = run(capsys, "catalog", *argv.split())
+        digest = hashlib.sha256(repr((code, out, err)).encode()).hexdigest()
+        assert digest == CATALOG_SHA256[argv]
 
 
 class TestChain:

@@ -28,6 +28,7 @@ from combisphere.errors import (
     DimensionTooLow,
     FactorJoinMismatch,
     FactorNotSphere,
+    IntermediateClaimFailed,
     NoDegreeDVertex,
     NotBall,
     NotDisc,
@@ -38,6 +39,7 @@ from combisphere.errors import (
     TooFewVertices,
     VertexNotPresent,
 )
+from combisphere import constructions
 from combisphere.constructions import _meet_inside
 from helpers import (
     moebius_torus,
@@ -281,6 +283,16 @@ class TestSphereChain:
             chain = sphere_chain(S)
             assert is_standard(chain[-1]).sphere
             assert chain[-1].dim == S.n_vertices - 2
+
+    def test_step_that_loses_the_input_is_refused(self, monkeypatch):
+        # complete_stacked_sphere's finishing check is what guards each step.
+        def elsewhere(ball):
+            sphere = get("standard_sphere(2)").complex
+            return constructions.CompletionResult(sphere, True, ("stub",))
+
+        monkeypatch.setattr(constructions, "complete_stacked_ball", elsewhere)
+        with pytest.raises(IntermediateClaimFailed, match="does not contain the input"):
+            sphere_chain(get("cycle(5)").complex)
 
 
 class TestCompleteBallDegreeD:

@@ -1,21 +1,37 @@
 """Static checks on the package source, with the standard library's ast.
 
-No linter ships with the project, so two rules that keep the modules apart
-are checked here: every imported name is used, and only core reads the
-storage of a Complex (the attributes named in Complex.__slots__).
+No linter ships with the project, so three rules are checked here: every
+imported name is used, only core reads the storage of a Complex (the
+attributes named in Complex.__slots__), and no code run at import keeps a
+reference to a function that perfbench's traced mode wraps.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import pytest
 
 from combisphere import Complex
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "combisphere"
+CHECKOUT = Path(__file__).resolve().parents[1]
+PACKAGE = CHECKOUT / "src" / "combisphere"
 MODULES = sorted(PACKAGE.glob("*.py"), key=lambda p: p.name)
+
+
+def _traced_names() -> set[str]:
+    """Bare names of the functions in perfbench/tracing.py's LAYERS."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", CHECKOUT / "perfbench" / "tracing.py"
+    )
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return {fn.rsplit(".", 1)[-1] for fns in tracing.LAYERS.values() for fn in fns}
+
+
+TRACED = _traced_names()
 
 
 def _annotation_names(tree: ast.AST) -> set[str]:
@@ -69,6 +85,37 @@ def storage_reads(tree: ast.Module) -> list[str]:
     ]
 
 
+def import_time_references(tree: ast.Module, traced: set[str]) -> list[str]:
+    """Loads of a traced name, other than as a callee, in code run at import.
+
+    The tracer replaces each function in every module that holds it once the
+    package is imported.  A reference taken at import (a table value, a
+    default argument, a decorator) keeps the original, and calls through it
+    escape a traced run.  Function and lambda bodies run later and are skipped.
+    """
+    callees: set[int] = set()
+    found: list[str] = []
+
+    def visit(node: ast.AST) -> None:
+        if isinstance(node, ast.Call):
+            callees.add(id(node.func))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            children = [*getattr(node, "decorator_list", ()), *a.defaults,
+                        *filter(None, a.kw_defaults)]
+        else:
+            children = list(ast.iter_child_nodes(node))
+            name = getattr(node, "id", getattr(node, "attr", None))
+            if (name in traced and isinstance(getattr(node, "ctx", None), ast.Load)
+                    and id(node) not in callees):
+                found.append(f"{name} (line {node.lineno})")
+        for child in children:
+            visit(child)
+
+    visit(tree)
+    return found
+
+
 def test_the_checks_see_what_they_look_for():
     tree = ast.parse(
         "import os\n"
@@ -81,6 +128,26 @@ def test_the_checks_see_what_they_look_for():
     assert storage_reads(tree) == ["._facets (line 5)"]
 
 
+def test_the_tracer_check_sees_stored_references():
+    tree = ast.parse(
+        "from . import core\n"
+        "from .core import from_facets, join\n"
+        "ROWS = {'a': (from_facets, 1), 'b': (lambda: join(x, y), 2)}\n"
+        "X = from_facets([(1, 2)])\n"
+        "@memo(core.link)\n"
+        "def f(build=join, *, cut=core.one_point_suspension):\n"
+        "    return from_facets(build)\n"
+        "class C:\n"
+        "    merge = join\n"
+        "if __name__ == '__main__':\n"
+        "    main()\n"
+    )
+    assert import_time_references(tree, TRACED) == [
+        "from_facets (line 3)", "link (line 5)", "join (line 6)",
+        "one_point_suspension (line 6)", "join (line 9)",
+    ]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
@@ -91,3 +158,9 @@ def test_no_unused_imports(path):
 )
 def test_only_core_reads_complex_storage(path):
     assert storage_reads(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_traced_function_is_stored_at_import(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert import_time_references(tree, TRACED) == []
