@@ -249,10 +249,11 @@ class TestLookup:
     def test_every_fixed_entry_resolves(self):
         for name in available():
             if "(" in name:
-                entry = get(SAMPLE_ARGUMENTS[name])
-                assert entry.name == SAMPLE_ARGUMENTS[name]
+                sample = SAMPLE_ARGUMENTS[name]
+                entry = get(sample)
+                assert entry.name == sample
                 assert (entry.complex is None) != (entry.points is None)
-                continue
-            entry = get(name)
-            assert entry.name == name
-            assert entry.complex is not None
+            else:
+                entry = get(name)
+                assert entry.name == name
+                assert entry.complex is not None
