@@ -3,11 +3,13 @@
 Coordinates come in and supporting functionals go out as fractions.Fraction;
 there are no epsilons and no floating point anywhere.  The predicates run
 fraction-free: each point's denominators are cleared once into homogeneous
-integer coordinates, and one Bareiss elimination over Python ints decides
-affine independence and yields hyperplane functionals.  Hull extraction is
-incremental beneath-beyond with exact sidedness predicates.  Boundary-complex
-extraction requires general position: any exact tie met during insertion
-raises NotSimplicial rather than guessing.
+integer coordinates, and a Bareiss elimination over Python ints decides
+affine independence and yields the hyperplane functionals of the initial
+simplex.  Hull extraction is incremental beneath-beyond with exact sidedness
+predicates; each later facet's functional is rotated about its horizon ridge
+from the two facets that met there.  Boundary-complex extraction requires
+general position: any exact tie met during insertion raises NotSimplicial
+rather than guessing.
 """
 
 from __future__ import annotations
@@ -173,7 +175,7 @@ def _all_independent(rows: Sequence[Row], size: int, echelon: Echelon) -> bool:
 
 
 def _functional(rows: Sequence[Row]) -> Row | None:
-    """An integer a with a . h = 0 on the d rows, or None if they are dependent.
+    """A primitive integer a with a . h = 0 on the d rows, or None if dependent.
 
     The d points span the hyperplane a[0] + a[1:] . x = 0.  Back substitution
     from the last pivot placed at the free column is Cramer's rule on the
@@ -189,7 +191,8 @@ def _functional(rows: Sequence[Row]) -> Row | None:
     a[free] = last_row[last_col]  # the pivot columns' determinant, up to sign
     for row, col in reversed(echelon):
         a[col] = -_side(row, a) // row[col]
-    return tuple(a)
+    g = gcd(*a)
+    return tuple(c // g for c in a)
 
 
 def _side(a: Row, h: Row) -> int:
@@ -197,14 +200,13 @@ def _side(a: Row, h: Row) -> int:
 
 
 def _primitive(a: Row) -> tuple[Vector, Fraction]:
-    """normal . x <= offset from an outward homogeneous functional a.
+    """normal . x <= offset from a primitive outward homogeneous functional a.
 
     a . (L, L*x) = L * (a[0] + a[1:] . x) with L > 0, so (a[1:], -a[0]) is a
-    positive multiple of every rational form of the functional, and dividing
-    by its gcd gives the unique primitive integer one.
+    positive multiple of every rational form of the functional, and being
+    primitive it is the unique primitive integer one.
     """
-    g = gcd(*a)
-    return tuple(Fraction(c // g) for c in a[1:]), Fraction(-a[0] // g)
+    return tuple(map(Fraction, a[1:])), Fraction(-a[0])
 
 
 # ---------------------------------------------------------------------------
@@ -238,8 +240,9 @@ def _affine_basis(pc: PointConfiguration) -> list[int]:
 @dataclass
 class _Facet:
     vertices: frozenset[int]
-    functional: Row  # negative strictly beneath, at the interior reference
+    functional: Row  # primitive, negative strictly beneath, at the interior reference
     order: int  # creation order, which is also the order of the facet list
+    side: int = 0  # functional at the point being inserted, set by the scan
 
 
 def convex_hull(pc: PointConfiguration) -> HullResult:
@@ -247,9 +250,12 @@ def convex_hull(pc: PointConfiguration) -> HullResult:
 
     Points are inserted in ascending label order.  Strictly interior points
     are skipped; a point exactly on a current facet hyperplane is a general
-    position violation and raises NotSimplicial.  In dimension 0 the hull is
-    a single point with no boundary complex, and DegenerateSpan is raised
-    whatever the number of points.
+    position violation and raises NotSimplicial.  Elimination gives the
+    hyperplanes of the initial simplex only: every later facet is a horizon
+    ridge plus the new point, and its functional is rotated about that ridge
+    from the functionals of the two facets that met there.  In dimension 0
+    the hull is a single point with no boundary complex, and DegenerateSpan
+    is raised whatever the number of points.
     """
     d = pc.dim
     if d < 1:
@@ -269,6 +275,12 @@ def convex_hull(pc: PointConfiguration) -> HullResult:
     ridge_owner: dict[frozenset[int], list[_Facet]] = {}  # kept up to date
     created = itertools.count()
 
+    def added(labels: frozenset[int], a: Row) -> _Facet:
+        facet = _Facet(labels, a, next(created))
+        for v in labels:
+            ridge_owner.setdefault(labels - {v}, []).append(facet)
+        return facet
+
     def oriented(vertex_labels: Iterable[int]) -> _Facet:
         labels = frozenset(vertex_labels)
         a = _functional([rows[v] for v in sorted(labels)])
@@ -284,10 +296,16 @@ def convex_hull(pc: PointConfiguration) -> HullResult:
             )
         if side > 0:
             a = tuple(-c for c in a)
-        facet = _Facet(labels, a, next(created))
-        for v in labels:
-            ridge_owner.setdefault(labels - {v}, []).append(facet)
-        return facet
+        return added(labels, a)
+
+    def rotated(labels: frozenset[int], gone: _Facet, kept: _Facet) -> _Facet:
+        # Both old functionals vanish on the ridge, and a also vanishes at x.
+        # a < 0 at ref, since s_gone > 0 > s_kept and both old ones are < 0
+        # there; so it is already outward, and it is never zero.
+        s_gone, s_kept = gone.side, kept.side
+        a = [s_gone * k - s_kept * g for k, g in zip(kept.functional, gone.functional)]
+        g = gcd(*a)
+        return added(labels, tuple(c // g for c in a))
 
     facets: list[_Facet] = [
         oriented(set(basis) - {skip}) for skip in basis
@@ -298,7 +316,7 @@ def convex_hull(pc: PointConfiguration) -> HullResult:
         x = rows[label]
         beyond: list[_Facet] = []
         for f in facets:
-            side = _side(f.functional, x)
+            f.side = side = _side(f.functional, x)
             if side > 0:
                 beyond.append(f)
             elif side == 0:
@@ -314,7 +332,7 @@ def convex_hull(pc: PointConfiguration) -> HullResult:
         # made in that order and from that owner's copy of the ridge, so the
         # facet list, and with it the tie NotSimplicial names, is the one a
         # full rescan gives.
-        horizon: list[tuple[tuple[int, int], frozenset[int]]] = []
+        horizon: list[tuple[tuple[int, int], frozenset[int], _Facet, _Facet]] = []
         for f in beyond:
             for v in f.vertices:
                 ridge = f.vertices - {v}
@@ -330,10 +348,10 @@ def convex_hull(pc: PointConfiguration) -> HullResult:
                 pos, w = next(
                     (i, w) for i, w in enumerate(first.vertices) if w not in ridge
                 )
-                horizon.append(((first.order, pos), first.vertices - {w}))
+                horizon.append(((first.order, pos), first.vertices - {w}, f, kept))
         horizon.sort(key=lambda h: h[0])
         facets = [f for f in facets if id(f) not in beyond_set]
-        facets += [oriented(ridge | {label}) for _, ridge in horizon]
+        facets += [rotated(r | {label}, gone, kept) for _, r, gone, kept in horizon]
     hull_facets = []
     for f in sorted(facets, key=lambda f: tuple(sorted(f.vertices))):
         normal, offset = _primitive(f.functional)
@@ -349,19 +367,28 @@ def convex_hull(pc: PointConfiguration) -> HullResult:
 # ---------------------------------------------------------------------------
 
 
-def _realizes(rows: Mapping[int, Row], target: Complex) -> bool:
+def _realizes(
+    rows: Mapping[int, Row],
+    target: Complex,
+    functionals: dict[Simplex, Row | None] | None = None,
+) -> bool:
     """True when target is exactly the hull boundary complex of the points.
 
     Checks that every facet hyperplane of the target has all remaining points
     strictly beneath it.  Since the target is a pseudomanifold without
     boundary and the hull boundary is too, facet-wise support pins the whole
     complex without computing a hull, degenerate interim coplanarities and
-    all.
+    all.  Facet functionals are read from, and missing ones stored in,
+    functionals; the caller drops each entry whose rows have changed.
     """
     if set(rows) != set(target.vertex_set):
         return False
+    if functionals is None:
+        functionals = {}
     for facet in target.facets:
-        a = _functional([rows[v] for v in facet])
+        if facet not in functionals:
+            functionals[facet] = _functional([rows[v] for v in facet])
+        a = functionals[facet]
         if a is None:
             return False
         sides = [_side(a, h) for label, h in rows.items() if label not in facet]
@@ -401,9 +428,11 @@ def perturb_to_general_position(
     rng = random.Random(seed)
     processed: list[int] = list(anchor)
     rest = [label for label in pc.labels if label not in set(anchor)]
+    functionals: dict[Simplex, Row | None] = {}  # of the current rows
     for label in rest:
         original = coords[label]
         prefix = [rows[s] for s in processed]
+        through = [f for f in combinatorial_type.facets if label in f]
         for attempt in range(max_attempts):
             if attempt == 0:
                 candidate = original
@@ -414,9 +443,11 @@ def perturb_to_general_position(
                 )
             coords[label] = candidate
             rows[label] = _homogeneous(candidate)
+            for f in through:
+                functionals.pop(f, None)
             moved: Echelon = [(list(rows[label]), 0)]  # pivots on L > 0
             if _all_independent(prefix, d + 1, moved) and _realizes(
-                rows, combinatorial_type
+                rows, combinatorial_type, functionals
             ):
                 break
         else:

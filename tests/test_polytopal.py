@@ -29,6 +29,7 @@ from combisphere.errors import (
     TooFewVertices,
     VertexNotPresent,
 )
+from combisphere import polytopal
 from combisphere.polytopal import (
     PointConfiguration,
     _all_independent,
@@ -173,6 +174,29 @@ class TestConvexHull:
         hull = convex_hull(pc)
         assert hull.boundary_complex == from_facets([(1,), (2,)])
 
+    @pytest.mark.parametrize("name", ["cyclic-30-4", "integer-cloud-60"])
+    def test_elimination_only_for_the_initial_simplex(self, monkeypatch, name):
+        # every later facet is rotated about its horizon ridge
+        if name == "cyclic-30-4":
+            pc = get("cyclic_polytope_points(30,4)").points
+        else:
+            rng = random.Random(60)
+            pc = PointConfiguration.from_dict(3, {
+                label: tuple(rng.randint(-1000, 1000) for _ in range(3))
+                for label in range(1, 61)
+            })
+        eliminated = []
+        functional = polytopal._functional
+
+        def counted(rows):
+            eliminated.append(rows)
+            return functional(rows)
+
+        monkeypatch.setattr(polytopal, "_functional", counted)
+        hull = convex_hull(pc)
+        assert len(hull.facets) > 30
+        assert len(eliminated) == pc.dim + 1
+
     def test_random_planar_hulls_are_circles(self):
         rng = random.Random(2)
         for _ in range(5):
@@ -216,6 +240,18 @@ class TestPerturbation:
         pts = get("cyclic_polytope_points(6,3)").points
         target = convex_hull(pts).boundary_complex
         assert perturb_to_general_position(pts, target, seed=9) == pts
+
+    def test_facets_through_the_moved_point_are_recomputed(self):
+        # point 3 starts just inside the triangle 124, so the edges through it
+        # first fail to support; a displaced point 3 must be judged afresh
+        pc = PointConfiguration.from_dict(2, {
+            1: (0, 0), 2: (4, 0), 3: (2, "31/16"), 4: (0, 4),
+        })
+        target = from_facets([(1, 2), (2, 3), (3, 4), (1, 4)])
+        moved = perturb_to_general_position(pc, target, seed=0)
+        assert moved.coords(3) != pc.coords(3)
+        assert convex_hull(moved).boundary_complex == target
+        assert moved == reference_perturb_to_general_position(pc, target, seed=0)
 
     def test_impossible_target_exhausts_the_budget(self):
         # same octahedron geometry, but the target complex pairs the
@@ -321,9 +357,10 @@ def point_lists(draw, d, n, plants=2):
 
 
 @st.composite
-def configurations(draw, min_dim=1, max_dim=5, plants=2):
+def configurations(draw, min_dim=1, max_dim=5, plants=2, more=None):
+    """d + 1 to d + 4 points in R^d, or 2d + 4 to `more` points if given."""
     d = draw(st.integers(min_dim, max_dim))
-    n = draw(st.integers(d + 1, d + 4))
+    n = draw(st.integers(d + 1, d + 4) if more is None else st.integers(2 * d + 4, more))
     labels = draw(st.lists(st.integers(1, 40), min_size=n, max_size=n, unique=True))
     points = draw(point_lists(d, n, plants))
     return PointConfiguration.from_dict(d, dict(zip(labels, points)))
@@ -384,6 +421,21 @@ class TestIntegerKernelMatchesReference:
         assert _outcome(general_position_check, planted) == _outcome(
             reference_general_position_check, planted
         )
+
+    @settings(max_examples=25, deadline=None)
+    @given(pc=configurations(min_dim=2, plants=0, more=20), data=st.data())
+    def test_long_rotation_chains(self, pc, data):
+        # many points per hull, so a facet's functional is rotated many times
+        expected = _outcome(reference_convex_hull, pc)
+        assert _outcome(convex_hull, pc) == expected
+        if expected[0] == "ok" and data.draw(st.booleans()):
+            facet = data.draw(st.sampled_from(expected[1].facets)).vertices
+            x = _affine_combination(data.draw, [pc.coords(v) for v in facet])
+            label = data.draw(st.integers(1, 70).filter(lambda l: l not in pc.labels))
+            planted = PointConfiguration.from_dict(pc.dim, {**pc.as_dict(), label: x})
+            assert _outcome(convex_hull, planted) == _outcome(
+                reference_convex_hull, planted
+            )
 
     @settings(max_examples=80, deadline=None)
     @given(pc=configurations(max_dim=4), other=configurations(max_dim=4),
