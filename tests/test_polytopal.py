@@ -16,6 +16,7 @@ from combisphere import (
     get,
     is_subcomplex,
     perturb_to_general_position,
+    polytopal,
     polytopal_complete,
     pseudomanifold_check,
 )
@@ -29,7 +30,6 @@ from combisphere.errors import (
     TooFewVertices,
     VertexNotPresent,
 )
-from combisphere import polytopal
 from combisphere.polytopal import (
     PointConfiguration,
     _all_independent,
