@@ -282,19 +282,11 @@ def convex_hull(pc: PointConfiguration) -> HullResult:
         return facet
 
     def oriented(vertex_labels: Iterable[int]) -> _Facet:
+        # d of the affinely independent basis points, so a is never None, and
+        # ref, their centroid, lies strictly beneath the hyperplane
         labels = frozenset(vertex_labels)
         a = _functional([rows[v] for v in sorted(labels)])
-        if a is None:
-            raise NotSimplicial(
-                f"facet candidate {tuple(sorted(labels))} is affinely degenerate"
-            )
-        side = _side(a, ref)
-        if side == 0:
-            raise NotSimplicial(
-                f"interior reference lies on the hyperplane of "
-                f"{tuple(sorted(labels))}"
-            )
-        if side > 0:
+        if _side(a, ref) > 0:
             a = tuple(-c for c in a)
         return added(labels, a)
 
@@ -367,28 +359,19 @@ def convex_hull(pc: PointConfiguration) -> HullResult:
 # ---------------------------------------------------------------------------
 
 
-def _realizes(
-    rows: Mapping[int, Row],
-    target: Complex,
-    functionals: dict[Simplex, Row | None] | None = None,
-) -> bool:
+def _realizes(rows: Mapping[int, Row], target: Complex) -> bool:
     """True when target is exactly the hull boundary complex of the points.
 
     Checks that every facet hyperplane of the target has all remaining points
     strictly beneath it.  Since the target is a pseudomanifold without
     boundary and the hull boundary is too, facet-wise support pins the whole
     complex without computing a hull, degenerate interim coplanarities and
-    all.  Facet functionals are read from, and missing ones stored in,
-    functionals; the caller drops each entry whose rows have changed.
+    all.
     """
     if set(rows) != set(target.vertex_set):
         return False
-    if functionals is None:
-        functionals = {}
     for facet in target.facets:
-        if facet not in functionals:
-            functionals[facet] = _functional([rows[v] for v in facet])
-        a = functionals[facet]
+        a = _functional([rows[v] for v in facet])
         if a is None:
             return False
         sides = [_side(a, h) for label, h in rows.items() if label not in facet]
@@ -428,11 +411,9 @@ def perturb_to_general_position(
     rng = random.Random(seed)
     processed: list[int] = list(anchor)
     rest = [label for label in pc.labels if label not in set(anchor)]
-    functionals: dict[Simplex, Row | None] = {}  # of the current rows
     for label in rest:
         original = coords[label]
         prefix = [rows[s] for s in processed]
-        through = [f for f in combinatorial_type.facets if label in f]
         for attempt in range(max_attempts):
             if attempt == 0:
                 candidate = original
@@ -443,11 +424,9 @@ def perturb_to_general_position(
                 )
             coords[label] = candidate
             rows[label] = _homogeneous(candidate)
-            for f in through:
-                functionals.pop(f, None)
             moved: Echelon = [(list(rows[label]), 0)]  # pivots on L > 0
             if _all_independent(prefix, d + 1, moved) and _realizes(
-                rows, combinatorial_type, functionals
+                rows, combinatorial_type
             ):
                 break
         else:

@@ -241,18 +241,6 @@ class TestPerturbation:
         target = convex_hull(pts).boundary_complex
         assert perturb_to_general_position(pts, target, seed=9) == pts
 
-    def test_facets_through_the_moved_point_are_recomputed(self):
-        # point 3 starts just inside the triangle 124, so the edges through it
-        # first fail to support; a displaced point 3 must be judged afresh
-        pc = PointConfiguration.from_dict(2, {
-            1: (0, 0), 2: (4, 0), 3: (2, "31/16"), 4: (0, 4),
-        })
-        target = from_facets([(1, 2), (2, 3), (3, 4), (1, 4)])
-        moved = perturb_to_general_position(pc, target, seed=0)
-        assert moved.coords(3) != pc.coords(3)
-        assert convex_hull(moved).boundary_complex == target
-        assert moved == reference_perturb_to_general_position(pc, target, seed=0)
-
     def test_impossible_target_exhausts_the_budget(self):
         # same octahedron geometry, but the target complex pairs the
         # antipodes wrongly: its first facet 123 holds two antipodal points,
