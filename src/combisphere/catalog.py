@@ -237,8 +237,10 @@ def get(name: str) -> NamedExample:
         raise UnknownName(f"malformed catalog name {name!r}")
     base, arg_text = match.groups()
     args: tuple[int, ...] = ()
-    if arg_text is not None:
-        parts = [p.strip() for p in arg_text.split(",") if p.strip()]
+    if arg_text is not None and arg_text.strip():
+        parts = [p.strip() for p in arg_text.split(",")]
+        if "" in parts:
+            raise UnknownName(f"malformed catalog name {name!r}")
         try:
             args = tuple(int(p) for p in parts)
         except ValueError:

@@ -3,12 +3,14 @@
 Verbs: info, verify, complete, hull, catalog, chain.  Exit codes follow the
 sysexits convention where it applies: 0 the requested contract held, 1 it
 was refuted, 2 it could not be decided, 64 usage, 65 bad input data, 66
-unreadable input.  Output is deterministic for a fixed invocation and seed.
+unreadable input, 73 the --out file could not be written.  Output is
+deterministic for a fixed invocation and seed.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from typing import Any
@@ -60,6 +62,7 @@ EX_UNKNOWN = 2
 EX_USAGE = 64
 EX_DATA = 65
 EX_NOINPUT = 66
+EX_CANTCREAT = 73
 
 _REFUTATIONS = (
     NotSphere,
@@ -154,6 +157,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_flags(p)
     _add_output_flags(p)
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main() uses: built on the first call, then kept for the
+    process.  build_parser() stays fresh for callers who extend theirs."""
+    return build_parser()
 
 
 # ---------------------------------------------------------------------------
@@ -402,8 +412,7 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         text, code = _HANDLERS[args.verb](args)
     except _REFUTATIONS as exc:
@@ -416,7 +425,11 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         sys.stderr.write(f"combisphere: {exc}\n")
         return EX_NOINPUT
-    _emit(text, args)
+    try:
+        _emit(text, args)
+    except OSError as exc:
+        sys.stderr.write(f"combisphere: {exc}\n")
+        return EX_CANTCREAT
     return code
 
 

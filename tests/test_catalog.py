@@ -151,7 +151,9 @@ class TestParametricBuilders:
 
 # What get() gives for each name: the entry's name, or the UnknownName message.
 # Recorded before the catalog became one table; only the three unknown names
-# given arguments (last) changed, from "<base> takes no arguments".
+# given arguments (last) changed, from "<base> takes no arguments".  The two
+# names with an empty argument slot once resolved to cycle(5); an empty slot
+# is now malformed, while empty parentheses still mean no arguments.
 LOOKUP_OUTCOMES = {
     "cycle(": "malformed catalog name 'cycle('",
     "cycle)4(": "malformed catalog name 'cycle)4('",
@@ -187,8 +189,8 @@ LOOKUP_OUTCOMES = {
     "cyclic_polytope_points":
         "cyclic_polytope_points takes (n) or (n, d) integer arguments",
     "octahedron()": "octahedron",
-    "cycle(5,)": "cycle(5)",
-    "cycle(,5,)": "cycle(5)",
+    "cycle(5,)": "malformed catalog name 'cycle(5,)'",
+    "cycle(,5,)": "malformed catalog name 'cycle(,5,)'",
     " cycle( 5 ) ": "cycle(5)",
     "\tgs_m38\n": "gs_m38",
     "cycle(+5)": "cycle(5)",

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from combisphere import from_facets, get
+from combisphere import cli, from_facets, get
 from combisphere.cli import main
 from combisphere.serialize import (
     complex_to_text,
@@ -356,6 +356,11 @@ class TestCatalog:
         assert (code, out) == (65, "")
         assert err == "combisphere: no catalog entry named 'nope'\n"
 
+    def test_empty_argument_slot_is_a_data_error(self, capsys):
+        code, out, err = run(capsys, "catalog", "show", "cycle(5,)")
+        assert (code, out) == (65, "")
+        assert err == "combisphere: malformed catalog name 'cycle(5,)'\n"
+
     @pytest.mark.parametrize("argv", sorted(CATALOG_SHA256))
     def test_output_digest(self, capsys, argv):
         code, out, err = run(capsys, "catalog", *argv.split())
@@ -459,6 +464,22 @@ class TestPlumbing:
         code, _, err = run(capsys, "info", "--in", "/no/such/file")
         assert code == 66
 
+    def test_out_in_a_missing_directory_is_73(self, capsys, tmp_path):
+        path = tmp_path / "no" / "such" / "x.txt"
+        code, out, err = run(capsys, "info", "--catalog", "gs_m38",
+                             "--out", str(path))
+        assert (code, out) == (73, "")
+        assert "Traceback" not in err
+        assert err.startswith("combisphere: ") and err.count("\n") == 1
+        assert not path.parent.exists()
+
+    def test_out_naming_a_directory_is_73(self, capsys, tmp_path):
+        code, out, err = run(capsys, "info", "--catalog", "gs_m38",
+                             "--out", str(tmp_path))
+        assert (code, out) == (73, "")
+        assert "Traceback" not in err
+        assert err.startswith("combisphere: ") and err.count("\n") == 1
+
     def test_out_flag_matches_stdout(self, capsys, tmp_path):
         path = tmp_path / "m38.txt"
         code, out, _ = run(capsys, "complete", "ball-degree", "--catalog",
@@ -509,3 +530,99 @@ class TestPlumbing:
                   f"stderr: {proc.stderr!r}")
         assert proc.returncode == 0, detail
         assert proc.stdout.startswith("certified:"), detail
+
+
+def outcome(capsys, argv, out_path=None):
+    """(exit code, stdout, stderr, --out file text) of one main() call; a
+    usage error's SystemExit code stands in for the return value."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    written = None
+    if out_path is not None and out_path.exists():
+        written = out_path.read_text()
+        out_path.unlink()
+    return code, captured.out, captured.err, written
+
+
+class TestParserReuse:
+    """main() keeps one parser per process; reusing it must not show."""
+
+    @pytest.fixture
+    def fresh(self):
+        cli._parser.cache_clear()
+        yield
+        cli._parser.cache_clear()
+
+    @pytest.fixture
+    def join_files(self, tmp_path):
+        paths = {}
+        for name, text in [("a", "1\n2\n"), ("b", "3\n4\n"),
+                           ("s", "1 3\n1 4\n2 3\n2 4\n")]:
+            path = tmp_path / f"{name}.txt"
+            path.write_text(text)
+            paths[name] = str(path)
+        return paths
+
+    def test_parser_is_built_once(self, capsys, monkeypatch, fresh,
+                                  join_files):
+        builds = []
+        real = cli.build_parser
+
+        def counting():
+            builds.append(1)
+            return real()
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        calls = [
+            ["info", "--catalog", "gs_m38"],
+            ["verify", "sphere", "--catalog", "cycle(5)"],
+            ["verify", "sphere"],
+            ["verify", "flag", "--catalog", "octahedron", "--json"],
+            ["complete", "join", "--in", join_files["s"],
+             "--factor", join_files["a"], "--factor", join_files["b"]],
+            ["complete", "stacked-sphere", "--catalog", "cycle(4)"],
+            ["hull", "--catalog", "cyclic_polytope_points(6,3)"],
+            ["catalog", "list"],
+            ["catalog", "show", "cycle(4)", "--json"],
+            ["chain", "--catalog", "cycle(5)"],
+            ["frobnicate"],
+            ["info", "--catalog", "barnette", "--json"],
+        ]
+        codes = [outcome(capsys, argv)[0] for argv in calls]
+        assert codes == [0, 0, 64, 0, 0, 0, 0, 0, 0, 0, 64, 0]
+        assert len(builds) == 1
+        assert real() is not real()
+
+    def test_reuse_leaks_no_state(self, capsys, tmp_path, fresh, join_files):
+        out_path = tmp_path / "out.txt"
+        s, a, b = join_files["s"], join_files["a"], join_files["b"]
+        script = [
+            ["verify", "sphere"],
+            ["verify", "sphere", "--catalog", "gs_m38"],
+            ["complete", "join", "--in", s, "--factor", a, "--factor", b,
+             "--choices", "1,3"],
+            ["complete", "join", "--in", s, "--factor", a],
+            ["complete", "ball-degree", "--catalog", "example43_ball",
+             "--vertex", "8", "--out", str(out_path)],
+            ["complete", "ball-degree", "--catalog", "example43_ball",
+             "--vertex", "8"],
+            ["info", "--catalog", "gs_s37", "--json"],
+            ["info", "--catalog", "gs_s37"],
+        ]
+        shared = [outcome(capsys, argv, out_path) for argv in script]
+        alone = []
+        for argv in script:
+            cli._parser.cache_clear()
+            alone.append(outcome(capsys, argv, out_path))
+        assert shared == alone
+        assert shared[0][0] == 64 and shared[1][0] == 0
+        assert shared[2][0] == 0
+        code, out, err, _ = shared[3]
+        assert (code, out) == (65, "")
+        assert "needs at least two --factor" in err
+        assert shared[4][1] == "" and shared[4][3] == shared[5][1]
+        plain = dict(line.split(": ") for line in shared[7][1].splitlines())
+        assert json.loads(shared[6][1])["n_facets"] == int(plain["facets"])
