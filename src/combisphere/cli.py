@@ -92,9 +92,20 @@ def _add_output_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
 
 
+def _budget(text: str) -> int:
+    """--budget: a non-negative int, with int's message for a non-integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative, got {value}")
+    return value
+
+
 def _add_search_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
 
 
 def build_parser() -> argparse.ArgumentParser:

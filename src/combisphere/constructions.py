@@ -427,6 +427,9 @@ def complete_disc(
     Each fill picks the first boundary position (cycle labeled from its
     smallest vertex toward that vertex's smaller neighbor) whose skip pair is
     a non-edge; the boundary cycle shrinks by exactly one vertex per step.
+    A fill takes the middle vertex off the boundary, so no ear can be the
+    final triangle, and its skip pair stays adjacent on the cycle, so only
+    the edges of B are ever tested.  The sphere is built once, at the end.
     """
     if B.dim != 2:
         raise NotDisc(f"dimension {B.dim} != 2")
@@ -434,40 +437,41 @@ def complete_disc(
         raise TooFewVertices(f"need at least 4 vertices, have {B.n_vertices}")
     trace: list[str] = []
     _certify_input(B, "disc", trust, budget, seed, trace)
-    cur = B
-    while True:
-        cycle = _boundary_cycle(cur)
+    cycle = _boundary_cycle(B)
+    edges = B.faces_of_size(2)
+    filled: list[tuple[int, ...]] = []
+    while len(cycle) > 3:
         m = len(cycle)
-        if m == 3:
-            cap = frozenset(cycle)
-            if cur.has_face(cap):
-                raise IntermediateClaimFailed(
-                    f"boundary triangle {tuple(sorted(cap))} is already a face"
-                )
-            cur = Complex._from_vertex_sets(list(cur.facets) + [cap])
-            trace.append(f"capped the final triangle {tuple(sorted(cap))}")
-            break
-        filled = False
         for i in range(m):
             prev, here, nxt = cycle[i - 1], cycle[i], cycle[(i + 1) % m]
-            if not cur.has_face({prev, nxt}):
-                cur = Complex._from_vertex_sets(
-                    list(cur.facets) + [frozenset((prev, here, nxt))]
-                )
-                trace.append(
-                    f"filled ear at {here} with ({prev},{here},{nxt}); "
-                    f"boundary {m} -> {m - 1}"
-                )
-                filled = True
+            if frozenset((prev, nxt)) not in edges:
                 break
-        if not filled:
+        else:
             raise IntermediateClaimFailed(
                 "every skip pair on the boundary is an edge; cannot fill an ear"
             )
-    final = certify_sphere(cur, budget, seed)
+        filled.append((prev, here, nxt))
+        trace.append(
+            f"filled ear at {here} with ({prev},{here},{nxt}); boundary {m} -> {m - 1}"
+        )
+        cycle = _rooted(cycle[:i] + cycle[i + 1 :])
+    cap = tuple(sorted(cycle))
+    if B.has_face(cap):
+        raise IntermediateClaimFailed(f"boundary triangle {cap} is already a face")
+    trace.append(f"capped the final triangle {cap}")
+    sphere = Complex._from_vertex_sets([*B.facets, *filled, cap])
+    final = certify_sphere(sphere, budget, seed)
     if not final.is_certified:
         raise IntermediateClaimFailed(f"filled disc is not a 2-sphere: {final.reason}")
-    return _finish(B, cur, trace)
+    return _finish(B, sphere, trace)
+
+
+def _rooted(cycle: list[int]) -> list[int]:
+    """The vertex cycle from its smallest vertex toward that vertex's smaller
+    neighbor."""
+    i = cycle.index(min(cycle))
+    cycle = cycle[i:] + cycle[:i]
+    return cycle if cycle[1] < cycle[-1] else cycle[:1] + cycle[:0:-1]
 
 
 def _boundary_cycle(D: Complex) -> list[int]:
@@ -480,8 +484,7 @@ def _boundary_cycle(D: Complex) -> list[int]:
     if any(len(nbrs) != 2 for nbrs in adjacency.values()):
         raise IntermediateClaimFailed("boundary is not a single cycle")
     start = min(adjacency)
-    second = min(adjacency[start])
-    cycle = [start, second]
+    cycle = [start, adjacency[start][0]]
     while True:
         a, b = cycle[-2], cycle[-1]
         nxt = adjacency[b][0] if adjacency[b][0] != a else adjacency[b][1]
@@ -490,4 +493,4 @@ def _boundary_cycle(D: Complex) -> list[int]:
         cycle.append(nxt)
     if len(cycle) != len(adjacency):
         raise IntermediateClaimFailed("boundary is not a single cycle")
-    return cycle
+    return _rooted(cycle)

@@ -6,7 +6,8 @@ lexicographically), so equal complexes serialize to identical bytes.  All
 values are immutable; every operation returns a fresh ``Complex``.
 
 The empty complex exists only as the boundary of a closed pseudomanifold.  No
-constructor accepts an empty facet list and no other operation returns one.
+constructor accepts an empty facet list or an empty facet, and no other
+operation returns one.
 """
 
 from __future__ import annotations
@@ -236,14 +237,17 @@ class DualGraph:
 def from_facets(facet_list: Iterable[Iterable[int]]) -> Complex:
     """Build a pure complex from a facet list.
 
-    Validates labels (positive integers, no duplicates inside a facet) and
-    purity; duplicate facets collapse.  The facet order of the input is
-    irrelevant: the result is canonical.
+    Validates labels (positive integers, no duplicates inside a facet), that
+    no facet is empty, and purity; duplicate facets collapse.  The facet
+    order of the input is irrelevant: the result is canonical.
     """
     facets = [Simplex(f) for f in facet_list]
     if not facets:
         raise EmptyInput("a complex needs at least one facet")
-    return Complex._from_simplices(facets)
+    X = Complex._from_simplices(facets)
+    if not X.facets[0]:  # pure, so every facet is empty
+        raise EmptyInput("a facet needs at least one vertex")
+    return X
 
 
 def link(X: Complex, v: int) -> Complex:
@@ -397,28 +401,39 @@ def dual_graph(X: Complex) -> DualGraph:
 def pseudomanifold_check(X: Complex) -> PseudomanifoldReport:
     """Every ridge in at most two facets and the dual graph connected; closed
     when every ridge is in exactly two."""
-    if X.is_empty:
+    ridges = _ridge_map(X)
+    if X.is_empty or _pm_failure(ridges, X.facets) is not None:
         return PseudomanifoldReport(False, False)
-    return _pseudomanifold_report(_ridge_map(X), X.facets)
+    return PseudomanifoldReport(True, all(len(o) == 2 for o in ridges.values()))
 
 
-def _pseudomanifold_report(
+def _pm_failure(
     ridges: Mapping[tuple[int, ...], Collection[tuple[int, ...]]],
     facets: Sequence[tuple[int, ...]],
-) -> PseudomanifoldReport:
-    """pseudomanifold_check for the given facets, read off their ridge map
-    (each ridge -> the facets owning it, as _ridge_map builds it)."""
-    counts = [len(owners) for owners in ridges.values()]
-    if any(c > 2 for c in counts):
-        return PseudomanifoldReport(False, False)
+) -> str | None:
+    """Why the facets, with ridge map ridges (each ridge -> the facets owning
+    it), are not a pseudomanifold, or None.
+
+    The ridge named is the first with three or more owners in _ridge_map
+    order: facets in canonical order, each facet's ridges by dropped
+    position.  With none, the facet graph is disconnected.
+    """
+    if any(len(owners) > 2 for owners in ridges.values()):
+        for f in facets:
+            for i in range(len(f)):
+                ridge = f[:i] + f[i + 1 :]
+                owners = len(ridges[ridge])
+                if owners > 2:
+                    return f"not a pseudomanifold: ridge {ridge} lies in {owners} facets"
     adj: dict[tuple[int, ...], list[tuple[int, ...]]] = {f: [] for f in facets}
     for owners in ridges.values():
         if len(owners) == 2:
             a, b = owners
             adj[a].append(b)
             adj[b].append(a)
-    is_pm = _is_connected(adj, facets[0])
-    return PseudomanifoldReport(is_pm, is_pm and all(c == 2 for c in counts))
+    if not _is_connected(adj, facets[0]):
+        return "not a pseudomanifold: the facet-adjacency graph is disconnected"
+    return None
 
 
 def euler_characteristic(X: Complex) -> int:

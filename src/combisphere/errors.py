@@ -15,7 +15,7 @@ class ComplexError(ValueError):
 # --- construction / validation ---------------------------------------------
 
 class EmptyInput(ComplexError):
-    """No facets were supplied."""
+    """No facets, or a facet with no vertices, were supplied."""
 
 
 class NonPure(ComplexError):

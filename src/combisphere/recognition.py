@@ -13,7 +13,7 @@ import itertools
 import random
 from collections import Counter
 from dataclasses import dataclass
-from typing import Collection, Iterable, Mapping
+from typing import Iterable
 
 from .core import (
     Complex,
@@ -21,9 +21,8 @@ from .core import (
     _boundary,
     _is_connected,
     _link_shape,
-    _pseudomanifold_report,
+    _pm_failure,
     _ridge_map,
-    euler_characteristic,
     link,
     pseudomanifold_check,
 )
@@ -121,12 +120,14 @@ class _MoveIndex:
 
     Only the face sizes a reader uses are indexed.  Size 1 is always kept:
     is_standard_sphere and the vertex moves read it.  index(k) fills one
-    size, as certify_sphere does for the ridges its gates and link screen
-    read, and the first flip drops every size not kept.  The first settle(k)
-    keeps size k and its partner size dim + 2 - k, the size of the B of its
-    moves (the facets for k = 1), indexing either only if it is not indexed
-    still.  On stacked spheres pool settles only size 1, so no size in
-    2..dim - 1 is ever indexed with owners.
+    size.  certify_sphere builds one index in every dimension and fills the
+    ridges first, which its gates, Euler characteristics and link screen
+    read, then the vertices (in dimension 1 these are the ridges); the
+    first flip drops every size not kept.  The first settle(k) keeps size k
+    and its partner size dim + 2 - k, the size of the B of its moves (the
+    facets for k = 1), indexing either only if it is not indexed still.  On
+    stacked spheres pool settles only size 1, so no size in 2..dim - 1 is
+    ever indexed with owners.
 
     The cofacets of a kept size are exact after every flip; legality is
     settled lazily, one size |A| at a time.  _shape maps each link-shaped
@@ -301,27 +302,26 @@ class _MoveIndex:
     def euler_characteristics(self) -> tuple[int, dict[int, int]]:
         """chi of the complex and of each vertex link, in one pass over the faces.
 
-        Reads sizes 1 and dim, indexed with no flip since, and lists the
-        faces of the sizes in between as plain sets.  A face tau through v
-        is the face tau - v of the link of v, so it adds (-1)^|tau| to
-        chi(lk v).
+        Size dim + 1 is the facets, an indexed size is read off its
+        cofacets, and any other size is listed as a plain set, so every
+        dimension from 0 on is counted.  A face tau through v is the face
+        tau - v of the link of v, so it adds (-1)^|tau| to chi(lk v).  From
+        dimension 1 on every vertex lies in an edge; in dimension 0 no link
+        has a face.
         """
-        middle = []
-        for k in range(2, self.dim):
-            faces: set[tuple[int, ...]] = set()
-            for f in self.facets:
-                faces.update(itertools.combinations(f, k))
-            middle.append(faces)
         chi = 0
-        links = {v: 0 for (v,) in self._cofacets[1]}
-        sizes = [self._cofacets[1], *middle, self._cofacets[self.dim], self.facets]
-        for k, faces in enumerate(sizes, start=1):
-            sign = (-1) ** k
-            chi -= sign * len(faces)
+        # the faces through each vertex, with an even and an odd number of vertices
+        through: tuple[Counter[int], Counter[int]] = (Counter(), Counter())
+        for k in range(1, self.dim + 2):
+            faces = self.facets if k == self.dim + 1 else self._cofacets.get(k)
+            if faces is None:
+                combos = (itertools.combinations(f, k) for f in self.facets)
+                faces = set(itertools.chain.from_iterable(combos))
+            chi -= (-1) ** k * len(faces)
             if k > 1:
-                for v, n in Counter(itertools.chain.from_iterable(faces)).items():
-                    links[v] += sign * n
-        return chi, links
+                through[k % 2].update(itertools.chain.from_iterable(faces))
+        even, odd = through
+        return chi, {v: n - odd[v] for v, n in even.items()}
 
     def across_ridges(self) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
         """Each facet f -> the facets across its ridges, the i-th across the
@@ -402,15 +402,18 @@ def certify_sphere(
     bistellar reduction proves spheres, and when it stalls the vertex links
     are certified recursively to hunt for a refutation.
 
-    The pseudomanifold and closedness gates read one ridge map: _ridge_map's
-    through dimension 2, and from dimension 3 on the size-dim cofacets of a
-    _MoveIndex that indexes nothing else until the gates pass.  The Euler
-    characteristic of X and the vertex-link screen (each link a closed
-    pseudomanifold with the Euler characteristic of a sphere) are read off
-    its vertices and ridges, and the walk then flips it, keeping only the
+    In every dimension the gates read one ridge index: the size-dim
+    cofacets of a _MoveIndex that indexes nothing else until the gates
+    pass.  They name a ridge in three or more facets (_pm_failure), then a
+    disconnected facet graph, then the smallest ridge in one facet.  The
+    index then adds the vertices, and the Euler characteristics of X and of
+    its vertex links are counted on it.  From dimension 3 on the vertex-link
+    screen (each link a closed pseudomanifold with the Euler characteristic
+    of a sphere) reads it too, and the walk then flips it, keeping only the
     sizes its moves use; links are built only for the recursion after a
     failed walk.  In dimension 0 the one ridge is the empty face, so a
-    single point is refuted for its boundary.
+    single point is refuted for its boundary.  A negative budget raises
+    ValueError.
 
     Dimension 2 needs no link check after the gates.  In a connected closed
     2-pseudomanifold each vertex link is a disjoint union of c_v cycles.
@@ -418,24 +421,24 @@ def certify_sphere(
     surface N with chi(N) = chi(X) + sum(c_v - 1) <= 2, so chi(X) = 2 forces
     every c_v = 1.
     """
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
     if X.is_empty:
         return Verdict(REFUTED, "the empty complex is not a sphere")
     d = X.dim
-    ridges: Mapping[tuple[int, ...], Collection[tuple[int, ...]]]
-    if d <= 2:
-        ridges = _ridge_map(X)
-    else:
-        # the gates read only the ridges; a refused input indexes no more
-        index = _MoveIndex(X, d, sizes=(d,))
-        ridges = index._cofacets[d]
-    failure = _gate_failure(X, ridges)
+    # the gates read only the ridges; a refused input indexes no more
+    index = _MoveIndex(X, d, sizes=(d,))
+    ridges = index._cofacets[d]
+    failure = _pm_failure(ridges, X.facets)
     if failure is not None:
         return Verdict(REFUTED, failure)
-    if d <= 2:
-        chi = euler_characteristic(X)
-    else:
+    open_ridges = [r for r, owners in ridges.items() if len(owners) == 1]
+    if open_ridges:
+        ridge = min(open_ridges)
+        return Verdict(REFUTED, f"has boundary: ridge {ridge} lies in exactly one facet")
+    if 1 not in index._cofacets:  # in dimension 1 the ridges are the vertices
         index.index(1)
-        chi, link_chis = index.euler_characteristics()
+    chi, link_chis = index.euler_characteristics()
     expected = 1 + (-1) ** d
     if chi != expected:
         return Verdict(REFUTED, f"Euler characteristic {chi} != {expected}")
@@ -485,42 +488,6 @@ def certify_sphere(
     )
 
 
-def _gate_failure(
-    X: Complex, ridges: Mapping[tuple[int, ...], Collection[tuple[int, ...]]]
-) -> str | None:
-    """Why X, with ridge map ridges, is not a closed pseudomanifold, or None.
-
-    The reasons and their order are those of pseudomanifold_check,
-    _pm_failure_reason and boundary: a ridge in three or more facets, then a
-    disconnected facet graph, then the smallest ridge in one facet.
-    """
-    report = _pseudomanifold_report(ridges, X.facets)
-    if not report.is_pseudomanifold:
-        return _pm_failure_reason(X, ridges)
-    if not report.closed:
-        ridge = min(r for r, owners in ridges.items() if len(owners) == 1)
-        return f"has boundary: ridge {ridge} lies in exactly one facet"
-    return None
-
-
-def _pm_failure_reason(
-    X: Complex, ridges: Mapping[tuple[int, ...], Collection[tuple[int, ...]]]
-) -> str:
-    """Why X, with ridge map ridges, is not a pseudomanifold.
-
-    The ridge named is the first with three or more owners in _ridge_map
-    order: facets in canonical order, each facet's ridges by dropped
-    position.  With none, the facet graph is disconnected.
-    """
-    for f in X.facets:
-        for i in range(len(f)):
-            ridge = f[:i] + f[i + 1 :]
-            owners = len(ridges[ridge])
-            if owners > 2:
-                return f"not a pseudomanifold: ridge {ridge} lies in {owners} facets"
-    return "not a pseudomanifold: the facet-adjacency graph is disconnected"
-
-
 def certify_ball(
     X: Complex, budget: int = DEFAULT_BUDGET, seed: int = DEFAULT_SEED
 ) -> Verdict:
@@ -529,7 +496,10 @@ def certify_ball(
     X is a ball exactly when X plus a cone over its boundary is a sphere: the
     cone apex's anti-star in the capped complex is X itself.  Verdicts inherit
     exactness from certify_sphere (dimension 2 inputs are decided exactly).
+    A negative budget raises ValueError.
     """
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
     if X.is_empty:
         return Verdict(REFUTED, "the empty complex is not a ball")
     if X.n_facets == 1:
@@ -537,12 +507,12 @@ def certify_ball(
     if X.dim == 0:
         return Verdict(REFUTED, "a 0-ball is a single point")
     ridges = _ridge_map(X)
-    report = _pseudomanifold_report(ridges, X.facets)
-    if not report.is_pseudomanifold:
-        return Verdict(REFUTED, _pm_failure_reason(X, ridges))
-    if report.closed:
-        return Verdict(REFUTED, "no boundary: a closed pseudomanifold is not a ball")
+    failure = _pm_failure(ridges, X.facets)
+    if failure is not None:
+        return Verdict(REFUTED, failure)
     bd = _boundary(ridges)
+    if bd.is_empty:
+        return Verdict(REFUTED, "no boundary: a closed pseudomanifold is not a ball")
     bd_verdict = certify_sphere(bd, budget, seed)
     if bd_verdict.is_refuted:
         return Verdict(REFUTED, f"boundary is not a sphere: {bd_verdict.reason}")

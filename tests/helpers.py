@@ -15,10 +15,12 @@ from fractions import Fraction
 from typing import Iterable
 
 from combisphere import Complex, from_facets
+from combisphere.constructions import _certify_input, _finish
 from combisphere.core import (
     DualGraph,
     PseudomanifoldReport,
     Simplex,
+    boundary,
     euler_characteristic,
     generalized_bistellar_move,
     link,
@@ -26,11 +28,13 @@ from combisphere.core import (
 )
 from combisphere.errors import (
     DegenerateSpan,
+    IntermediateClaimFailed,
     LinkNotStandardSphere,
     MovePreconditionFailed,
     NonPure,
     NonPureResult,
     NotClosedPseudomanifold,
+    NotDisc,
     NotProperSubcomplex,
     NotSimplicial,
     NotStacked,
@@ -38,10 +42,17 @@ from combisphere.errors import (
     RidgeInThreeFacets,
     SigmaAlreadyFace,
     TooFewPoints,
+    TooFewVertices,
     VertexNotPresent,
 )
 from combisphere.polytopal import HullFacet, HullResult, PointConfiguration
-from combisphere.recognition import CERTIFIED, REFUTED, Verdict, is_standard
+from combisphere.recognition import (
+    CERTIFIED,
+    REFUTED,
+    Verdict,
+    certify_sphere,
+    is_standard,
+)
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -653,6 +664,82 @@ def reference_link_is_closed_pseudomanifold(index, v: int) -> bool:
                         seen.add(g)
                         stack.append(g)
     return len(seen) == len(star)
+
+
+# ---------------------------------------------------------------------------
+# reference disc completion: complete_disc as it was when it built a complex
+# and its boundary for every ear.  The bodies are unchanged; only the names
+# are prefixed, and the copies call each other.  Spheres, traces, exception
+# types and messages are compared against them.
+# ---------------------------------------------------------------------------
+
+
+def reference_complete_disc(
+    B: Complex, *, trust: bool = False, budget: int = 10000, seed: int = 0
+):
+    if B.dim != 2:
+        raise NotDisc(f"dimension {B.dim} != 2")
+    if B.n_vertices < 4:
+        raise TooFewVertices(f"need at least 4 vertices, have {B.n_vertices}")
+    trace: list[str] = []
+    _certify_input(B, "disc", trust, budget, seed, trace)
+    cur = B
+    while True:
+        cycle = _reference_boundary_cycle(cur)
+        m = len(cycle)
+        if m == 3:
+            cap = frozenset(cycle)
+            if cur.has_face(cap):
+                raise IntermediateClaimFailed(
+                    f"boundary triangle {tuple(sorted(cap))} is already a face"
+                )
+            cur = Complex._from_vertex_sets(list(cur.facets) + [cap])
+            trace.append(f"capped the final triangle {tuple(sorted(cap))}")
+            break
+        filled = False
+        for i in range(m):
+            prev, here, nxt = cycle[i - 1], cycle[i], cycle[(i + 1) % m]
+            if not cur.has_face({prev, nxt}):
+                cur = Complex._from_vertex_sets(
+                    list(cur.facets) + [frozenset((prev, here, nxt))]
+                )
+                trace.append(
+                    f"filled ear at {here} with ({prev},{here},{nxt}); "
+                    f"boundary {m} -> {m - 1}"
+                )
+                filled = True
+                break
+        if not filled:
+            raise IntermediateClaimFailed(
+                "every skip pair on the boundary is an edge; cannot fill an ear"
+            )
+    final = certify_sphere(cur, budget, seed)
+    if not final.is_certified:
+        raise IntermediateClaimFailed(f"filled disc is not a 2-sphere: {final.reason}")
+    return _finish(B, cur, trace)
+
+
+def _reference_boundary_cycle(D: Complex) -> list[int]:
+    """Boundary of a disc as a vertex cycle, canonically rooted and oriented."""
+    bd = boundary(D)
+    adjacency: dict[int, list[int]] = {}
+    for a, b in bd.facets:
+        adjacency.setdefault(a, []).append(b)
+        adjacency.setdefault(b, []).append(a)
+    if any(len(nbrs) != 2 for nbrs in adjacency.values()):
+        raise IntermediateClaimFailed("boundary is not a single cycle")
+    start = min(adjacency)
+    second = min(adjacency[start])
+    cycle = [start, second]
+    while True:
+        a, b = cycle[-2], cycle[-1]
+        nxt = adjacency[b][0] if adjacency[b][0] != a else adjacency[b][1]
+        if nxt == start:
+            break
+        cycle.append(nxt)
+    if len(cycle) != len(adjacency):
+        raise IntermediateClaimFailed("boundary is not a single cycle")
+    return cycle
 
 
 # ---------------------------------------------------------------------------

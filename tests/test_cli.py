@@ -448,6 +448,15 @@ class TestHostileInput:
         err = self._run(capsys, monkeypatch, tmp_path, REPEATED_FACETS, via)
         assert "repeats the key 'facets'" in err
 
+    @pytest.mark.parametrize("verb", [["info"], ["verify", "sphere"],
+                                      ["verify", "ball"], ["complete", "degree"]])
+    def test_empty_facet(self, capsys, tmp_path, verb):
+        path = tmp_path / "empty.json"
+        path.write_text('{"facets": [[]]}')
+        code, out, err = run(capsys, *verb, "--in", str(path))
+        assert (code, out) == (65, "")
+        assert err == "combisphere: a facet needs at least one vertex\n"
+
 
 class TestPlumbing:
     def test_usage_error_is_64(self, capsys):
@@ -459,6 +468,20 @@ class TestPlumbing:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 64
+
+    @pytest.mark.parametrize("budget, message", [
+        (["--budget", "-1"], "must not be negative, got -1"),
+        (["--budget=-7"], "must not be negative, got -7"),
+        (["--budget", "ten"], "invalid int value: 'ten'"),
+    ])
+    @pytest.mark.parametrize("verb", [["verify", "sphere"], ["complete", "degree"]])
+    def test_bad_budget_is_64(self, capsys, verb, budget, message):
+        with pytest.raises(SystemExit) as exc:
+            main([*verb, "--catalog", "gs_m38", *budget])
+        assert exc.value.code == 64
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.endswith(f"error: argument --budget: {message}\n")
 
     def test_missing_file_is_66(self, capsys):
         code, _, err = run(capsys, "info", "--in", "/no/such/file")

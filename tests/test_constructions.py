@@ -47,6 +47,7 @@ from helpers import (
     random_flag_2sphere,
     random_stacked_ball,
     random_stacked_sphere,
+    reference_complete_disc,
     reference_meet_inside,
 )
 
@@ -402,6 +403,59 @@ class TestCompleteDisc:
     def test_single_triangle_too_small(self):
         with pytest.raises(TooFewVertices):
             complete_disc(from_facets([(1, 2, 3)]))
+
+
+def _disc_outcome(complete, B, trust):
+    try:
+        result = complete(B, trust=trust)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return result.sphere, result.trace
+
+
+class TestCompleteDiscMatchesReference:
+    """complete_disc updates one boundary cycle and edge set per ear and
+    builds the sphere once, where it built a complex and its boundary for
+    every ear (kept in tests/helpers.py).  Spheres, traces and errors are
+    unchanged, on discs and on trusted non-discs."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        kind=st.sampled_from(
+            ["disc", "disc", "holed", "two discs", "capped", "strip", "holed torus"]
+        ),
+        n=st.integers(4, 30),
+        seed=st.integers(0, 2**16),
+    )
+    def test_random_inputs(self, kind, n, seed):
+        rng = random.Random(seed)
+        facets = [tuple(f) for f in random_disc(rng, n).facets]
+        if kind == "holed":  # a disc, an annulus, or a boundary that pinches
+            facets.pop(rng.randrange(len(facets)))
+        elif kind == "two discs":  # disjoint, or sharing one vertex
+            shift = n - rng.randint(0, 1)
+            other = random_disc(rng, rng.randint(4, 12))
+            facets += [tuple(v + shift for v in f) for f in other.facets]
+        elif kind == "capped":  # closed: the boundary cycle is empty
+            top = max(max(f) for f in facets) + 1
+            facets += [tuple(r) + (top,) for r in boundary(from_facets(facets)).facets]
+        elif kind == "strip":  # a Moebius strip for odd k, an annulus for even k
+            k = rng.randint(5, 16)
+            facets = [(i, i % k + 1, (i + 1) % k + 1) for i in range(1, k + 1)]
+        elif kind == "holed torus":  # filled and capped, it is a torus
+            facets = [
+                tuple(a % 4 * 4 + b % 4 + 1 for a, b in ((x, y), corner, (x + 1, y + 1)))
+                for x in range(4) for y in range(4) for corner in ((x + 1, y), (x, y + 1))
+            ]
+            for _ in range(rng.randint(1, 3)):
+                facets.pop(rng.randrange(len(facets)))
+        labels = sorted({v for f in facets for v in f})
+        relabel = dict(zip(labels, rng.sample(range(1, 3 * len(labels)), len(labels))))
+        B = from_facets([relabel[v] for v in f] for f in facets)
+        trust = kind != "disc"
+        assert _disc_outcome(complete_disc, B, trust) == _disc_outcome(
+            reference_complete_disc, B, trust
+        )
 
 
 class TestMeetCheckMatchesReference:

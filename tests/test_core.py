@@ -83,6 +83,15 @@ class TestComplexConstruction:
         with pytest.raises(EmptyInput):
             from_facets([])
 
+    def test_empty_facet_rejected(self):
+        for facets in ([()], [(), ()]):
+            with pytest.raises(EmptyInput, match="a facet needs at least one vertex"):
+                from_facets(facets)
+        # beside a nonempty facet, an empty one has another dimension
+        for facets in ([(1, 2), ()], [(), (1,)]):
+            with pytest.raises(NonPure):
+                from_facets(facets)
+
     def test_mixed_dimensions_rejected(self):
         with pytest.raises(NonPure):
             from_facets([(1, 2, 3), (4, 5)])

@@ -3,7 +3,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from combisphere import (
@@ -153,6 +153,13 @@ class TestCertifySphere:
         v = certify_sphere(S, budget=0)
         assert v.is_unknown
         assert "budget" in v.reason
+
+    def test_negative_budget_raises(self):
+        ball = random_stacked_ball(random.Random(5), 4, 10)
+        for certify, X in ((certify_sphere, boundary(ball)), (certify_ball, ball)):
+            with pytest.raises(ValueError, match="budget must be >= 0, got -1"):
+                certify(X, budget=-1)
+            assert certify(X, budget=0).is_unknown
 
     def test_budget_monotone(self):
         S = random_stacked_sphere(random.Random(5), 3, 9)
@@ -366,23 +373,72 @@ class TestSphereGatesMatchReference:
         assert certify_sphere(X) == expected
 
     def test_no_ridge_map_on_the_index_path(self, monkeypatch):
-        def only_below_dim_3(fn):
+        def forbidden(name):
             def guarded(X):
-                assert X.dim <= 2, f"{fn.__name__} on a {X.dim}-complex"
-                return fn(X)
+                raise AssertionError(f"{name} on a {X.dim}-complex")
             return guarded
 
         for name in ("pseudomanifold_check", "_ridge_map"):
-            monkeypatch.setattr(
-                recognition, name, only_below_dim_3(getattr(recognition, name))
-            )
+            monkeypatch.setattr(recognition, name, forbidden(name))
+        # euler_characteristic counts the f-vector, and recognition no longer imports it
+        monkeypatch.setattr(Complex, "f_vector", property(forbidden("f_vector")))
+        assert not hasattr(recognition, "euler_characteristic")
+        S = random_stacked_sphere(random.Random(1), 2, 9)
         for X in (
+            from_facets([(1,), (2,)]),
+            get("cycle(5)").complex,
+            get("octahedron").complex,
+            moebius_torus(),
+            from_facets(tuple(9 if v == 2 else v for v in f) for f in S.facets),
             get("cross_polytope(4)").complex,
             pinched_coned_solid_torus(1, 2),
             join(moebius_torus(), _shifted_torus()),
             _planted_complex("stacked", 3, "wedge", 1, 2, random.Random(3)),
         ):
             assert certify_sphere(X, budget=20).reason
+
+
+def _reference_low_dim_verdict(X):
+    """certify_sphere through dimension 2 as it was, on _ridge_map and the
+    f-vector: the gates, then chi, then the exact reason of the dimension."""
+    if X.dim == 2:
+        return reference_certify_surface(X)
+    if X.dim == 0 and X.n_facets == 1:  # the reference boundary needs dim >= 1
+        return Verdict(REFUTED, "has boundary: ridge () lies in exactly one facet")
+    gates = reference_sphere_gates(X)
+    if gates is not None:
+        return gates
+    chi, expected = _chi(X), 1 + (-1) ** X.dim
+    if chi != expected:
+        return Verdict(REFUTED, f"Euler characteristic {chi} != {expected}")
+    if X.dim == 0:
+        return Verdict(CERTIFIED, "exact (dim 0): two points")
+    return Verdict(
+        CERTIFIED, "exact (dim 1): connected closed 1-pseudomanifold is one cycle"
+    )
+
+
+class TestLowDimensionsMatchReference:
+    """Dimensions 0 to 2 read their gates and chi off the move index as the
+    higher ones do, where they read _ridge_map and the f-vector.  Every
+    verdict is the one those gave, down to the ridge each reason names."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        dim=st.sampled_from([0, 1, 2]),
+        kind=st.sampled_from(["stacked", "cross", "torus"]),
+        union=st.sampled_from([None] * 4 + ["disjoint", "wedge", "edge"]),
+        removed=st.sampled_from([0] * 4 + [1, 2]),
+        planted=st.sampled_from([0] * 4 + [1, 2, 3]),
+        pinches=st.sampled_from([0, 0, 1, 2]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_random_complexes(self, dim, kind, union, removed, planted, pinches, seed):
+        assume(kind != "torus" or dim == 2)
+        rng = random.Random(seed)
+        X = _planted_complex(kind, dim, union, removed, planted, rng)
+        X = _pinch(X, rng, pinches)
+        assert certify_sphere(X) == _reference_low_dim_verdict(X)
 
 
 class TestLinkScreenMatchesReference:
