@@ -481,7 +481,7 @@ def _boundary_cycle(D: Complex) -> list[int]:
     for a, b in bd.facets:
         adjacency.setdefault(a, []).append(b)
         adjacency.setdefault(b, []).append(a)
-    if any(len(nbrs) != 2 for nbrs in adjacency.values()):
+    if not adjacency or any(len(nbrs) != 2 for nbrs in adjacency.values()):
         raise IntermediateClaimFailed("boundary is not a single cycle")
     start = min(adjacency)
     cycle = [start, adjacency[start][0]]

@@ -114,16 +114,17 @@ class _MoveIndex:
 
     Built once per certification and updated in place by each flip.  A flip
     changes only the star of the face it acts on, so only the subfaces of the
-    facets it removes and adds are looked at again.  Faces and facets are
-    sorted tuples.  The legal moves are those with |A| <= max_a:
+    facets it removes and adds are looked at again, in one pass per size,
+    and only the faces of A u B are reshaped.  Faces and facets are sorted
+    tuples.  The legal moves are those with |A| <= max_a:
     certify_sphere uses max_a = dim, and the vertex collapse max_a = 1.
 
     Only the face sizes a reader uses are indexed.  Size 1 is always kept:
     is_standard_sphere and the vertex moves read it.  index(k) fills one
     size.  certify_sphere builds one index in every dimension and fills the
-    ridges first, which its gates, Euler characteristics and link screen
-    read, then the vertices (in dimension 1 these are the ridges); the
-    first flip drops every size not kept.  The first settle(k) keeps size k
+    ridges first, which its gates read (and its screens, if no vertex
+    collapse comes first), then the vertices (in dimension 1 these are the
+    ridges); the first flip drops every size not kept.  The first settle(k) keeps size k
     and its partner size dim + 2 - k, the size of the B of its moves (the
     facets for k = 1), indexing either only if it is not indexed still.  On
     stacked spheres pool settles only size 1, so no size in 2..dim - 1 is
@@ -133,19 +134,22 @@ class _MoveIndex:
     settled lazily, one size |A| at a time.  _shape maps each link-shaped
     face A to its B, _pointing maps each B back to the faces A with that
     shape, and _legal[k] holds the faces A with k vertices whose B is not a
-    face.  A flip adds the facets it removes and adds to _dirty[k] for each
-    settled size k.  settle(k) reshapes the k-subfaces of the dirty facets
-    (every k-face the first time); a face with no stored shape is skipped
-    unless it has dim + 2 - k cofacets, as a link-shaped face must.
+    face.  A flip of (A, B) adds the k-faces of A u B to _dirty[k] for each
+    settled size k: the facets it removes and adds are A u B less one
+    vertex, so these are exactly the k-faces whose cofacets change.
+    settle(k) reshapes the dirty faces (every k-face the first time); a face
+    with no stored shape is skipped unless it has dim + 2 - k cofacets, as
+    a link-shaped face must.
 
     A settled size is exact.  The shape of A depends only on the cofacets of
-    A, which change only when a facet containing A is removed or added; that
-    facet stays in _dirty[|A|] until the size is settled, so settling
-    reshapes A.  And _legal agrees with the presence of B for every stored
-    shape, stale or not, at all times, by this invariant: while size k holds
-    stored shapes, size dim + 2 - k is kept.  So _add and _remove call
-    _toggle whenever a face B of a stored shape appears or vanishes, and
-    settle updates _legal whenever it changes a stored shape.
+    A, which change only in a flip that puts A in _dirty[|A|] until the size
+    is settled, so settling reshapes A.  And _legal agrees with the presence
+    of B for every stored shape, stale or not, at all times, by this
+    invariant: while size k holds stored shapes, size dim + 2 - k is kept.
+    So flip calls _toggle whenever a face B of a stored shape appears or
+    vanishes, and settle updates _legal whenever it changes a stored shape.
+    flip adds the born facets before it removes the gone ones, so a face of
+    dA * dB, which lies in both, is never emptied on the way.
     """
 
     __slots__ = (
@@ -167,7 +171,7 @@ class _MoveIndex:
         self._shape: dict[tuple[int, ...], tuple[int, ...]] = {}
         self._pointing: dict[tuple[int, ...], set[tuple[int, ...]]] = {}
         self._legal: list[set[tuple[int, ...]]] = [set() for _ in range(max_a + 1)]
-        # _dirty[k], for each settled size k: facets whose k-faces may have new shapes
+        # _dirty[k], for each settled size k: the k-faces that may have new shapes
         self._dirty: dict[int, set[tuple[int, ...]]] = {}
         for k in sizes:
             self.index(k)
@@ -176,7 +180,7 @@ class _MoveIndex:
         """Fill the cofacets of the faces with k vertices.
 
         No stored shape has a B with k vertices before size k is kept, so
-        unlike _add this has no legality to toggle.
+        unlike flip this has no legality to toggle.
         """
         faces: dict[tuple[int, ...], set[tuple[int, ...]]] = {}
         for facet in self.facets:
@@ -187,29 +191,6 @@ class _MoveIndex:
                 else:
                     owners.add(facet)
         self._cofacets[k] = faces
-
-    def _add(self, facet: tuple[int, ...]) -> None:
-        self.facets.add(facet)
-        self._toggle(facet, True)
-        for k, faces in self._cofacets.items():
-            for face in itertools.combinations(facet, k):
-                owners = faces.get(face)
-                if owners is None:
-                    faces[face] = {facet}
-                    self._toggle(face, True)
-                else:
-                    owners.add(facet)
-
-    def _remove(self, facet: tuple[int, ...]) -> None:
-        self.facets.remove(facet)
-        self._toggle(facet, False)
-        for k, faces in self._cofacets.items():
-            for face in itertools.combinations(facet, k):
-                owners = faces[face]
-                owners.remove(facet)
-                if not owners:
-                    del faces[face]
-                    self._toggle(face, False)
 
     def _toggle(self, face: tuple[int, ...], present: bool) -> None:
         # face just appeared or vanished: the moves onto it lose or regain legality
@@ -224,18 +205,15 @@ class _MoveIndex:
     def settle(self, k: int) -> None:
         """Bring the shapes and legal moves with |A| = k up to date."""
         n = self.dim + 2 - k
-        dirty = self._dirty.get(k)
-        if dirty is None:
+        faces: Iterable[tuple[int, ...]] | None = self._dirty.get(k)
+        if faces is None:
             for j in (k, n):
                 if j <= self.dim:
                     self._kept.add(j)
                     if j not in self._cofacets:
                         self.index(j)
-            faces: Iterable[tuple[int, ...]] = self._cofacets[k]
-            self._dirty[k] = set()
-        else:
-            faces = {face for f in dirty for face in itertools.combinations(f, k)}
-            dirty.clear()
+            faces = self._cofacets[k]
+        self._dirty[k] = set()
         cofacets, shapes, legal = self._cofacets[k], self._shape, self._legal[k]
         for face in faces:
             owners = cofacets.get(face, ())
@@ -267,8 +245,9 @@ class _MoveIndex:
     def is_standard_sphere(self) -> bool:
         return len(self._cofacets[1]) == len(self.facets) == self.dim + 2
 
-    def pool(self, undo: MovePair | None = None) -> list[MovePair]:
-        """The legal moves (A, B) with the smallest |A|, sorted by A.
+    def pool(self, undo: MovePair | None = None, max_a: int = 0) -> list[MovePair]:
+        """The legal moves (A, B) with the smallest |A|, sorted by A; |A| is at
+        most max_a if that is given, and the index's max_a otherwise.
 
         A legal move brings in no vertex: A is link-shaped and B is not a
         face.  The move undo is left out unless it is the only legal move.
@@ -276,7 +255,7 @@ class _MoveIndex:
         while every legal move found so far is undo.
         """
         undone = False
-        for k in self._sizes:
+        for k in self._sizes[: max_a or None]:
             self.settle(k)
             legal = self._legal[k]
             if undo and undo[0] in legal and self._shape[undo[0]] == undo[1]:
@@ -288,16 +267,35 @@ class _MoveIndex:
 
     def flip(self, A: tuple[int, ...], B: tuple[int, ...]) -> None:
         """Replace the |B| facets of A * dB by the |A| facets of dA * B."""
-        gone = list(self._cofacets[len(A)][A])
+        gone = tuple(self._cofacets[len(A)][A])
         born = [tuple(sorted(A[:i] + A[i + 1 :] + B)) for i in range(len(A))]
         for k in self._cofacets.keys() - self._kept:
             del self._cofacets[k]
-        for f in gone:
-            self._remove(f)
+        self.facets.difference_update(gone)
+        self.facets.update(born)
         for f in born:
-            self._add(f)
-        for dirty in self._dirty.values():
-            dirty.update(gone, born)
+            self._toggle(f, True)
+        for f in gone:
+            self._toggle(f, False)
+        for k, faces in self._cofacets.items():
+            for f in born:
+                for face in itertools.combinations(f, k):
+                    owners = faces.get(face)
+                    if owners is None:
+                        faces[face] = {f}
+                        self._toggle(face, True)
+                    else:
+                        owners.add(f)
+            for f in gone:
+                for face in itertools.combinations(f, k):
+                    owners = faces[face]
+                    owners.remove(f)
+                    if not owners:
+                        del faces[face]
+                        self._toggle(face, False)
+        AB = tuple(sorted(A + B))
+        for k, dirty in self._dirty.items():
+            dirty.update(itertools.combinations(AB, k))
 
     def euler_characteristics(self) -> tuple[int, dict[int, int]]:
         """chi of the complex and of each vertex link, in one pass over the faces.
@@ -357,17 +355,17 @@ class _MoveIndex:
 
 
 def _greedy_reduce(
-    index: _MoveIndex, budget: int, seed: int
-) -> tuple[bool, tuple[MovePair, ...]]:
+    index: _MoveIndex, budget: int, seed: int, X: Complex | None = None
+) -> tuple[bool, tuple[MovePair, ...]] | Verdict:
     """Walk the flip graph toward the boundary of a simplex.
 
     The walk flips the _MoveIndex it is given (max_a = dim, size 1 indexed)
-    in place.  A step costs the cofacet updates of the facets the flip
-    removes and adds, for the sizes kept so far, then reshaping the subfaces
-    of the facets dirtied since the last step, for the sizes |A| that pool
-    settles, plus sorting one pool.  While vertex collapses are legal that
-    is |A| = 1 alone; a walk of vertex collapses keeps only the vertices,
-    and no step rescans every face against every facet.
+    in place.  A step costs one pass over the subfaces of the facets the
+    flip removes and adds, for each size kept so far, then reshaping the
+    faces of A u B, for the sizes |A| that pool settles, plus sorting one
+    pool.  While vertex collapses are legal that is |A| = 1 alone; a walk of
+    vertex collapses keeps only the vertices, and no step rescans every
+    face against every facet.
 
     Choice rule: immediately undoing the previous move is avoided unless it
     is the only legal move.  The pool is the remaining legal moves with the
@@ -375,21 +373,62 @@ def _greedy_reduce(
     sorted by A; a seeded RNG picks from it when it holds more than one.  The
     same seed and a larger budget replay the identical prefix, so Certified
     verdicts are budget-monotone.
+
+    Given X, the complex of the unflipped index, the walk makes vertex
+    collapses only until they stall, then returns _screen's refutation of X
+    if there is one and otherwise goes on with every move, keeping its RNG,
+    undo, trace and budget.  Each move is a PL homeomorphism, so reaching
+    the standard sphere proves X a PL sphere, which passes the screen.
     """
     rng = random.Random(seed)
     trace: list[MovePair] = []
     undo: MovePair | None = None
-    while len(trace) < budget:
+    max_a = 0 if X is None else 1
+    while True:
         if index.is_standard_sphere():
             return True, tuple(trace)
-        pool = index.pool(undo)
+        pool = index.pool(undo, max_a) if len(trace) < budget else []
         if not pool:
-            return False, tuple(trace)
+            if X is None:
+                return False, tuple(trace)
+            # the screen reads the ridges of X, which the first flip drops
+            screened = _MoveIndex(X, X.dim, (X.dim, 1)) if trace else index
+            refutation = _screen(X, screened)
+            if refutation is not None:
+                return refutation
+            X, max_a = None, 0
+            continue
         choice = pool[rng.randrange(len(pool))] if len(pool) > 1 else pool[0]
         index.flip(*choice)
         trace.append(choice)
         undo = (choice[1], choice[0])
-    return index.is_standard_sphere(), tuple(trace)
+
+
+def _screen(X: Complex, index: _MoveIndex) -> Verdict | None:
+    """The refutation by chi(X) or, from dimension 3 on, by the first vertex
+    link that is not a closed pseudomanifold with the chi of a sphere, or
+    None; read off index, the ridges and vertices of X with no flip since."""
+    d = X.dim
+    chi, link_chis = index.euler_characteristics()
+    expected = 1 + (-1) ** d
+    if chi != expected:
+        return Verdict(REFUTED, f"Euler characteristic {chi} != {expected}")
+    if d < 3:
+        return None
+    lexpected = 1 + (-1) ** (d - 1)
+    across = index.across_ridges()
+    for v in X.vertices:
+        if not index.link_is_closed_pseudomanifold(v, across):
+            return Verdict(
+                REFUTED, f"link of vertex {v} is not a closed pseudomanifold"
+            )
+        lchi = link_chis[v]
+        if lchi != lexpected:
+            return Verdict(
+                REFUTED,
+                f"link of vertex {v} has Euler characteristic {lchi} != {lexpected}",
+            )
+    return None
 
 
 def certify_sphere(
@@ -406,14 +445,15 @@ def certify_sphere(
     cofacets of a _MoveIndex that indexes nothing else until the gates
     pass.  They name a ridge in three or more facets (_pm_failure), then a
     disconnected facet graph, then the smallest ridge in one facet.  The
-    index then adds the vertices, and the Euler characteristics of X and of
-    its vertex links are counted on it.  From dimension 3 on the vertex-link
-    screen (each link a closed pseudomanifold with the Euler characteristic
-    of a sphere) reads it too, and the walk then flips it, keeping only the
-    sizes its moves use; links are built only for the recursion after a
-    failed walk.  In dimension 0 the one ridge is the empty face, so a
-    single point is refuted for its boundary.  A negative budget raises
-    ValueError.
+    index then adds the vertices, and the Euler characteristic is counted on
+    it.  From dimension 3 on vertex collapses come first; only if they stall
+    short of the standard sphere do the Euler characteristics of X and its
+    vertex links and the vertex-link screen (each link a closed
+    pseudomanifold with the Euler characteristic of a sphere) run on X,
+    before the walk goes on (see _greedy_reduce).  Verdicts do not depend on
+    this order.  Links are built only for the recursion after a failed walk.
+    In dimension 0 the one ridge is the empty face, so a single point is
+    refuted for its boundary.  A negative budget raises ValueError.
 
     Dimension 2 needs no link check after the gates.  In a connected closed
     2-pseudomanifold each vertex link is a disjoint union of c_v cycles.
@@ -438,10 +478,9 @@ def certify_sphere(
         return Verdict(REFUTED, f"has boundary: ridge {ridge} lies in exactly one facet")
     if 1 not in index._cofacets:  # in dimension 1 the ridges are the vertices
         index.index(1)
-    chi, link_chis = index.euler_characteristics()
-    expected = 1 + (-1) ** d
-    if chi != expected:
-        return Verdict(REFUTED, f"Euler characteristic {chi} != {expected}")
+    refutation = _screen(X, index) if d <= 2 else None
+    if refutation is not None:
+        return refutation
     if d == 0:
         return Verdict(CERTIFIED, "exact (dim 0): two points")
     if d == 1:
@@ -454,21 +493,11 @@ def certify_sphere(
             CERTIFIED,
             "exact (dim 2): closed surface with Euler characteristic 2 and cycle links",
         )
-    # d >= 3: cheap link screen before spending the budget
-    lexpected = 1 + (-1) ** (d - 1)
-    across = index.across_ridges()
-    for v in X.vertices:
-        if not index.link_is_closed_pseudomanifold(v, across):
-            return Verdict(
-                REFUTED, f"link of vertex {v} is not a closed pseudomanifold"
-            )
-        lchi = link_chis[v]
-        if lchi != lexpected:
-            return Verdict(
-                REFUTED,
-                f"link of vertex {v} has Euler characteristic {lchi} != {lexpected}",
-            )
-    ok, trace = _greedy_reduce(index, budget, seed)
+    # d >= 3: vertex collapses first, the screens only if they stall
+    walked = _greedy_reduce(index, budget, seed, X)
+    if isinstance(walked, Verdict):
+        return walked
+    ok, trace = walked
     if ok:
         return Verdict(
             CERTIFIED,

@@ -268,6 +268,19 @@ def reference_link_screen(X: Complex) -> Verdict | None:
     return None
 
 
+def reference_screens(X: Complex) -> Verdict | None:
+    """What ``certify_sphere`` checked on a closed pseudomanifold of
+    dimension >= 3 before it walked at all: the Euler characteristic, from
+    the face counts, then ``reference_link_screen``.  Returns the first
+    refutation, or None."""
+    counts = face_polynomial(list(X.facets))
+    chi = sum((-1) ** (k - 1) * c for k, c in counts.items() if k)
+    expected = 1 + (-1) ** X.dim
+    if chi != expected:
+        return Verdict(REFUTED, f"Euler characteristic {chi} != {expected}")
+    return reference_link_screen(X)
+
+
 # ---------------------------------------------------------------------------
 # reference core: the frozenset-keyed ridge map, the breadth-first searches
 # and the set comparisons of links that core and recognition ran before
@@ -726,7 +739,7 @@ def _reference_boundary_cycle(D: Complex) -> list[int]:
     for a, b in bd.facets:
         adjacency.setdefault(a, []).append(b)
         adjacency.setdefault(b, []).append(a)
-    if any(len(nbrs) != 2 for nbrs in adjacency.values()):
+    if not adjacency or any(len(nbrs) != 2 for nbrs in adjacency.values()):
         raise IntermediateClaimFailed("boundary is not a single cycle")
     start = min(adjacency)
     second = min(adjacency[start])

@@ -193,6 +193,12 @@ class TestComplete:
         assert code == 65
         assert "4 vertices" in err
 
+    def test_trusted_closed_disc_is_a_data_error(self, capsys):
+        # a closed surface has no boundary cycle to fill
+        code, out, err = run(capsys, "complete", "disc", "--catalog", "octahedron",
+                             "--trust")
+        assert (code, out, err) == (65, "", "combisphere: boundary is not a single cycle\n")
+
     def test_refuted_input_exits_one(self, capsys, torus_file):
         code, _, err = run(capsys, "complete", "degree", "--in", torus_file)
         assert code == 1

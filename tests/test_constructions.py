@@ -404,6 +404,11 @@ class TestCompleteDisc:
         with pytest.raises(TooFewVertices):
             complete_disc(from_facets([(1, 2, 3)]))
 
+    def test_trusted_closed_surface_has_no_boundary_cycle(self):
+        message = "^boundary is not a single cycle$"
+        with pytest.raises(IntermediateClaimFailed, match=message):
+            complete_disc(get("octahedron").complex, trust=True)
+
 
 def _disc_outcome(complete, B, trust):
     try:

@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import itertools
 import random
@@ -39,6 +40,7 @@ from helpers import (
     reference_link_is_closed_pseudomanifold,
     reference_link_screen,
     reference_pool,
+    reference_screens,
     reference_sphere_gates,
     reference_surface_link_loop,
 )
@@ -347,13 +349,15 @@ class TestSphereGatesMatchReference:
             events.clear()
             assert certify_sphere(random_stacked_sphere(rng, d, d + 12)).is_certified
             assert [k for k in events if k != "flip"] == [d, 1]
-        # a size is indexed again only once a flip has dropped it: the first
-        # edge moves of cross_polytope(5) reuse the ridges of the gates, and
-        # subdivided, its first move (the collapse) drops them before
+        # a size is indexed again only once a flip has dropped it: the
+        # screens and the first edge moves of cross_polytope(5) reuse the
+        # ridges of the gates.  Subdivided, its first move (the collapse)
+        # drops them; the screens then index the ridges and vertices of the
+        # unflipped complex afresh, and the edge moves the ridges again
         cp5 = get("cross_polytope(5)").complex
         for X, expected, before_first_flip in (
             (cp5, [4, 1, 2, 3], 4),
-            (_subdivided(cp5, random.Random(0))[0], [4, 1, 2, 4, 3], 2),
+            (_subdivided(cp5, random.Random(0))[0], [4, 1, 4, 1, 2, 4, 3], 2),
         ):
             events.clear()
             assert certify_sphere(X).is_certified
@@ -679,25 +683,111 @@ def _join_of_cycles(*lengths):
     return X
 
 
-class TestWalkMatchesReference:
-    """The incremental walk against the rescanning walk it replaced, kept in
-    tests/helpers.py: same verdicts, reasons and traces, seed by seed."""
+class TestScreensOnlyWhenCollapsesStall:
+    """From dimension 3 on certify_sphere makes vertex collapses before it
+    counts Euler characteristics or walks the vertex links.  Spheres that
+    collapses reduce are never screened; otherwise the screens run once, on
+    an index of X unflipped."""
 
     @pytest.fixture
-    def on_reference(self, monkeypatch):
-        def reference_walk(index, budget, seed):
-            # the reference rebuilds the complex from the facets the unflipped
-            # index was built from, and walks without it
-            return reference_greedy_reduce(
-                Complex._from_vertex_sets(index.facets), budget, seed
-            )
+    def screened(self, monkeypatch):
+        calls = []
+        for name in ("euler_characteristics", "across_ridges"):
+            method = getattr(recognition._MoveIndex, name)
+
+            def recorded(self, method=method, name=name):
+                calls.append((name, self.dim, frozenset(self.facets)))
+                return method(self)
+
+            monkeypatch.setattr(recognition._MoveIndex, name, recorded)
+        return calls
+
+    def test_collapsed_spheres_are_never_screened(self, screened):
+        rng = random.Random(71)
+        for d in (3, 4, 5):
+            for _ in range(3):
+                S = random_stacked_sphere(rng, d, rng.randint(d + 4, d + 30))
+                assert certify_sphere(S).is_certified
+        # the boundary of a stacked ball is a stacked sphere, and the cone
+        # over it caps the ball to a sphere that collapses reduce too
+        for d in (4, 5):
+            B = random_stacked_ball(rng, d, rng.randint(d + 3, d + 20))
+            assert certify_ball(B).is_certified
+        assert screened == []
+
+    @pytest.mark.parametrize(
+        "name, budget",
+        [("cross_polytope(6)", 100), ("gs_s48", DEFAULT_BUDGET),
+         ("cross_polytope(5)", DEFAULT_BUDGET)],
+    )
+    def test_stalled_collapses_screen_once_unflipped(self, screened, name, budget):
+        X = get(name).complex
+        if name == "cross_polytope(5)":
+            # a collapse comes first, so the screens read a fresh index
+            X = _subdivided(X, random.Random(0))[0]
+        certify_sphere(X, budget)
+        unflipped = frozenset(map(tuple, X.facets))
+        # the recursion into the links of cross_polytope(6) screens them too
+        assert [(call, facets) for call, dim, facets in screened if dim == X.dim] == [
+            ("euler_characteristics", unflipped),
+            ("across_ridges", unflipped),
+        ]
+
+
+@contextlib.contextmanager
+def _reference_walk():
+    """Replace certify_sphere's walk, _greedy_reduce, by the order it
+    replaced: the screens of the complex first, then the rescanning walk of
+    tests/helpers.py.  Yields the list of complexes it is called on."""
+    calls = []
+
+    def reference_walk(index, budget, seed, X=None):
+        # the reference rebuilds the complex from the facets of the
+        # unflipped index, and walks without it
+        start = Complex._from_vertex_sets(index.facets)
+        calls.append(start)
+        if X is not None:
+            assert start == X
+            refutation = reference_screens(X)
+            if refutation is not None:
+                return refutation
+        return reference_greedy_reduce(start, budget, seed)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(recognition, "_greedy_reduce", reference_walk)
+        yield calls
+
+
+def _stellar(X, rng, times):
+    """X with `times` random facets subdivided, each by a fresh vertex; on
+    any pure complex, so pinched ones too."""
+    facets = [tuple(f) for f in X.facets]
+    for _ in range(times):
+        F = facets.pop(rng.randrange(len(facets)))
+        v = max(max(f) for f in facets + [F]) + 1
+        facets += [F[:i] + F[i + 1 :] + (v,) for i in range(len(F))]
+    return from_facets(facets)
+
+
+class TestWalkMatchesReference:
+    """The incremental walk, collapses first, against the rescanning walk it
+    replaced with the screens run before it (kept in tests/helpers.py):
+    same verdicts, reasons and traces, seed by seed."""
+
+    @pytest.fixture
+    def on_reference(self):
+        called = []
 
         def run(fn, *args):
-            with monkeypatch.context() as m:
-                m.setattr(recognition, "_greedy_reduce", reference_walk)
-                return fn(*args)
+            with _reference_walk() as calls:
+                verdict = fn(*args)
+            called.extend(calls)
+            return verdict
 
-        return run
+        yield run
+        # a certify_sphere that walked without _greedy_reduce would be
+        # compared with itself
+        assert called, "the reference walk was never called"
 
     def _assert_same(self, on_reference, fn, X, seeds, budget=DEFAULT_BUDGET):
         for seed in seeds:
@@ -736,6 +826,27 @@ class TestWalkMatchesReference:
         X = get("gs_s48").complex
         for budget in (0, 1, 3, 8):
             self._assert_same(on_reference, certify_sphere, X, (0, 2), budget)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(["stacked", "cross", "torus", "pinched"]),
+        dim=st.sampled_from([3, 4]),
+        pinches=st.sampled_from([0, 0, 1, 2]),
+        subdivided=st.integers(1, 3),
+        budget=st.sampled_from([0, 1, 3, 30]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_subdivided_planted_complexes(
+        self, kind, dim, pinches, subdivided, budget, seed
+    ):
+        # each subdividing vertex can be collapsed, so the screens come after
+        # a collapse and read a fresh index of X
+        rng = random.Random(seed)
+        X = _pinch(_planted_complex(kind, dim, None, 0, 0, rng), rng, pinches)
+        X = _stellar(X, rng, subdivided)
+        with _reference_walk():
+            expected = certify_sphere(X, budget, seed)
+        assert certify_sphere(X, budget, seed) == expected
 
     def test_collapse_matches_reference(self):
         rng = random.Random(67)
