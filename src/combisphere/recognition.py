@@ -124,11 +124,11 @@ class _MoveIndex:
     size.  certify_sphere builds one index in every dimension and fills the
     ridges first, which its gates read (and its screens, if no vertex
     collapse comes first), then the vertices (in dimension 1 these are the
-    ridges); the first flip drops every size not kept.  The first settle(k) keeps size k
-    and its partner size dim + 2 - k, the size of the B of its moves (the
-    facets for k = 1), indexing either only if it is not indexed still.  On
-    stacked spheres pool settles only size 1, so no size in 2..dim - 1 is
-    ever indexed with owners.
+    ridges); the first flip drops every size not kept.  The first settle(k)
+    keeps size k and its partner size dim + 2 - k, the size of the B of its
+    moves (the facets for k = 1), indexing either only if it is not indexed
+    still.  On stacked spheres pool settles only size 1, so no size in
+    2..dim - 1 is ever indexed with owners.
 
     The cofacets of a kept size are exact after every flip; legality is
     settled lazily, one size |A| at a time.  _shape maps each link-shaped
