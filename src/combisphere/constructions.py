@@ -393,17 +393,11 @@ def complete_ball_degree_d(
     if n < d + 2:
         raise TooFewVertices(f"need at least {d + 2} vertices, have {n}")
     u = _degree_d_vertex(B, u, d)
-    u_link = link(B, u)
-    if u_link.n_facets != 1:
-        raise IntermediateClaimFailed(
-            f"link of {u} is not the closure of one simplex"
-        )
-    tau = u_link.facets[0]
+    # u has exactly d neighbours and every facet through u holds d of them,
+    # so u lies only in the facet u * tau.  Each ridge of it through u has
+    # one owner, so u is on the boundary and its boundary link is dtau
+    (tau,) = link(B, u).facets
     M = boundary(B)
-    if u not in M.vertex_set:
-        raise IntermediateClaimFailed(f"vertex {u} is not on the boundary")
-    # u lies only in the facet u * tau, so each ridge of it through u has
-    # one owner and the boundary link of u is always the boundary of tau
     trace.append(
         f"vertex {u} has degree {d}; boundary link is the boundary of {tuple(tau)}"
     )

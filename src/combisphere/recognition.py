@@ -13,7 +13,7 @@ import itertools
 import random
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Collection, Iterable
 
 from .core import (
     Complex,
@@ -110,7 +110,8 @@ def degree(X: Complex, v: int) -> int:
 
 class _MoveIndex:
     """The facets of a closed pseudomanifold, with the cofacets of the faces
-    its readers use and the legal bistellar moves.
+    its moves need and the legal bistellar moves.  It finds and applies
+    moves only; the sphere screens read the complex itself.
 
     Built once per certification and updated in place by each flip.  A flip
     changes only the star of the face it acts on, so only the subfaces of the
@@ -121,14 +122,13 @@ class _MoveIndex:
 
     Only the face sizes a reader uses are indexed.  Size 1 is always kept:
     is_standard_sphere and the vertex moves read it.  index(k) fills one
-    size.  certify_sphere builds one index in every dimension and fills the
-    ridges first, which its gates read (and its screens, if no vertex
-    collapse comes first), then the vertices (in dimension 1 these are the
-    ridges); the first flip drops every size not kept.  The first settle(k)
-    keeps size k and its partner size dim + 2 - k, the size of the B of its
-    moves (the facets for k = 1), indexing either only if it is not indexed
-    still.  On stacked spheres pool settles only size 1, so no size in
-    2..dim - 1 is ever indexed with owners.
+    size.  certify_sphere fills the ridges first, for its gates, and from
+    dimension 3 on the vertices before it walks; the first flip drops every
+    size not kept.  The first settle(k) keeps size k and its partner size
+    dim + 2 - k, the size of the B of its moves (the facets for k = 1),
+    indexing either only if it is not indexed still.  On stacked spheres
+    pool settles only size 1, so no size in 2..dim - 1 is ever indexed with
+    owners.
 
     The cofacets of a kept size are exact after every flip; legality is
     settled lazily, one size |A| at a time.  _shape maps each link-shaped
@@ -297,65 +297,12 @@ class _MoveIndex:
         for k, dirty in self._dirty.items():
             dirty.update(itertools.combinations(AB, k))
 
-    def euler_characteristics(self) -> tuple[int, dict[int, int]]:
-        """chi of the complex and of each vertex link, in one pass over the faces.
-
-        Size dim + 1 is the facets, an indexed size is read off its
-        cofacets, and any other size is listed as a plain set, so every
-        dimension from 0 on is counted.  A face tau through v is the face
-        tau - v of the link of v, so it adds (-1)^|tau| to chi(lk v).  From
-        dimension 1 on every vertex lies in an edge; in dimension 0 no link
-        has a face.
-        """
-        chi = 0
-        # the faces through each vertex, with an even and an odd number of vertices
-        through: tuple[Counter[int], Counter[int]] = (Counter(), Counter())
-        for k in range(1, self.dim + 2):
-            faces = self.facets if k == self.dim + 1 else self._cofacets.get(k)
-            if faces is None:
-                combos = (itertools.combinations(f, k) for f in self.facets)
-                faces = set(itertools.chain.from_iterable(combos))
-            chi -= (-1) ** k * len(faces)
-            if k > 1:
-                through[k % 2].update(itertools.chain.from_iterable(faces))
-        even, odd = through
-        return chi, {v: n - odd[v] for v, n in even.items()}
-
-    def across_ridges(self) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
-        """Each facet f -> the facets across its ridges, the i-th across the
-        ridge without f[i].  Needs the ridges of a closed pseudomanifold,
-        indexed with no flip since."""
-        ridges = self._cofacets[self.dim]
-        return {
-            f: [g for i in range(len(f)) for g in ridges[f[:i] + f[i + 1 :]] if g != f]
-            for f in self.facets
-        }
-
-    def link_is_closed_pseudomanifold(
-        self, v: int, across: dict[tuple[int, ...], list[tuple[int, ...]]]
-    ) -> bool:
-        """Whether the facets through v are connected across the ridges through v.
-
-        Needs a closed pseudomanifold, and across as across_ridges gives it.
-        There every ridge of the link of v lies in exactly two of its facets,
-        so the link is a closed pseudomanifold exactly when its
-        facet-adjacency graph, which this walks, is connected.
-        """
-        star = self._cofacets[1][(v,)]
-        root = next(iter(star))
-        seen = {root}
-        stack = [root]
-        while stack:
-            f = stack.pop()
-            for u, g in zip(f, across[f]):
-                if u != v and g not in seen:
-                    seen.add(g)
-                    stack.append(g)
-        return len(seen) == len(star)
-
 
 def _greedy_reduce(
-    index: _MoveIndex, budget: int, seed: int, X: Complex | None = None
+    index: _MoveIndex,
+    budget: int,
+    seed: int,
+    screen: Callable[[], Verdict | None] | None = None,
 ) -> tuple[bool, tuple[MovePair, ...]] | Verdict:
     """Walk the flip graph toward the boundary of a simplex.
 
@@ -374,8 +321,8 @@ def _greedy_reduce(
     same seed and a larger budget replay the identical prefix, so Certified
     verdicts are budget-monotone.
 
-    Given X, the complex of the unflipped index, the walk makes vertex
-    collapses only until they stall, then returns _screen's refutation of X
+    Given screen, which reads the unflipped complex X, the walk makes vertex
+    collapses only until they stall, then returns screen()'s refutation of X
     if there is one and otherwise goes on with every move, keeping its RNG,
     undo, trace and budget.  Each move is a PL homeomorphism, so reaching
     the standard sphere proves X a PL sphere, which passes the screen.
@@ -383,20 +330,18 @@ def _greedy_reduce(
     rng = random.Random(seed)
     trace: list[MovePair] = []
     undo: MovePair | None = None
-    max_a = 0 if X is None else 1
+    max_a = 0 if screen is None else 1
     while True:
         if index.is_standard_sphere():
             return True, tuple(trace)
         pool = index.pool(undo, max_a) if len(trace) < budget else []
         if not pool:
-            if X is None:
+            if screen is None:
                 return False, tuple(trace)
-            # the screen reads the ridges of X, which the first flip drops
-            screened = _MoveIndex(X, X.dim, (X.dim, 1)) if trace else index
-            refutation = _screen(X, screened)
+            refutation = screen()
             if refutation is not None:
                 return refutation
-            X, max_a = None, 0
+            screen, max_a = None, 0
             continue
         choice = pool[rng.randrange(len(pool))] if len(pool) > 1 else pool[0]
         index.flip(*choice)
@@ -404,25 +349,54 @@ def _greedy_reduce(
         undo = (choice[1], choice[0])
 
 
-def _screen(X: Complex, index: _MoveIndex) -> Verdict | None:
+def _screen(
+    X: Complex, ridges: dict[tuple[int, ...], set[tuple[int, ...]]]
+) -> Verdict | None:
     """The refutation by chi(X) or, from dimension 3 on, by the first vertex
     link that is not a closed pseudomanifold with the chi of a sphere, or
-    None; read off index, the ridges and vertices of X with no flip since."""
+    None; X is a closed pseudomanifold and ridges its ridge -> owners map.
+
+    A face tau through v is the face tau - v of the link of v, so it adds
+    (-1)^|tau| to chi(lk v).  Every ridge of a link lies in two of its
+    facets, so the link of v is a closed pseudomanifold exactly when the
+    facets through v are connected across the ridges through v.
+    """
     d = X.dim
-    chi, link_chis = index.euler_characteristics()
+    chi = len(X.vertices)
+    # the faces through each vertex, with an even and an odd number of vertices
+    through: tuple[Counter[int], Counter[int]] = (Counter(), Counter())
+    for k in range(2, d + 2):
+        faces: Collection[tuple[int, ...]] = X.facets if k == d + 1 else ridges
+        if k < d:
+            combos = (itertools.combinations(f, k) for f in X.facets)
+            faces = set(itertools.chain.from_iterable(combos))
+        chi -= (-1) ** k * len(faces)
+        through[k % 2].update(itertools.chain.from_iterable(faces))
     expected = 1 + (-1) ** d
     if chi != expected:
         return Verdict(REFUTED, f"Euler characteristic {chi} != {expected}")
     if d < 3:
         return None
     lexpected = 1 + (-1) ** (d - 1)
-    across = index.across_ridges()
+    across: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for a, b in ridges.values():
+        across.setdefault(a, []).append(b)
+        across.setdefault(b, []).append(a)
     for v in X.vertices:
-        if not index.link_is_closed_pseudomanifold(v, across):
+        star = X._star(v)
+        seen = {tuple(sorted(star[0]))}
+        stack = list(seen)
+        while stack:
+            # a facet through v meets g in a ridge through v exactly when v is in g
+            for g in across[stack.pop()]:
+                if v in g and g not in seen:
+                    seen.add(g)
+                    stack.append(g)
+        if len(seen) != len(star):
             return Verdict(
                 REFUTED, f"link of vertex {v} is not a closed pseudomanifold"
             )
-        lchi = link_chis[v]
+        lchi = through[0][v] - through[1][v]
         if lchi != lexpected:
             return Verdict(
                 REFUTED,
@@ -441,19 +415,19 @@ def certify_sphere(
     bistellar reduction proves spheres, and when it stalls the vertex links
     are certified recursively to hunt for a refutation.
 
-    In every dimension the gates read one ridge index: the size-dim
-    cofacets of a _MoveIndex that indexes nothing else until the gates
-    pass.  They name a ridge in three or more facets (_pm_failure), then a
-    disconnected facet graph, then the smallest ridge in one facet.  The
-    index then adds the vertices, and the Euler characteristic is counted on
-    it.  From dimension 3 on vertex collapses come first; only if they stall
-    short of the standard sphere do the Euler characteristics of X and its
-    vertex links and the vertex-link screen (each link a closed
-    pseudomanifold with the Euler characteristic of a sphere) run on X,
-    before the walk goes on (see _greedy_reduce).  Verdicts do not depend on
-    this order.  Links are built only for the recursion after a failed walk.
-    In dimension 0 the one ridge is the empty face, so a single point is
-    refuted for its boundary.  A negative budget raises ValueError.
+    In every dimension the gates read one ridge map, the size-dim cofacets
+    of a _MoveIndex that indexes nothing else until the gates pass.  They
+    name a ridge in three or more facets (_pm_failure), then a disconnected
+    facet graph, then the smallest ridge in one facet.  _screen reads X and
+    that ridge map: the Euler characteristics of X and, from dimension 3 on,
+    of its vertex links, each of which must be a closed pseudomanifold.  It
+    runs at once through dimension 2.  From dimension 3 on vertex collapses
+    come first, and the screen runs only if they stall short of the standard
+    sphere, before the walk goes on (see _greedy_reduce).  Verdicts do not
+    depend on this order.  Links are built only for the recursion after a
+    failed walk.  In dimension 0 the one ridge is the empty face, so a
+    single point is refuted for its boundary.  A negative budget raises
+    ValueError.
 
     Dimension 2 needs no link check after the gates.  In a connected closed
     2-pseudomanifold each vertex link is a disjoint union of c_v cycles.
@@ -466,7 +440,9 @@ def certify_sphere(
     if X.is_empty:
         return Verdict(REFUTED, "the empty complex is not a sphere")
     d = X.dim
-    # the gates read only the ridges; a refused input indexes no more
+    # the gates and screens read only the ridges; a refused input indexes no
+    # more.  Until the screens run settle(1) keeps only sizes 1 and d + 1, so
+    # the first flip drops this dict from the index and no flip writes to it
     index = _MoveIndex(X, d, sizes=(d,))
     ridges = index._cofacets[d]
     failure = _pm_failure(ridges, X.facets)
@@ -476,9 +452,7 @@ def certify_sphere(
     if open_ridges:
         ridge = min(open_ridges)
         return Verdict(REFUTED, f"has boundary: ridge {ridge} lies in exactly one facet")
-    if 1 not in index._cofacets:  # in dimension 1 the ridges are the vertices
-        index.index(1)
-    refutation = _screen(X, index) if d <= 2 else None
+    refutation = _screen(X, ridges) if d <= 2 else None
     if refutation is not None:
         return refutation
     if d == 0:
@@ -494,7 +468,8 @@ def certify_sphere(
             "exact (dim 2): closed surface with Euler characteristic 2 and cycle links",
         )
     # d >= 3: vertex collapses first, the screens only if they stall
-    walked = _greedy_reduce(index, budget, seed, X)
+    index.index(1)
+    walked = _greedy_reduce(index, budget, seed, lambda: _screen(X, ridges))
     if isinstance(walked, Verdict):
         return walked
     ok, trace = walked

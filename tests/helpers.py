@@ -15,11 +15,19 @@ from fractions import Fraction
 from typing import Iterable
 
 from combisphere import Complex, from_facets
-from combisphere.constructions import _certify_input, _finish
+from combisphere.constructions import (
+    _certify_input,
+    _cone,
+    _degree_d_vertex,
+    _finish,
+    _meet_inside,
+    _union,
+)
 from combisphere.core import (
     DualGraph,
     PseudomanifoldReport,
     Simplex,
+    anti_star,
     boundary,
     euler_characteristic,
     generalized_bistellar_move,
@@ -658,25 +666,49 @@ def reference_pool(index, undo=None) -> list:
     return []
 
 
-def reference_link_is_closed_pseudomanifold(index, v: int) -> bool:
-    """``_MoveIndex.link_is_closed_pseudomanifold`` as it was before the link
-    screen read one adjacency across the ridges: the star of v is walked
-    through the owners of each ridge through v, sliced out of each facet.
-    Reads sizes 1 and dim of the index."""
-    star = index._cofacets[1][(v,)]
-    ridges = index._cofacets[index.dim]
-    root = next(iter(star))
-    seen = {root}
-    stack = [root]
-    while stack:
-        f = stack.pop()
-        for i, u in enumerate(f):
-            if u != v:
-                for g in ridges[f[:i] + f[i + 1 :]]:
-                    if g not in seen:
-                        seen.add(g)
-                        stack.append(g)
-    return len(seen) == len(star)
+# ---------------------------------------------------------------------------
+# reference ball completion: complete_ball_degree_d as it was when it checked
+# that the link of u is one simplex and that u is on the boundary.  The body
+# is unchanged; only the name is prefixed.  Spheres, traces, exception types
+# and messages are compared against it.
+# ---------------------------------------------------------------------------
+
+
+def reference_complete_ball_degree_d(
+    B: Complex,
+    u: int | None = None,
+    *,
+    trust: bool = False,
+    budget: int = 10000,
+    seed: int = 0,
+):
+    trace: list[str] = []
+    _certify_input(B, "ball", trust, budget, seed, trace)
+    d = B.dim
+    n = B.n_vertices
+    if n < d + 2:
+        raise TooFewVertices(f"need at least {d + 2} vertices, have {n}")
+    u = _degree_d_vertex(B, u, d)
+    u_link = link(B, u)
+    if u_link.n_facets != 1:
+        raise IntermediateClaimFailed(
+            f"link of {u} is not the closure of one simplex"
+        )
+    tau = u_link.facets[0]
+    M = boundary(B)
+    if u not in M.vertex_set:
+        raise IntermediateClaimFailed(f"vertex {u} is not on the boundary")
+    # u lies only in the facet u * tau, so each ridge of it through u has
+    # one owner and the boundary link of u is always the boundary of tau
+    trace.append(
+        f"vertex {u} has degree {d}; boundary link is the boundary of {tuple(tau)}"
+    )
+    cap = _cone(u, anti_star(M, u))
+    if not _meet_inside(cap, B, M):
+        raise IntermediateClaimFailed("cap and ball meet outside the boundary")
+    trace.append("verified cap intersects the ball exactly in the boundary")
+    sphere = _union(B, cap)
+    return _finish(B, sphere, trace)
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,7 @@ from helpers import (
     random_flag_2sphere,
     random_stacked_ball,
     random_stacked_sphere,
+    reference_complete_ball_degree_d,
     reference_complete_disc,
     reference_meet_inside,
 )
@@ -296,6 +297,14 @@ class TestSphereChain:
             sphere_chain(get("cycle(5)").complex)
 
 
+def _ball_outcome(complete, B, u):
+    try:
+        result = complete(B, u, trust=True)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return result.sphere, result.trace
+
+
 class TestCompleteBallDegreeD:
     def test_catalog_ball_rebuilds_gs_sphere(self):
         result = complete_ball_degree_d(get("example43_ball").complex, 8)
@@ -340,6 +349,35 @@ class TestCompleteBallDegreeD:
             assert result.trace[1] == (
                 f"vertex {u} has degree {d}; boundary link is the boundary of {tuple(tau)}"
             )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        d=st.integers(1, 4),
+        kind=st.sampled_from(
+            ["any", "stacked", "stacked less one", "stacked plus"]
+        ),
+        seed=st.integers(0, 2**16),
+        data=st.data(),
+    )
+    def test_trusted_pure_complexes_match_reference(self, d, kind, seed, data):
+        # the link and boundary checks it dropped cannot fail: on any pure
+        # complex it gives the sphere, trace or error of the old completion
+        rng = random.Random(seed)
+        simplices = list(itertools.combinations(range(1, d + 5), d + 1))
+        if kind == "any":
+            facets = rng.sample(simplices, rng.randint(1, 10))
+        else:
+            ball = random_stacked_ball(rng, d, d + 2 + rng.randint(0, 4))
+            facets = [tuple(f) for f in ball.facets]
+            if kind == "stacked less one" and len(facets) > 1:
+                facets.pop(rng.randrange(len(facets)))
+            elif kind == "stacked plus":
+                facets.append(rng.choice(simplices))
+        B = from_facets(facets)
+        u = data.draw(st.sampled_from((None,) + B.vertices))
+        assert _ball_outcome(complete_ball_degree_d, B, u) == _ball_outcome(
+            reference_complete_ball_degree_d, B, u
+        )
 
     def test_random_stacked_balls(self):
         rng = random.Random(27)

@@ -1,9 +1,10 @@
 """Static checks on the package source, with the standard library's ast.
 
-No linter ships with the project, so three rules are checked here: every
+No linter ships with the project, so four rules are checked here: every
 imported name is used, only core reads the storage of a Complex (the
-attributes named in Complex.__slots__), and no code run at import keeps a
-reference to a function that perfbench's traced mode wraps.
+attributes named in Complex.__slots__), no code run at import keeps a
+reference to a function that perfbench's traced mode wraps, and every
+private function, method or class is read somewhere in the package.
 """
 
 from __future__ import annotations
@@ -116,6 +117,43 @@ def import_time_references(tree: ast.Module, traced: set[str]) -> list[str]:
     return found
 
 
+def unread_private_definitions(trees: dict[str, ast.Module]) -> list[str]:
+    """Private definitions that no module of trees reads.
+
+    A function, method or class is private when its name starts with an
+    underscore, or when it is a member of a private class; dunders are
+    exempt, since Python calls them.  A read is any load of the name, as a
+    bare name, an attribute or in an annotation, in any of the modules.
+    """
+    read: set[str] = set()
+    for tree in trees.values():
+        read |= _annotation_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    found: list[str] = []
+
+    def visit(node: ast.AST, prefix: str, private_scope: bool) -> None:
+        for child in ast.iter_child_nodes(node):
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, prefix, private_scope)
+                continue
+            name = child.name
+            dunder = name.startswith("__") and name.endswith("__")
+            private = not dunder and (name.startswith("_") or private_scope)
+            if private and name not in read:
+                found.append(f"{prefix}{name} (line {child.lineno})")
+            # only a private class makes its members private
+            member_scope = isinstance(child, ast.ClassDef) and private
+            visit(child, f"{prefix}{name}.", member_scope)
+
+    for module, tree in trees.items():
+        visit(tree, f"{module}: ", False)
+    return found
+
+
 def test_the_checks_see_what_they_look_for():
     tree = ast.parse(
         "import os\n"
@@ -126,6 +164,42 @@ def test_the_checks_see_what_they_look_for():
     )
     assert unused_imports(tree) == ["os (line 1)", "Simplex (line 3)"]
     assert storage_reads(tree) == ["._facets (line 5)"]
+
+
+def test_the_private_check_sees_unread_definitions():
+    walk = ast.parse(
+        "def _used():\n"
+        "    def _local():\n"
+        "        pass\n"
+        "class _Index:\n"
+        "    def __init__(self):\n"
+        "        self.flip()\n"
+        "    def flip(self):\n"
+        "        return _used()\n"
+        "    def screen(self):\n"
+        "        pass\n"
+        "class Public:\n"
+        "    def method(self):\n"
+        "        pass\n"
+        "    def _helper(self):\n"
+        "        pass\n"
+        "    def _called(self):\n"
+        "        pass\n"
+    )
+    # read in another module, as an annotation and an attribute
+    reader = ast.parse("def f(x: '_Index') -> None:\n    x.of._called()\n")
+    assert unread_private_definitions({"walk": walk, "reader": reader}) == [
+        "walk: _used._local (line 2)",
+        "walk: _Index.screen (line 9)",
+        "walk: Public._helper (line 14)",
+    ]
+    assert unread_private_definitions({"walk": walk}) == [
+        "walk: _used._local (line 2)",
+        "walk: _Index (line 4)",
+        "walk: _Index.screen (line 9)",
+        "walk: Public._helper (line 14)",
+        "walk: Public._called (line 16)",
+    ]
 
 
 def test_the_tracer_check_sees_stored_references():
@@ -164,3 +238,8 @@ def test_only_core_reads_complex_storage(path):
 def test_no_traced_function_is_stored_at_import(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     assert import_time_references(tree, TRACED) == []
+
+
+def test_every_private_definition_is_read():
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in MODULES}
+    assert unread_private_definitions(trees) == []

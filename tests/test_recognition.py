@@ -24,6 +24,7 @@ from combisphere import (
 )
 from combisphere import Complex, recognition
 from combisphere.recognition import CERTIFIED, DEFAULT_BUDGET, REFUTED, Verdict
+from combisphere.core import _ridge_map
 from combisphere.errors import NotStacked
 from helpers import (
     apply_trace,
@@ -37,7 +38,6 @@ from helpers import (
     reference_certify_surface,
     reference_collapse_stacked_sphere_to_ball,
     reference_greedy_reduce,
-    reference_link_is_closed_pseudomanifold,
     reference_link_screen,
     reference_pool,
     reference_screens,
@@ -349,15 +349,16 @@ class TestSphereGatesMatchReference:
             events.clear()
             assert certify_sphere(random_stacked_sphere(rng, d, d + 12)).is_certified
             assert [k for k in events if k != "flip"] == [d, 1]
-        # a size is indexed again only once a flip has dropped it: the
-        # screens and the first edge moves of cross_polytope(5) reuse the
-        # ridges of the gates.  Subdivided, its first move (the collapse)
-        # drops them; the screens then index the ridges and vertices of the
-        # unflipped complex afresh, and the edge moves the ridges again
+        # a size is indexed again only once a flip has dropped it, and the
+        # screens index nothing: the first edge moves of cross_polytope(5)
+        # reuse the ridges of the gates.  Subdivided, its first move (the
+        # collapse) drops them from the index, the screens read the gates'
+        # ridge map of the unflipped complex, and the edge moves index the
+        # ridges again
         cp5 = get("cross_polytope(5)").complex
         for X, expected, before_first_flip in (
             (cp5, [4, 1, 2, 3], 4),
-            (_subdivided(cp5, random.Random(0))[0], [4, 1, 4, 1, 2, 4, 3], 2),
+            (_subdivided(cp5, random.Random(0))[0], [4, 1, 2, 4, 3], 2),
         ):
             events.clear()
             assert certify_sphere(X).is_certified
@@ -446,10 +447,9 @@ class TestLowDimensionsMatchReference:
 
 
 class TestLinkScreenMatchesReference:
-    """The link screen walks each vertex star over one adjacency across the
-    ridges, where it walked the ridge owners sliced out of each facet (kept
-    in tests/helpers.py).  Both call the same links closed, so the first
-    failing vertex and its reason are unchanged."""
+    """_screen reads X, its star map and the gates' ridge map, where the
+    screens built every link and counted the f-vector (kept in
+    tests/helpers.py).  Both give the same first refutation, or none."""
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -463,16 +463,12 @@ class TestLinkScreenMatchesReference:
         X = _pinch(_planted_complex(kind, dim, None, 0, 0, rng), rng, pinches)
         if reference_sphere_gates(X) is not None:
             return
-        index = recognition._MoveIndex(X, X.dim, sizes=(X.dim, 1))
-        across = index.across_ridges()
-        for v in X.vertices:
-            assert index.link_is_closed_pseudomanifold(v, across) == (
-                reference_link_is_closed_pseudomanifold(index, v)
-            ), v
-        screen = reference_link_screen(X)
-        verdict = certify_sphere(X, budget=20)
-        if screen is not None and not verdict.reason.startswith("Euler"):
-            assert verdict == screen
+        ridges = recognition._MoveIndex(X, X.dim, sizes=(X.dim,))._cofacets[X.dim]
+        expected = reference_screens(X)
+        assert recognition._screen(X, ridges) == expected
+        # a complex the screens refute is no sphere, so collapses stall on it
+        if expected is not None:
+            assert certify_sphere(X, budget=20) == expected
 
 
 class TestSurfaceLinksNeedNoCheck:
@@ -686,20 +682,20 @@ def _join_of_cycles(*lengths):
 class TestScreensOnlyWhenCollapsesStall:
     """From dimension 3 on certify_sphere makes vertex collapses before it
     counts Euler characteristics or walks the vertex links.  Spheres that
-    collapses reduce are never screened; otherwise the screens run once, on
-    an index of X unflipped."""
+    collapses reduce are never screened; otherwise _screen runs once, on X
+    unflipped and its ridge map."""
 
     @pytest.fixture
     def screened(self, monkeypatch):
         calls = []
-        for name in ("euler_characteristics", "across_ridges"):
-            method = getattr(recognition._MoveIndex, name)
+        screen = recognition._screen
 
-            def recorded(self, method=method, name=name):
-                calls.append((name, self.dim, frozenset(self.facets)))
-                return method(self)
+        def recorded(X, ridges):
+            owners = {r: frozenset(map(tuple, fs)) for r, fs in ridges.items()}
+            calls.append((X, owners))
+            return screen(X, ridges)
 
-            monkeypatch.setattr(recognition._MoveIndex, name, recorded)
+        monkeypatch.setattr(recognition, "_screen", recorded)
         return calls
 
     def test_collapsed_spheres_are_never_screened(self, screened):
@@ -723,15 +719,14 @@ class TestScreensOnlyWhenCollapsesStall:
     def test_stalled_collapses_screen_once_unflipped(self, screened, name, budget):
         X = get(name).complex
         if name == "cross_polytope(5)":
-            # a collapse comes first, so the screens read a fresh index
+            # a collapse comes first, and drops the ridges from the index
             X = _subdivided(X, random.Random(0))[0]
         certify_sphere(X, budget)
-        unflipped = frozenset(map(tuple, X.facets))
+        ridges = {
+            r: frozenset(map(tuple, fs)) for r, fs in _ridge_map(X).items()
+        }
         # the recursion into the links of cross_polytope(6) screens them too
-        assert [(call, facets) for call, dim, facets in screened if dim == X.dim] == [
-            ("euler_characteristics", unflipped),
-            ("across_ridges", unflipped),
-        ]
+        assert [call for call in screened if call[0].dim == X.dim] == [(X, ridges)]
 
 
 @contextlib.contextmanager
@@ -741,14 +736,14 @@ def _reference_walk():
     tests/helpers.py.  Yields the list of complexes it is called on."""
     calls = []
 
-    def reference_walk(index, budget, seed, X=None):
+    def reference_walk(index, budget, seed, screen=None):
         # the reference rebuilds the complex from the facets of the
         # unflipped index, and walks without it
         start = Complex._from_vertex_sets(index.facets)
         calls.append(start)
-        if X is not None:
-            assert start == X
-            refutation = reference_screens(X)
+        if screen is not None:
+            refutation = reference_screens(start)
+            assert screen() == refutation
             if refutation is not None:
                 return refutation
         return reference_greedy_reduce(start, budget, seed)
@@ -840,7 +835,7 @@ class TestWalkMatchesReference:
         self, kind, dim, pinches, subdivided, budget, seed
     ):
         # each subdividing vertex can be collapsed, so the screens come after
-        # a collapse and read a fresh index of X
+        # a collapse has dropped the ridges from the index
         rng = random.Random(seed)
         X = _pinch(_planted_complex(kind, dim, None, 0, 0, rng), rng, pinches)
         X = _stellar(X, rng, subdivided)
