@@ -13,7 +13,8 @@ import itertools
 import random
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Collection, Iterable
+from functools import cached_property
+from typing import Any, Callable, Collection, Iterable
 
 from .core import (
     Complex,
@@ -23,7 +24,6 @@ from .core import (
     _link_shape,
     _pm_failure,
     _ridge_map,
-    link,
     pseudomanifold_check,
 )
 from .errors import NotStacked, VertexNotPresent
@@ -36,6 +36,11 @@ DEFAULT_BUDGET = 10000
 DEFAULT_SEED = 0
 
 MovePair = tuple[tuple[int, ...], tuple[int, ...]]
+_EXACT = (
+    "exact (dim 0): two points",
+    "exact (dim 1): connected closed 1-pseudomanifold is one cycle",
+    "exact (dim 2): closed surface with Euler characteristic 2 and cycle links",
+)
 
 
 @dataclass(frozen=True)
@@ -349,100 +354,111 @@ def _greedy_reduce(
         undo = (choice[1], choice[0])
 
 
-def _screen(
-    X: Complex, ridges: dict[tuple[int, ...], set[tuple[int, ...]]]
-) -> Verdict | None:
-    """The refutation by chi(X) or, from dimension 3 on, by the first vertex
-    link that is not a closed pseudomanifold with the chi of a sphere, or
-    None; X is a closed pseudomanifold and ridges its ridge -> owners map.
-
-    A face tau through v is the face tau - v of the link of v, so it adds
-    (-1)^|tau| to chi(lk v).  Every ridge of a link lies in two of its
-    facets, so the link of v is a closed pseudomanifold exactly when the
-    facets through v are connected across the ridges through v.
+@dataclass
+class _Screens:
+    """Checks chi(X) and the face links of a closed pseudomanifold X with
+    ridge -> owners map ridges: lk F must be connected across its ridges,
+    with the chi of a (dim X - |F|)-sphere, to which each face tau through F
+    adds (-1)^(|tau| - |F| - 1).  certify_sphere reads the face lists and
+    adjacency first when collapses stall, before flips can write to ridges.
     """
-    d = X.dim
-    chi = len(X.vertices)
-    # the faces through each vertex, with an even and an odd number of vertices
-    through: tuple[Counter[int], Counter[int]] = (Counter(), Counter())
-    for k in range(2, d + 2):
-        faces: Collection[tuple[int, ...]] = X.facets if k == d + 1 else ridges
-        if k < d:
+
+    X: Complex
+    ridges: dict[tuple[int, ...], set[tuple[int, ...]]]
+
+    @cached_property
+    def faces(self) -> list[Collection[Any]]:
+        # faces[k]: the k-vertex faces, ints for k = 1 and tuples after (dim >= 2)
+        X, d = self.X, self.X.dim
+        faces: list[Collection[Any]] = [(), X.vertices]
+        for k in range(2, d):
             combos = (itertools.combinations(f, k) for f in X.facets)
-            faces = set(itertools.chain.from_iterable(combos))
-        chi -= (-1) ** k * len(faces)
-        through[k % 2].update(itertools.chain.from_iterable(faces))
-    expected = 1 + (-1) ** d
-    if chi != expected:
-        return Verdict(REFUTED, f"Euler characteristic {chi} != {expected}")
-    if d < 3:
+            faces.append(set(itertools.chain.from_iterable(combos)))
+        return faces + [list(self.ridges), X.facets]
+
+    @cached_property
+    def _adjacency(self) -> tuple[dict[Any, list[Any]], dict[int, set[Any]]]:
+        across: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+        for a, b in self.ridges.values():
+            across.setdefault(a, []).append(b)
+            across.setdefault(b, []).append(a)
+        # the stars of the owner tuples themselves, which X's stars are not
+        stars: dict[int, set[tuple[int, ...]]] = {}
+        for f in across:
+            for v in f:
+                stars.setdefault(v, set()).add(f)
+        return across, stars
+
+    def stalled(self) -> Verdict | None:
+        """The refutation by chi(X) or, from dimension 3 on, a vertex link."""
+        chi = -sum((-1) ** k * len(faces) for k, faces in enumerate(self.faces))
+        expected = 1 + (-1) ** self.X.dim
+        if chi != expected:
+            return Verdict(REFUTED, f"Euler characteristic {chi} != {expected}")
+        return self.links(range(1, 2)) if self.X.dim >= 3 else None
+
+    def links(self, sizes: range) -> Verdict | None:
+        """The first failing link of a face with a size in sizes, or None."""
+        d, faces, (across, stars) = self.X.dim, self.faces, self._adjacency
+        for k in sizes:
+            # per k-face, the faces through it with an even and an odd size
+            through: tuple[Counter[Any], Counter[Any]] = (Counter(), Counter())
+            for m in range(k + 1, d + 2):
+                combos = (itertools.combinations(f, k) for f in faces[m])
+                subsets = faces[m] if k == 1 else combos
+                through[m % 2].update(itertools.chain.from_iterable(subsets))
+            expected = 1 + (-1) ** (d - k)
+            kind = "vertex" if k == 1 else "face"
+            for F in sorted(faces[k]):
+                unseen = set.intersection(*(stars[v] for v in ((F,) if k == 1 else F)))
+                stack = [unseen.pop()]
+                while stack:
+                    # the popped facet meets g in a ridge through F iff g contains F
+                    for g in across[stack.pop()]:
+                        if g in unseen:
+                            unseen.remove(g)
+                            stack.append(g)
+                lchi = (-1) ** (k + 1) * (through[0][F] - through[1][F])
+                if unseen or lchi != expected:
+                    chi = f"has Euler characteristic {lchi} != {expected}"
+                    why = "is not a closed pseudomanifold" if unseen else chi
+                    return Verdict(REFUTED, f"link of {kind} {F} {why}")
         return None
-    lexpected = 1 + (-1) ** (d - 1)
-    across: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for a, b in ridges.values():
-        across.setdefault(a, []).append(b)
-        across.setdefault(b, []).append(a)
-    for v in X.vertices:
-        star = X._star(v)
-        seen = {tuple(sorted(star[0]))}
-        stack = list(seen)
-        while stack:
-            # a facet through v meets g in a ridge through v exactly when v is in g
-            for g in across[stack.pop()]:
-                if v in g and g not in seen:
-                    seen.add(g)
-                    stack.append(g)
-        if len(seen) != len(star):
-            return Verdict(
-                REFUTED, f"link of vertex {v} is not a closed pseudomanifold"
-            )
-        lchi = through[0][v] - through[1][v]
-        if lchi != lexpected:
-            return Verdict(
-                REFUTED,
-                f"link of vertex {v} has Euler characteristic {lchi} != {lexpected}",
-            )
-    return None
 
 
 def certify_sphere(
     X: Complex, budget: int = DEFAULT_BUDGET, seed: int = DEFAULT_SEED
 ) -> Verdict:
-    """Three-valued sphere certification.
+    """Three-valued sphere certification; a negative budget raises ValueError.
 
     Layered: pseudomanifold and Euler-characteristic gates refute cheaply;
     dimensions 0..2 are decided exactly; from dimension 3 on, a greedy
-    bistellar reduction proves spheres, and when it stalls the vertex links
-    are certified recursively to hunt for a refutation.
+    bistellar reduction proves spheres, and when it fails the face links
+    are screened for a refutation.
 
-    In every dimension the gates read one ridge map, the size-dim cofacets
-    of a _MoveIndex that indexes nothing else until the gates pass.  They
-    name a ridge in three or more facets (_pm_failure), then a disconnected
-    facet graph, then the smallest ridge in one facet.  _screen reads X and
-    that ridge map: the Euler characteristics of X and, from dimension 3 on,
-    of its vertex links, each of which must be a closed pseudomanifold.  It
-    runs at once through dimension 2.  From dimension 3 on vertex collapses
-    come first, and the screen runs only if they stall short of the standard
-    sphere, before the walk goes on (see _greedy_reduce).  Verdicts do not
-    depend on this order.  Links are built only for the recursion after a
-    failed walk.  In dimension 0 the one ridge is the empty face, so a
-    single point is refuted for its boundary.  A negative budget raises
-    ValueError.
+    The gates read the ridge map of a _MoveIndex that indexes nothing else
+    until they pass.  They name a ridge in three or more facets
+    (_pm_failure), then a disconnected facet graph, then the smallest ridge
+    in one facet (in dimension 0, the empty face).  _Screens then checks
+    chi(X) in dimension 2; from dimension 3 on, chi(X) and the vertex links
+    only if vertex collapses stall (see _greedy_reduce), and the faces with
+    2..d - 2 vertices only after a failed walk, which alone spends moves.
+    Verdicts do not depend on this order.
 
-    Dimension 2 needs no link check after the gates.  In a connected closed
-    2-pseudomanifold each vertex link is a disjoint union of c_v cycles.
-    Splitting each vertex into one vertex per cycle gives a closed connected
-    surface N with chi(N) = chi(X) + sum(c_v - 1) <= 2, so chi(X) = 2 forces
-    every c_v = 1.
+    The face screen refutes what certifying each vertex link, recursively,
+    would: a link that certifies is a PL sphere, whose links are spheres,
+    and links of dimension <= 2 that pass the gates are decided by chi.  A
+    vertex v of a connected closed 2-pseudomanifold links c_v cycles; one
+    vertex per cycle gives a closed connected surface N with chi(N) =
+    chi(X) + sum(c_v - 1) <= 2, so chi(X) = 2 forces every c_v = 1, and the
+    faces with d - 1 vertices, whose links are such cycles, need no check.
     """
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
     if X.is_empty:
         return Verdict(REFUTED, "the empty complex is not a sphere")
     d = X.dim
-    # the gates and screens read only the ridges; a refused input indexes no
-    # more.  Until the screens run settle(1) keeps only sizes 1 and d + 1, so
-    # the first flip drops this dict from the index and no flip writes to it
+    # the gates and screens read only the ridges; a refused input indexes no more
     index = _MoveIndex(X, d, sizes=(d,))
     ridges = index._cofacets[d]
     failure = _pm_failure(ridges, X.facets)
@@ -452,24 +468,13 @@ def certify_sphere(
     if open_ridges:
         ridge = min(open_ridges)
         return Verdict(REFUTED, f"has boundary: ridge {ridge} lies in exactly one facet")
-    refutation = _screen(X, ridges) if d <= 2 else None
-    if refutation is not None:
-        return refutation
-    if d == 0:
-        return Verdict(CERTIFIED, "exact (dim 0): two points")
-    if d == 1:
-        return Verdict(
-            CERTIFIED, "exact (dim 1): connected closed 1-pseudomanifold is one cycle"
-        )
-    if d == 2:
-        # chi = 2 leaves every vertex link one cycle (see the docstring)
-        return Verdict(
-            CERTIFIED,
-            "exact (dim 2): closed surface with Euler characteristic 2 and cycle links",
-        )
+    screens = _Screens(X, ridges)
+    if d <= 2:
+        # past the gates, two points and a cycle are spheres: chi checks surfaces
+        return (d == 2 and screens.stalled()) or Verdict(CERTIFIED, _EXACT[d])
     # d >= 3: vertex collapses first, the screens only if they stall
     index.index(1)
-    walked = _greedy_reduce(index, budget, seed, lambda: _screen(X, ridges))
+    walked = _greedy_reduce(index, budget, seed, screens.stalled)
     if isinstance(walked, Verdict):
         return walked
     ok, trace = walked
@@ -479,16 +484,9 @@ def certify_sphere(
             f"reduced to the standard {d}-sphere in {len(trace)} bistellar moves",
             trace,
         )
-    unknown_links = []
-    for v in X.vertices:
-        sub = certify_sphere(link(X, v), budget, seed)
-        if sub.is_refuted:
-            return Verdict(REFUTED, f"link of vertex {v} refuted: {sub.reason}")
-        if sub.is_unknown:
-            unknown_links.append(v)
-    detail = f"; links unresolved at {unknown_links}" if unknown_links else ""
-    return Verdict(
-        UNKNOWN, f"bistellar reduction budget exhausted ({budget} moves){detail}"
+    # a failed walk screened the vertex links when collapses stalled
+    return screens.links(range(2, d - 1)) or Verdict(
+        UNKNOWN, f"bistellar reduction budget exhausted ({budget} moves)"
     )
 
 

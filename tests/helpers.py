@@ -57,6 +57,7 @@ from combisphere.polytopal import HullFacet, HullResult, PointConfiguration
 from combisphere.recognition import (
     CERTIFIED,
     REFUTED,
+    UNKNOWN,
     Verdict,
     certify_sphere,
     is_standard,
@@ -252,27 +253,36 @@ def reference_collapse_stacked_sphere_to_ball(S: Complex) -> Complex:
     return Complex._from_vertex_sets(ball_facets)
 
 
-def reference_link_screen(X: Complex) -> Verdict | None:
+def reference_link_screen(X: Complex, sizes: Iterable[int] = (1,)) -> Verdict | None:
     """The vertex-link screen that ``certify_sphere`` runs in dimension >= 3
     before its walk, as it was before it read the move index: every link is
     built and checked with ``pseudomanifold_check`` and
     ``euler_characteristic``.  Returns the refutation of the first failing
-    vertex, or None when every link passes."""
+    vertex, or None when every link passes.
+
+    Given sizes, it screens the faces with those numbers of vertices, by size
+    and then in sorted order, as ``certify_sphere``'s face screen does; the
+    link of a face is built as a chain of vertex links."""
     d = X.dim
-    for v in X.vertices:
-        L = link(X, v)
-        lreport = pseudomanifold_check(L)
-        if not (lreport.is_pseudomanifold and lreport.closed):
-            return Verdict(
-                REFUTED, f"link of vertex {v} is not a closed pseudomanifold"
-            )
-        lchi = euler_characteristic(L)
-        lexpected = 1 + (-1) ** (d - 1)
-        if lchi != lexpected:
-            return Verdict(
-                REFUTED,
-                f"link of vertex {v} has Euler characteristic {lchi} != {lexpected}",
-            )
+    for k in sizes:
+        faces = sorted(tuple(sorted(f)) for f in _reference_faces(X) if len(f) == k)
+        for F in faces:
+            L = X
+            for v in F:
+                L = link(L, v)
+            name = f"vertex {F[0]}" if k == 1 else f"face {F}"
+            lreport = pseudomanifold_check(L)
+            if not (lreport.is_pseudomanifold and lreport.closed):
+                return Verdict(
+                    REFUTED, f"link of {name} is not a closed pseudomanifold"
+                )
+            lchi = euler_characteristic(L)
+            lexpected = 1 + (-1) ** (d - k)
+            if lchi != lexpected:
+                return Verdict(
+                    REFUTED,
+                    f"link of {name} has Euler characteristic {lchi} != {lexpected}",
+                )
     return None
 
 
@@ -287,6 +297,40 @@ def reference_screens(X: Complex) -> Verdict | None:
     if chi != expected:
         return Verdict(REFUTED, f"Euler characteristic {chi} != {expected}")
     return reference_link_screen(X)
+
+
+def reference_certify_sphere(X: Complex, budget: int, seed: int) -> Verdict:
+    """``certify_sphere`` on complexes of dimension 2 and up, as it was when
+    a failed walk certified every vertex link again, with the full budget
+    and recursively: the gates, the screens, the rescanning walk, then each
+    link, built by ``reference_link``."""
+    refutation = reference_sphere_gates(X) or reference_screens(X)
+    if refutation is not None:
+        return refutation
+    d = X.dim
+    if d == 2:
+        return Verdict(
+            CERTIFIED,
+            "exact (dim 2): closed surface with Euler characteristic 2 and cycle links",
+        )
+    ok, trace = reference_greedy_reduce(X, budget, seed)
+    if ok:
+        return Verdict(
+            CERTIFIED,
+            f"reduced to the standard {d}-sphere in {len(trace)} bistellar moves",
+            trace,
+        )
+    unknown_links = []
+    for v in X.vertices:
+        sub = reference_certify_sphere(reference_link(X, v), budget, seed)
+        if sub.is_refuted:
+            return Verdict(REFUTED, f"link of vertex {v} refuted: {sub.reason}")
+        if sub.is_unknown:
+            unknown_links.append(v)
+    detail = f"; links unresolved at {unknown_links}" if unknown_links else ""
+    return Verdict(
+        UNKNOWN, f"bistellar reduction budget exhausted ({budget} moves){detail}"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from combisphere import (
     link,
 )
 from combisphere import Complex, recognition
-from combisphere.recognition import CERTIFIED, DEFAULT_BUDGET, REFUTED, Verdict
+from combisphere.recognition import CERTIFIED, DEFAULT_BUDGET, REFUTED, UNKNOWN, Verdict
 from combisphere.core import _ridge_map
 from combisphere.errors import NotStacked
 from helpers import (
@@ -35,6 +35,7 @@ from helpers import (
     random_flag_2sphere,
     random_stacked_ball,
     random_stacked_sphere,
+    reference_certify_sphere,
     reference_certify_surface,
     reference_collapse_stacked_sphere_to_ball,
     reference_greedy_reduce,
@@ -446,10 +447,16 @@ class TestLowDimensionsMatchReference:
         assert certify_sphere(X) == _reference_low_dim_verdict(X)
 
 
+def _screens(X):
+    ridges = recognition._MoveIndex(X, X.dim, sizes=(X.dim,))._cofacets[X.dim]
+    return recognition._Screens(X, ridges)
+
+
 class TestLinkScreenMatchesReference:
-    """_screen reads X, its star map and the gates' ridge map, where the
-    screens built every link and counted the f-vector (kept in
-    tests/helpers.py).  Both give the same first refutation, or none."""
+    """_Screens reads X, the facet adjacency and the gates' ridge map, where
+    the screens built every link and counted the f-vector (kept in
+    tests/helpers.py).  Both give the same first refutation, or none, for
+    chi(X) and the vertex links and, called directly, for the larger faces."""
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -463,12 +470,39 @@ class TestLinkScreenMatchesReference:
         X = _pinch(_planted_complex(kind, dim, None, 0, 0, rng), rng, pinches)
         if reference_sphere_gates(X) is not None:
             return
-        ridges = recognition._MoveIndex(X, X.dim, sizes=(X.dim,))._cofacets[X.dim]
+        screens = _screens(X)
         expected = reference_screens(X)
-        assert recognition._screen(X, ridges) == expected
+        assert screens.stalled() == expected
         # a complex the screens refute is no sphere, so collapses stall on it
         if expected is not None:
             assert certify_sphere(X, budget=20) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(["stacked", "cross", "torus", "pinched"]),
+        dim=st.sampled_from([4, 5]),
+        pinches=st.sampled_from([0, 1, 1, 2, 3]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_face_links(self, kind, dim, pinches, seed):
+        rng = random.Random(seed)
+        X = _pinch(_planted_complex(kind, dim, None, 0, 0, rng), rng, pinches)
+        if reference_sphere_gates(X) is not None:
+            return
+        sizes = range(2, X.dim - 1)
+        assert _screens(X).links(sizes) == reference_link_screen(X, sizes)
+
+    def test_face_screen_names_the_first_failing_face(self):
+        # chi(X) refutes torus * S0 * S0 inside certify_sphere, and so do its
+        # vertex links; called alone, the face screen finds the edge that
+        # the torus links
+        X = join(_suspend(moebius_torus()), from_facets([(10,), (11,)]))
+        assert certify_sphere(X).reason == "Euler characteristic 0 != 2"
+        expected = Verdict(
+            REFUTED, "link of face (8, 10) has Euler characteristic 0 != 2"
+        )
+        assert _screens(X).links(range(2, X.dim - 1)) == expected
+        assert reference_link_screen(X, (2,)) == expected
 
 
 class TestSurfaceLinksNeedNoCheck:
@@ -682,20 +716,27 @@ def _join_of_cycles(*lengths):
 class TestScreensOnlyWhenCollapsesStall:
     """From dimension 3 on certify_sphere makes vertex collapses before it
     counts Euler characteristics or walks the vertex links.  Spheres that
-    collapses reduce are never screened; otherwise _screen runs once, on X
-    unflipped and its ridge map."""
+    collapses reduce are never screened; otherwise X unflipped and its ridge
+    map are screened once when collapses stall, for chi and the vertex
+    links, and once more, for the larger faces, if the walk fails."""
 
     @pytest.fixture
     def screened(self, monkeypatch):
         calls = []
-        screen = recognition._screen
+        stalled, links = recognition._Screens.stalled, recognition._Screens.links
 
-        def recorded(X, ridges):
-            owners = {r: frozenset(map(tuple, fs)) for r, fs in ridges.items()}
-            calls.append((X, owners))
-            return screen(X, ridges)
+        def recorded_stalled(screens):
+            owners = {r: frozenset(map(tuple, fs)) for r, fs in screens.ridges.items()}
+            calls.append((screens.X, owners))
+            return stalled(screens)
 
-        monkeypatch.setattr(recognition, "_screen", recorded)
+        def recorded_links(screens, sizes):
+            # the ridges as the face lists hold them
+            calls.append((screens.X, sorted(screens.faces[screens.X.dim]), sizes))
+            return links(screens, sizes)
+
+        monkeypatch.setattr(recognition._Screens, "stalled", recorded_stalled)
+        monkeypatch.setattr(recognition._Screens, "links", recorded_links)
         return calls
 
     def test_collapsed_spheres_are_never_screened(self, screened):
@@ -721,12 +762,17 @@ class TestScreensOnlyWhenCollapsesStall:
         if name == "cross_polytope(5)":
             # a collapse comes first, and drops the ridges from the index
             X = _subdivided(X, random.Random(0))[0]
-        certify_sphere(X, budget)
+        verdict = certify_sphere(X, budget)
         ridges = {
             r: frozenset(map(tuple, fs)) for r, fs in _ridge_map(X).items()
         }
-        # the recursion into the links of cross_polytope(6) screens them too
-        assert [call for call in screened if call[0].dim == X.dim] == [(X, ridges)]
+        expected = [(X, ridges), (X, sorted(ridges), range(1, 2))]
+        # cross_polytope(6) exhausts its budget, and its larger faces are
+        # screened after the walk, on the same X and ridges, unflipped
+        if verdict.is_unknown:
+            expected.append((X, sorted(ridges), range(2, X.dim - 1)))
+        assert screened == expected
+        assert verdict.is_unknown == (name == "cross_polytope(6)")
 
 
 @contextlib.contextmanager
@@ -800,7 +846,7 @@ class TestWalkMatchesReference:
     def test_catalog_spheres(self, on_reference, name):
         self._assert_same(on_reference, certify_sphere, get(name).complex, (0, 1, 7))
 
-    def test_cross_polytope_6_cycles_undoes_and_recurses(self, on_reference):
+    def test_cross_polytope_6_cycles_undoes_and_stays_unknown(self, on_reference):
         X = get("cross_polytope(6)").complex
         v = certify_sphere(X, 100, 0)
         assert v.is_unknown
@@ -871,6 +917,61 @@ class TestWalkMatchesReference:
         ok, trace = recognition._greedy_reduce(index, DEFAULT_BUDGET, seed)
         assert (ok, trace) == reference_greedy_reduce(S, DEFAULT_BUDGET, seed)
         assert ok and is_standard(apply_trace(S, trace)).sphere
+
+
+@contextlib.contextmanager
+def _counted_flips():
+    """Counts the _MoveIndex.flip calls made inside; yields a one-element
+    list that holds the count."""
+    count = [0]
+    flip = recognition._MoveIndex.flip
+
+    def counted(index, A, B):
+        count[0] += 1
+        flip(index, A, B)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(recognition._MoveIndex, "flip", counted)
+        yield count
+
+
+class TestFaceScreenMatchesRecursion:
+    """After a failed walk certify_sphere screens the face links, where it
+    certified every vertex link again, recursively (kept in
+    tests/helpers.py).  Both refute the same inputs; where the recursion
+    nests no refutation and resolves every link, they agree on the whole
+    verdict.  No call spends more than budget moves."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(["stacked", "cross", "torus", "pinched"]),
+        dim=st.sampled_from([3, 4, 5]),
+        pinches=st.sampled_from([0, 0, 1, 2]),
+        subdivided=st.integers(0, 3),
+        budget=st.sampled_from([0, 1, 3, 30]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_planted_complexes(self, kind, dim, pinches, subdivided, budget, seed):
+        rng = random.Random(seed)
+        X = _pinch(_planted_complex(kind, dim, None, 0, 0, rng), rng, pinches)
+        X = _stellar(X, rng, subdivided)
+        with _counted_flips() as flips:
+            verdict = certify_sphere(X, budget, seed)
+        assert flips[0] <= budget
+        expected = reference_certify_sphere(X, budget, seed)
+        assert verdict.status == expected.status
+        recursed = "refuted: " in expected.reason or "links unresolved" in expected.reason
+        if not recursed:
+            assert verdict == expected
+
+    def test_cross_polytope_7_spends_at_most_the_budget(self):
+        # no vertex link is walked after the walk of X
+        with _counted_flips() as flips:
+            verdict = certify_sphere(get("cross_polytope(7)").complex, 100)
+        assert verdict == Verdict(
+            UNKNOWN, "bistellar reduction budget exhausted (100 moves)"
+        )
+        assert flips[0] == 100
 
 
 def _pinned_input(name):
