@@ -232,8 +232,9 @@ def _emit(text: str, args: argparse.Namespace) -> None:
 
 def _do_info(args: argparse.Namespace) -> tuple[str, int]:
     X = _load_complex(args)
+    # counted once, and before the ridge map and facet graph are built and kept
+    f_vector = X.f_vector
     report = pseudomanifold_check(X)
-    f_vector = X.f_vector  # counted once: euler_characteristic would count again
     obj: dict[str, Any] = {
         "dim": X.dim,
         "n_vertices": X.n_vertices,

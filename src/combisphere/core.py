@@ -3,7 +3,9 @@
 Vertex labels are positive integers.  A complex is stored by its facet set in
 canonical order (each facet strictly increasing, facets sorted
 lexicographically), so equal complexes serialize to identical bytes.  All
-values are immutable; every operation returns a fresh ``Complex``.
+values are immutable; every operation returns a fresh ``Complex``.  What a
+``Complex`` derives from its facets, the ridge map and the facet graph
+across its 2-owner ridges among them, it builds once, on first use.
 
 The empty complex exists only as the boundary of a closed pseudomanifold.  No
 constructor accepts an empty facet list or an empty facet, and no other
@@ -13,7 +15,7 @@ operation returns one.
 from __future__ import annotations
 
 import itertools
-from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
+from typing import Collection, Iterable, Mapping, NamedTuple
 
 from .errors import (
     DuplicateVertexInFacet,
@@ -67,19 +69,27 @@ class Simplex(tuple):
 class Complex:
     """A pure simplicial complex, identified with its canonical facet tuple.
 
-    The vertices, the faces of each size and the star map (vertex -> the
-    vertex sets of the facets through it, in facet order) are derived on first
-    use.  Queries for the facets containing a vertex or a face read the star
-    map.
+    The vertices, the faces of each size and three maps are derived on first
+    use: the star map (vertex -> the vertex sets of the facets through it, in
+    facet order), the ridge map (ridge -> the facets owning it) and the facet
+    graph (facet -> the facets across its ridges in exactly two facets).
+    Queries for the facets containing a vertex or a face read the star map;
+    the boundary, the pseudomanifold checks and the sphere screens read the
+    ridge map and the facet graph.  Readers must not mutate them.
     """
 
-    __slots__ = ("_facets", "_stars", "_vertices", "_vertex_set", "_faces", "_hash")
+    __slots__ = (
+        "_facets", "_stars", "_ridges", "_graph", "_vertices", "_vertex_set",
+        "_faces", "_hash",
+    )
 
     def __init__(self, facets: tuple[Simplex, ...], *, _canonical: bool = False):
         if not _canonical:
             raise TypeError("use from_facets() or the module operations")
         self._facets = facets
         self._stars: dict[int, list[frozenset[int]]] | None = None
+        self._ridges: dict[tuple[int, ...], list[Simplex]] | None = None
+        self._graph: dict[Simplex, list[Simplex]] | None = None
         self._vertices: tuple[int, ...] | None = None
         self._vertex_set: frozenset[int] | None = None
         self._faces: dict[int, frozenset[frozenset[int]]] = {}
@@ -176,6 +186,28 @@ class Complex:
         vs = frozenset(face)
         star = min(map(self._star, vs), key=len) if vs else map(frozenset, self._facets)
         return [fs for fs in star if vs <= fs]
+
+    def _ridge_map(self) -> dict[tuple[int, ...], list[Simplex]]:
+        """Ridge -> owning facets, in facet order.  Ridges are sorted tuples,
+        first met with the facets in canonical order, each facet's ridges by
+        dropped position."""
+        if self._ridges is None:
+            self._ridges = {}
+            for f in self._facets:
+                for i in range(len(f)):
+                    self._ridges.setdefault(f[:i] + f[i + 1 :], []).append(f)
+        return self._ridges
+
+    def _facet_graph(self) -> dict[Simplex, list[Simplex]]:
+        """Facet -> the facets across its ridges that lie in exactly two facets."""
+        if self._graph is None:
+            self._graph = {f: [] for f in self._facets}
+            for owners in self._ridge_map().values():
+                if len(owners) == 2:
+                    a, b = owners
+                    self._graph[a].append(b)
+                    self._graph[b].append(a)
+        return self._graph
 
     # -- value semantics -----------------------------------------------------------
 
@@ -306,15 +338,6 @@ def complement(X: Complex, Y: Complex) -> Complex:
     return Complex._from_simplices(f for f in X.facets if f not in drop)
 
 
-def _ridge_map(X: Complex) -> dict[tuple[int, ...], list[Simplex]]:
-    """Ridge -> owning facets, in facet order.  Ridges are sorted tuples."""
-    ridges: dict[tuple[int, ...], list[Simplex]] = {}
-    for f in X.facets:
-        for i in range(len(f)):
-            ridges.setdefault(f[:i] + f[i + 1 :], []).append(f)
-    return ridges
-
-
 def _is_connected(
     adj: Mapping[tuple[int, ...], Iterable[tuple[int, ...]]], root: tuple[int, ...]
 ) -> bool:
@@ -362,11 +385,7 @@ def boundary(X: Complex) -> Complex:
     """Ridges lying in exactly one facet.  May be empty (closed input)."""
     if X.dim < 1:
         raise NonPure("boundary requires dimension >= 1")
-    return _boundary(_ridge_map(X))
-
-
-def _boundary(ridges: Mapping[tuple[int, ...], Collection[Simplex]]) -> Complex:
-    """boundary, read off a ridge map as _ridge_map builds it."""
+    ridges = X._ridge_map()
     for r, owners in ridges.items():
         if len(owners) > 2:
             raise RidgeInThreeFacets(f"ridge {r} lies in {len(owners)} facets")
@@ -378,7 +397,7 @@ def _boundary(ridges: Mapping[tuple[int, ...], Collection[Simplex]]) -> Complex:
 
 def dual_graph(X: Complex) -> DualGraph:
     """Facet adjacency along shared ridges, with the ridge index."""
-    ridges = _ridge_map(X)
+    ridges = X._ridge_map()
     adj: dict[Simplex, set[Simplex]] = {f: set() for f in X.facets}
     edges: set[tuple[Simplex, Simplex]] = set()
     ridge_index: dict[Simplex, tuple[Simplex, ...]] = {}
@@ -401,37 +420,23 @@ def dual_graph(X: Complex) -> DualGraph:
 def pseudomanifold_check(X: Complex) -> PseudomanifoldReport:
     """Every ridge in at most two facets and the dual graph connected; closed
     when every ridge is in exactly two."""
-    ridges = _ridge_map(X)
-    if X.is_empty or _pm_failure(ridges, X.facets) is not None:
+    if X.is_empty or _pm_failure(X) is not None:
         return PseudomanifoldReport(False, False)
-    return PseudomanifoldReport(True, all(len(o) == 2 for o in ridges.values()))
+    return PseudomanifoldReport(
+        True, all(len(o) == 2 for o in X._ridge_map().values())
+    )
 
 
-def _pm_failure(
-    ridges: Mapping[tuple[int, ...], Collection[tuple[int, ...]]],
-    facets: Sequence[tuple[int, ...]],
-) -> str | None:
-    """Why the facets, with ridge map ridges (each ridge -> the facets owning
-    it), are not a pseudomanifold, or None.
+def _pm_failure(X: Complex) -> str | None:
+    """Why the nonempty X is not a pseudomanifold, or None.
 
-    The ridge named is the first with three or more owners in _ridge_map
-    order: facets in canonical order, each facet's ridges by dropped
-    position.  With none, the facet graph is disconnected.
+    The ridge named is the first with three or more owners in ridge map
+    order.  With none, the facet graph is disconnected.
     """
-    if any(len(owners) > 2 for owners in ridges.values()):
-        for f in facets:
-            for i in range(len(f)):
-                ridge = f[:i] + f[i + 1 :]
-                owners = len(ridges[ridge])
-                if owners > 2:
-                    return f"not a pseudomanifold: ridge {ridge} lies in {owners} facets"
-    adj: dict[tuple[int, ...], list[tuple[int, ...]]] = {f: [] for f in facets}
-    for owners in ridges.values():
-        if len(owners) == 2:
-            a, b = owners
-            adj[a].append(b)
-            adj[b].append(a)
-    if not _is_connected(adj, facets[0]):
+    for ridge, owners in X._ridge_map().items():
+        if len(owners) > 2:
+            return f"not a pseudomanifold: ridge {ridge} lies in {len(owners)} facets"
+    if not _is_connected(X._facet_graph(), X.facets[0]):
         return "not a pseudomanifold: the facet-adjacency graph is disconnected"
     return None
 

@@ -392,7 +392,8 @@ def perturb_to_general_position(
     label order tries the zero displacement first, then random rational
     displacements of halving magnitude, accepting the first candidate that
     keeps the processed prefix in general position and the whole
-    configuration realizing the target complex.
+    configuration realizing the target complex.  Every vertex of the
+    target needs a point.
     """
     d = pc.dim
     if len(pc) < d + 1:
@@ -404,6 +405,9 @@ def perturb_to_general_position(
         raise DegenerateSpan(
             f"target facets have {len(anchor)} vertices, expected {d}"
         )
+    for v in combinatorial_type.vertices:
+        if v not in rows:
+            raise VertexNotPresent(f"no point labeled {v}")
     if not _all_independent([rows[v] for v in anchor], d, []):
         raise DegenerateSpan(
             f"anchor facet {tuple(anchor)} is affinely degenerate"

@@ -19,11 +19,10 @@ from typing import Any, Callable, Collection, Iterable
 from .core import (
     Complex,
     Simplex,
-    _boundary,
     _is_connected,
     _link_shape,
     _pm_failure,
-    _ridge_map,
+    boundary,
     pseudomanifold_check,
 )
 from .errors import NotStacked, VertexNotPresent
@@ -125,17 +124,14 @@ class _MoveIndex:
     tuples.  The legal moves are those with |A| <= max_a:
     certify_sphere uses max_a = dim, and the vertex collapse max_a = 1.
 
-    Only the face sizes a reader uses are indexed.  Size 1 is always kept:
-    is_standard_sphere and the vertex moves read it.  index(k) fills one
-    size.  certify_sphere fills the ridges first, for its gates, and from
-    dimension 3 on the vertices before it walks; the first flip drops every
-    size not kept.  The first settle(k) keeps size k and its partner size
-    dim + 2 - k, the size of the B of its moves (the facets for k = 1),
-    indexing either only if it is not indexed still.  On stacked spheres
-    pool settles only size 1, so no size in 2..dim - 1 is ever indexed with
-    owners.
+    Only the face sizes a reader uses are indexed.  Size 1 is indexed at
+    once: is_standard_sphere and the vertex moves read it.  The first
+    settle(k) indexes size k and its partner size dim + 2 - k, the size of
+    the B of its moves (the facets for k = 1), unless they are indexed
+    already.  On stacked spheres pool settles only size 1, so no size in
+    2..dim is ever indexed.
 
-    The cofacets of a kept size are exact after every flip; legality is
+    The cofacets of an indexed size are exact after every flip; legality is
     settled lazily, one size |A| at a time.  _shape maps each link-shaped
     face A to its B, _pointing maps each B back to the faces A with that
     shape, and _legal[k] holds the faces A with k vertices whose B is not a
@@ -150,7 +146,7 @@ class _MoveIndex:
     A, which change only in a flip that puts A in _dirty[|A|] until the size
     is settled, so settling reshapes A.  And _legal agrees with the presence
     of B for every stored shape, stale or not, at all times, by this
-    invariant: while size k holds stored shapes, size dim + 2 - k is kept.
+    invariant: while size k holds stored shapes, size dim + 2 - k is indexed.
     So flip calls _toggle whenever a face B of a stored shape appears or
     vanishes, and settle updates _legal whenever it changes a stored shape.
     flip adds the born facets before it removes the gone ones, so a face of
@@ -158,17 +154,14 @@ class _MoveIndex:
     """
 
     __slots__ = (
-        "dim", "facets", "_sizes", "_kept", "_cofacets", "_shape", "_pointing",
-        "_legal", "_dirty",
+        "dim", "facets", "_sizes", "_cofacets", "_shape", "_pointing", "_legal",
+        "_dirty",
     )
 
-    def __init__(self, X: Complex, max_a: int, sizes: Iterable[int] = (1,)):
-        """Index the faces with k vertices for each k in sizes.  Size 1 must
-        be indexed before the first flip, pool or is_standard_sphere."""
+    def __init__(self, X: Complex, max_a: int):
         self.dim = X.dim
         self.facets: set[tuple[int, ...]] = {tuple(f) for f in X.facets}
         self._sizes = range(1, max_a + 1)
-        self._kept = {1}
         # _cofacets[k], for each indexed size k: each face with k vertices ->
         # the facets containing it; a face that is gone has no key.
         self._cofacets: dict[int, dict[tuple[int, ...], set[tuple[int, ...]]]] = {}
@@ -178,13 +171,12 @@ class _MoveIndex:
         self._legal: list[set[tuple[int, ...]]] = [set() for _ in range(max_a + 1)]
         # _dirty[k], for each settled size k: the k-faces that may have new shapes
         self._dirty: dict[int, set[tuple[int, ...]]] = {}
-        for k in sizes:
-            self.index(k)
+        self.index(1)
 
     def index(self, k: int) -> None:
         """Fill the cofacets of the faces with k vertices.
 
-        No stored shape has a B with k vertices before size k is kept, so
+        No stored shape has a B with k vertices before size k is indexed, so
         unlike flip this has no legality to toggle.
         """
         faces: dict[tuple[int, ...], set[tuple[int, ...]]] = {}
@@ -213,10 +205,8 @@ class _MoveIndex:
         faces: Iterable[tuple[int, ...]] | None = self._dirty.get(k)
         if faces is None:
             for j in (k, n):
-                if j <= self.dim:
-                    self._kept.add(j)
-                    if j not in self._cofacets:
-                        self.index(j)
+                if j <= self.dim and j not in self._cofacets:
+                    self.index(j)
             faces = self._cofacets[k]
         self._dirty[k] = set()
         cofacets, shapes, legal = self._cofacets[k], self._shape, self._legal[k]
@@ -274,8 +264,6 @@ class _MoveIndex:
         """Replace the |B| facets of A * dB by the |A| facets of dA * B."""
         gone = tuple(self._cofacets[len(A)][A])
         born = [tuple(sorted(A[:i] + A[i + 1 :] + B)) for i in range(len(A))]
-        for k in self._cofacets.keys() - self._kept:
-            del self._cofacets[k]
         self.facets.difference_update(gone)
         self.facets.update(born)
         for f in born:
@@ -311,13 +299,13 @@ def _greedy_reduce(
 ) -> tuple[bool, tuple[MovePair, ...]] | Verdict:
     """Walk the flip graph toward the boundary of a simplex.
 
-    The walk flips the _MoveIndex it is given (max_a = dim, size 1 indexed)
-    in place.  A step costs one pass over the subfaces of the facets the
-    flip removes and adds, for each size kept so far, then reshaping the
-    faces of A u B, for the sizes |A| that pool settles, plus sorting one
-    pool.  While vertex collapses are legal that is |A| = 1 alone; a walk of
-    vertex collapses keeps only the vertices, and no step rescans every
-    face against every facet.
+    The walk flips the _MoveIndex it is given (max_a = dim) in place.  A
+    step costs one pass over the subfaces of the facets the flip removes and
+    adds, for each size indexed so far, then reshaping the faces of A u B,
+    for the sizes |A| that pool settles, plus sorting one pool.  While
+    vertex collapses are legal that is |A| = 1 alone; a walk of vertex
+    collapses indexes only the vertices, and no step rescans every face
+    against every facet.
 
     Choice rule: immediately undoing the previous move is avoided unless it
     is the only legal move.  The pool is the remaining legal moves with the
@@ -356,15 +344,14 @@ def _greedy_reduce(
 
 @dataclass
 class _Screens:
-    """Checks chi(X) and the face links of a closed pseudomanifold X with
-    ridge -> owners map ridges: lk F must be connected across its ridges,
-    with the chi of a (dim X - |F|)-sphere, to which each face tau through F
-    adds (-1)^(|tau| - |F| - 1).  certify_sphere reads the face lists and
-    adjacency first when collapses stall, before flips can write to ridges.
+    """Checks chi(X) and the face links of a closed pseudomanifold X: lk F
+    must be connected across the ridges through F, with the chi of a
+    (dim X - |F|)-sphere, to which each face tau through F adds
+    (-1)^(|tau| - |F| - 1).  The screens read X's ridge map and facet
+    graph, which no flip of the walk touches.
     """
 
     X: Complex
-    ridges: dict[tuple[int, ...], set[tuple[int, ...]]]
 
     @cached_property
     def faces(self) -> list[Collection[Any]]:
@@ -374,20 +361,16 @@ class _Screens:
         for k in range(2, d):
             combos = (itertools.combinations(f, k) for f in X.facets)
             faces.append(set(itertools.chain.from_iterable(combos)))
-        return faces + [list(self.ridges), X.facets]
+        return faces + [X._ridge_map().keys(), X.facets]
 
     @cached_property
-    def _adjacency(self) -> tuple[dict[Any, list[Any]], dict[int, set[Any]]]:
-        across: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-        for a, b in self.ridges.values():
-            across.setdefault(a, []).append(b)
-            across.setdefault(b, []).append(a)
-        # the stars of the owner tuples themselves, which X's stars are not
-        stars: dict[int, set[tuple[int, ...]]] = {}
-        for f in across:
+    def stars(self) -> dict[int, set[Simplex]]:
+        # the stars of the facet graph's keys themselves, which X's stars are not
+        stars: dict[int, set[Simplex]] = {}
+        for f in self.X.facets:
             for v in f:
                 stars.setdefault(v, set()).add(f)
-        return across, stars
+        return stars
 
     def stalled(self) -> Verdict | None:
         """The refutation by chi(X) or, from dimension 3 on, a vertex link."""
@@ -399,7 +382,8 @@ class _Screens:
 
     def links(self, sizes: range) -> Verdict | None:
         """The first failing link of a face with a size in sizes, or None."""
-        d, faces, (across, stars) = self.X.dim, self.faces, self._adjacency
+        d, faces, stars = self.X.dim, self.faces, self.stars
+        across = self.X._facet_graph()
         for k in sizes:
             # per k-face, the faces through it with an even and an odd size
             through: tuple[Counter[Any], Counter[Any]] = (Counter(), Counter())
@@ -436,8 +420,8 @@ def certify_sphere(
     bistellar reduction proves spheres, and when it fails the face links
     are screened for a refutation.
 
-    The gates read the ridge map of a _MoveIndex that indexes nothing else
-    until they pass.  They name a ridge in three or more facets
+    The gates read X's ridge map and facet graph, and a _MoveIndex is built
+    only once they pass.  They name a ridge in three or more facets
     (_pm_failure), then a disconnected facet graph, then the smallest ridge
     in one facet (in dimension 0, the empty face).  _Screens then checks
     chi(X) in dimension 2; from dimension 3 on, chi(X) and the vertex links
@@ -458,23 +442,19 @@ def certify_sphere(
     if X.is_empty:
         return Verdict(REFUTED, "the empty complex is not a sphere")
     d = X.dim
-    # the gates and screens read only the ridges; a refused input indexes no more
-    index = _MoveIndex(X, d, sizes=(d,))
-    ridges = index._cofacets[d]
-    failure = _pm_failure(ridges, X.facets)
+    failure = _pm_failure(X)
     if failure is not None:
         return Verdict(REFUTED, failure)
-    open_ridges = [r for r, owners in ridges.items() if len(owners) == 1]
+    open_ridges = [r for r, owners in X._ridge_map().items() if len(owners) == 1]
     if open_ridges:
         ridge = min(open_ridges)
         return Verdict(REFUTED, f"has boundary: ridge {ridge} lies in exactly one facet")
-    screens = _Screens(X, ridges)
+    screens = _Screens(X)
     if d <= 2:
         # past the gates, two points and a cycle are spheres: chi checks surfaces
         return (d == 2 and screens.stalled()) or Verdict(CERTIFIED, _EXACT[d])
     # d >= 3: vertex collapses first, the screens only if they stall
-    index.index(1)
-    walked = _greedy_reduce(index, budget, seed, screens.stalled)
+    walked = _greedy_reduce(_MoveIndex(X, d), budget, seed, screens.stalled)
     if isinstance(walked, Verdict):
         return walked
     ok, trace = walked
@@ -508,11 +488,10 @@ def certify_ball(
         return Verdict(CERTIFIED, "standard ball: the closure of one simplex")
     if X.dim == 0:
         return Verdict(REFUTED, "a 0-ball is a single point")
-    ridges = _ridge_map(X)
-    failure = _pm_failure(ridges, X.facets)
+    failure = _pm_failure(X)
     if failure is not None:
         return Verdict(REFUTED, failure)
-    bd = _boundary(ridges)
+    bd = boundary(X)
     if bd.is_empty:
         return Verdict(REFUTED, "no boundary: a closed pseudomanifold is not a ball")
     bd_verdict = certify_sphere(bd, budget, seed)
@@ -551,7 +530,7 @@ def is_stacked_ball(X: Complex) -> StackedBallReport:
     # two facets share at most one ridge, so each 2-owner ridge is one edge
     adj: dict[Simplex, set[Simplex]] = {f: set() for f in X.facets}
     n_edges = 0
-    for pair in _ridge_map(X).values():
+    for pair in X._ridge_map().values():
         if len(pair) > 2:
             return StackedBallReport(
                 False, reason="a ridge lies in three or more facets"

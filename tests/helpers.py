@@ -1149,6 +1149,23 @@ def _reference_prefix_general_position(coords, processed, label, d) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def record_ridge_map_builds(monkeypatch) -> dict:
+    """Wrap ``Complex._ridge_map`` and record each build of a ridge map: a
+    call on a complex that returns a map it had not returned before.  The
+    returned dict maps (id(X), id(map)) to (X, map), in order of build, and
+    keeps both alive so that no id is reused while it is read."""
+    built: dict = {}
+    ridge_map = Complex._ridge_map
+
+    def recorded(X):
+        ridges = ridge_map(X)
+        built.setdefault((id(X), id(ridges)), (X, ridges))
+        return ridges
+
+    monkeypatch.setattr(Complex, "_ridge_map", recorded)
+    return built
+
+
 def moebius_torus() -> Complex:
     """The 7-vertex torus: orbits of two triangles under i -> i + 1 (mod 7)."""
     facets = []

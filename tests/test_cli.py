@@ -397,6 +397,7 @@ DEEP_POINTS = '{"dim": 1, "points": {"1": ' + "[" * DEEP + "]" * DEEP + "}}"
 COLLIDING_POINTS = '{"dim": 1, "points": {"1": ["0"], "01": ["5"], "2": ["2"]}}'
 # a repeated key: json.loads alone keeps the last value and drops the first
 REPEATED_POINT = '{"dim": 1, "points": {"1": ["0"], "1": ["5"], "2": ["2"]}}'
+TETRAHEDRON_7_TO_10 = "7 8 9\n7 8 10\n7 9 10\n8 9 10\n"
 REPEATED_FACETS = '{"dim": 1, "facets": [[1, 2], [2, 3]], "facets": [[1, 2]]}'
 
 
@@ -421,6 +422,8 @@ class TestHostileInput:
                        "--factor", source, "--factor", str(cycle)],
             "target": ["hull", "--points", str(tmp_path / "octa.json"),
                        "--perturb", "--target", source],
+            "target-labels": ["hull", "--catalog", "cyclic_polytope_points(6,3)",
+                              "--perturb", "--target", source],
             "points": ["hull", "--points", source],
             "points-stdin": ["hull", "--points", source],
         }[via]
@@ -454,6 +457,12 @@ class TestHostileInput:
     def test_repeated_facets_key(self, capsys, monkeypatch, tmp_path, via):
         err = self._run(capsys, monkeypatch, tmp_path, REPEATED_FACETS, via)
         assert "repeats the key 'facets'" in err
+
+    def test_target_vertex_without_a_point(self, capsys, monkeypatch, tmp_path):
+        # the boundary of a tetrahedron on labels that no point carries
+        err = self._run(capsys, monkeypatch, tmp_path, TETRAHEDRON_7_TO_10,
+                        "target-labels")
+        assert err == "combisphere: no point labeled 7\n"
 
     @pytest.mark.parametrize("verb", [["info"], ["verify", "sphere"],
                                       ["verify", "ball"], ["complete", "degree"]])

@@ -47,6 +47,7 @@ from helpers import (
     random_flag_2sphere,
     random_stacked_ball,
     random_stacked_sphere,
+    record_ridge_map_builds,
     reference_complete_ball_degree_d,
     reference_complete_disc,
     reference_meet_inside,
@@ -512,3 +513,24 @@ class TestMeetCheckMatchesReference:
         R = [P, Q, boundary(P), boundary(Q),
              random_stacked_ball(rng, d, rng.randint(d + 1, d + 6))][pick]
         assert _meet_inside(P, Q, R) == reference_meet_inside(P, Q, R)
+
+
+class TestOneRidgeMapPerComplex:
+    """A completion builds complexes, then certifies them, caps them along
+    their boundary or suspends them.  Those steps read one ridge map per
+    complex: no complex builds its own twice."""
+
+    @pytest.mark.parametrize("complete, make_input", [
+        (complete_ball_degree_d, lambda rng: get("example43_ball").complex),
+        (complete_disc, lambda rng: random_disc(rng, 9)),
+        (complete_degree_d, lambda rng: random_stacked_sphere(rng, 3, 12)),
+        (complete_flag, lambda rng: get("cross_polytope(4)").complex),
+        (complete_stacked_sphere, lambda rng: random_stacked_sphere(rng, 3, 12)),
+    ], ids=["ball_degree_d", "disc", "degree_d", "flag", "stacked_sphere"])
+    def test_no_ridge_map_is_built_twice(self, monkeypatch, complete, make_input):
+        X = make_input(random.Random(2))
+        built = record_ridge_map_builds(monkeypatch)
+        complete(X)
+        owners = [id(Y) for Y, _ in built.values()]
+        assert id(X) in owners
+        assert len(set(owners)) == len(owners)

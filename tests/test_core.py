@@ -23,6 +23,7 @@ from combisphere import (
     one_point_suspension,
     pseudomanifold_check,
 )
+from combisphere.core import _pm_failure
 from combisphere.errors import (
     DuplicateVertexInFacet,
     EmptyInput,
@@ -59,6 +60,7 @@ from helpers import (
     reference_has_face,
     reference_is_subcomplex,
     reference_link,
+    reference_pm_failure_reason,
     reference_pseudomanifold_check,
 )
 
@@ -530,10 +532,32 @@ class TestSharedChecksMatchReference:
     @settings(max_examples=150, deadline=None)
     @given(X=complexes())
     def test_ridge_map_users(self, X):
-        assert pseudomanifold_check(X) == reference_pseudomanifold_check(X)
-        assert _outcome(boundary, X) == _outcome(reference_boundary, X)
-        complexes_to_check = [X]
-        if X.dim >= 1 and reference_pseudomanifold_check(X).closed:
+        report = reference_pseudomanifold_check(X)
+        expected = None if report.is_pseudomanifold else reference_pm_failure_reason(X)
+        assert _pm_failure(X) == expected
+        # the facet graph: X's facets, each -> the facets across its 2-owner ridges
+        across = {f: [] for f in X.facets}
+        for owners in reference_dual_graph(X).ridge_index.values():
+            if len(owners) == 2:
+                a, b = owners
+                across[a].append(b)
+                across[b].append(a)
+        graph = X._facet_graph()
+        assert list(graph) == list(X.facets)
+        assert {f: sorted(g) for f, g in graph.items()} == {
+            f: sorted(g) for f, g in across.items()
+        }
+        # X has built and kept its ridge map and facet graph by now: its
+        # answers are those of a fresh copy, which builds them for each reader
+        def fresh():
+            return Complex._from_simplices(X.facets)
+
+        assert pseudomanifold_check(X) == pseudomanifold_check(fresh()) == report
+        assert _outcome(boundary, X) == _outcome(boundary, fresh()) == _outcome(
+            reference_boundary, X
+        )
+        complexes_to_check = [X, fresh()]
+        if X.dim >= 1 and report.closed:
             complexes_to_check.append(boundary(X))  # the empty complex
         for Y in complexes_to_check:
             g, ref = dual_graph(Y), reference_dual_graph(Y)

@@ -253,6 +253,17 @@ class TestPerturbation:
         with pytest.raises(PerturbationBudgetExhausted):
             perturb_to_general_position(octahedron_points(), target, seed=0)
 
+    @pytest.mark.parametrize("facets, label", [
+        # the anchor facet itself holds labels with no point
+        ([(7, 8, 9), (7, 8, 10), (7, 9, 10), (8, 9, 10)], 7),
+        # the anchor is fine, a later facet is not
+        ([(1, 2, 3), (1, 2, 9), (1, 3, 9), (2, 3, 9)], 9),
+    ])
+    def test_target_vertex_without_a_point(self, facets, label):
+        pts = get("cyclic_polytope_points(6,3)").points
+        with pytest.raises(VertexNotPresent, match=f"^no point labeled {label}$"):
+            perturb_to_general_position(pts, from_facets(facets), seed=0)
+
 
 class TestPolytopalComplete:
     def test_cyclic_polytope(self):
@@ -446,10 +457,17 @@ class TestIntegerKernelMatchesReference:
                 )
             seed = data.draw(st.integers(0, 1 << 16))
             attempts = data.draw(st.integers(1, 6))
+            expected = _outcome(
+                reference_perturb_to_general_position, pc, target, seed, attempts
+            )
+            missing = sorted(target.vertex_set.difference(pc.labels))
+            if missing and len(pc) > pc.dim and target.dim == pc.dim - 1:
+                # the reference raised a bare KeyError on a missing anchor
+                # point, or tried every displacement in vain
+                expected = (VertexNotPresent, f"no point labeled {missing[0]}")
             assert _outcome(
                 perturb_to_general_position, pc, target, seed, attempts
-            ) == _outcome(reference_perturb_to_general_position, pc, target, seed,
-                          attempts)
+            ) == expected
 
     @pytest.mark.parametrize("points", [
         octahedron_points(), cube_points(),

@@ -24,9 +24,9 @@ from combisphere import (
 )
 from combisphere import Complex, recognition
 from combisphere.recognition import CERTIFIED, DEFAULT_BUDGET, REFUTED, UNKNOWN, Verdict
-from combisphere.core import _ridge_map
 from combisphere.errors import NotStacked
 from helpers import (
+    _reference_ordered_ridge_map,
     apply_trace,
     face_polynomial,
     moebius_torus,
@@ -35,6 +35,7 @@ from helpers import (
     random_flag_2sphere,
     random_stacked_ball,
     random_stacked_sphere,
+    record_ridge_map_builds,
     reference_certify_sphere,
     reference_certify_surface,
     reference_collapse_stacked_sphere_to_ball,
@@ -275,9 +276,9 @@ def _planted_complex(kind, dim, union, removed, planted, rng):
 
 
 class TestSphereGatesMatchReference:
-    """certify_sphere reads its pseudomanifold and closedness gates off one
-    ridge map, from dimension 3 on the move index's.  Their verdicts, down to
-    the ridge each reason names, are those of the gates it ran before."""
+    """certify_sphere reads its pseudomanifold and closedness gates off the
+    ridge map and facet graph of X.  Their verdicts, down to the ridge each
+    reason names, are those of the gates it ran before."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -326,44 +327,56 @@ class TestSphereGatesMatchReference:
             REFUTED, "not a pseudomanifold: ridge () lies in 3 facets"
         )
 
-    def test_refused_inputs_index_only_the_ridges(self, monkeypatch):
+    def test_the_move_index_holds_only_what_pool_settles(self, monkeypatch):
         events = []
-        index, flip = recognition._MoveIndex.index, recognition._MoveIndex.flip
+        init, index = recognition._MoveIndex.__init__, recognition._MoveIndex.index
+        settle, flip = recognition._MoveIndex.settle, recognition._MoveIndex.flip
+
+        def recorded_init(self, X, max_a):
+            events.append("init")
+            init(self, X, max_a)
 
         def recorded_index(self, k):
             events.append(k)
             index(self, k)
 
+        def recorded_settle(self, k):
+            if k not in self._dirty:  # the first settle of size k
+                events.append(("settle", k))
+            settle(self, k)
+
         def recorded_flip(self, A, B):
             events.append("flip")
             flip(self, A, B)
 
-        monkeypatch.setattr(recognition._MoveIndex, "index", recorded_index)
-        monkeypatch.setattr(recognition._MoveIndex, "flip", recorded_flip)
+        for name, wrapper in (("__init__", recorded_init), ("index", recorded_index),
+                              ("settle", recorded_settle), ("flip", recorded_flip)):
+            monkeypatch.setattr(recognition._MoveIndex, name, wrapper)
+        # the gates read X's ridge map: a refused input builds no move index
         X = _planted_complex("stacked", 4, "wedge", 0, 0, random.Random(3))
         assert certify_sphere(X).is_refuted
-        assert events == [4]
-        # a stacked sphere is reduced by vertex collapses alone: past the
-        # ridges for the gates and the vertices, no size is indexed
+        assert events == []
+        # a stacked sphere is reduced by vertex collapses alone, and only the
+        # vertices are indexed
         rng = random.Random(5)
         for d in (3, 4, 5):
             events.clear()
             assert certify_sphere(random_stacked_sphere(rng, d, d + 12)).is_certified
-            assert [k for k in events if k != "flip"] == [d, 1]
-        # a size is indexed again only once a flip has dropped it, and the
-        # screens index nothing: the first edge moves of cross_polytope(5)
-        # reuse the ridges of the gates.  Subdivided, its first move (the
-        # collapse) drops them from the index, the screens read the gates'
-        # ridge map of the unflipped complex, and the edge moves index the
-        # ridges again
+            assert [e for e in events if e != "flip"] == ["init", 1, ("settle", 1)]
+        # the first settle of size k indexes k and dim + 2 - k, unless they
+        # are indexed already: cross_polytope(5) has no vertex move, and its
+        # pool settles the edges with the ridges, then the triangles, then
+        # the ridges, which are indexed.  Subdivided, its first move is the
+        # collapse, and the same sizes follow
         cp5 = get("cross_polytope(5)").complex
-        for X, expected, before_first_flip in (
-            (cp5, [4, 1, 2, 3], 4),
-            (_subdivided(cp5, random.Random(0))[0], [4, 1, 2, 4, 3], 2),
+        expected = ["init", 1, ("settle", 1), ("settle", 2), 2, 4, ("settle", 3), 3,
+                    ("settle", 4)]
+        for X, before_first_flip in (
+            (cp5, 9), (_subdivided(cp5, random.Random(0))[0], 3),
         ):
             events.clear()
             assert certify_sphere(X).is_certified
-            assert [k for k in events if k != "flip"] == expected
+            assert [e for e in events if e != "flip"] == expected
             assert events.index("flip") == before_first_flip
 
     def test_named_ridge_follows_ridge_map_order(self):
@@ -378,17 +391,18 @@ class TestSphereGatesMatchReference:
         assert reference_sphere_gates(X) == expected
         assert certify_sphere(X) == expected
 
-    def test_no_ridge_map_on_the_index_path(self, monkeypatch):
+    def test_one_ridge_map_and_no_face_counts(self, monkeypatch):
         def forbidden(name):
             def guarded(X):
                 raise AssertionError(f"{name} on a {X.dim}-complex")
             return guarded
 
-        for name in ("pseudomanifold_check", "_ridge_map"):
-            monkeypatch.setattr(recognition, name, forbidden(name))
+        monkeypatch.setattr(recognition, "pseudomanifold_check",
+                            forbidden("pseudomanifold_check"))
         # euler_characteristic counts the f-vector, and recognition no longer imports it
         monkeypatch.setattr(Complex, "f_vector", property(forbidden("f_vector")))
         assert not hasattr(recognition, "euler_characteristic")
+        built = record_ridge_map_builds(monkeypatch)
         S = random_stacked_sphere(random.Random(1), 2, 9)
         for X in (
             from_facets([(1,), (2,)]),
@@ -401,7 +415,9 @@ class TestSphereGatesMatchReference:
             join(moebius_torus(), _shifted_torus()),
             _planted_complex("stacked", 3, "wedge", 1, 2, random.Random(3)),
         ):
+            built.clear()
             assert certify_sphere(X, budget=20).reason
+            assert [Y for Y, _ in built.values()] == [X]
 
 
 def _reference_low_dim_verdict(X):
@@ -425,9 +441,9 @@ def _reference_low_dim_verdict(X):
 
 
 class TestLowDimensionsMatchReference:
-    """Dimensions 0 to 2 read their gates and chi off the move index as the
-    higher ones do, where they read _ridge_map and the f-vector.  Every
-    verdict is the one those gave, down to the ridge each reason names."""
+    """Dimensions 0 to 2 read their gates and chi off X's ridge map as the
+    higher ones do, where they read the f-vector.  Every verdict is the one
+    that gave, down to the ridge each reason names."""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -447,14 +463,9 @@ class TestLowDimensionsMatchReference:
         assert certify_sphere(X) == _reference_low_dim_verdict(X)
 
 
-def _screens(X):
-    ridges = recognition._MoveIndex(X, X.dim, sizes=(X.dim,))._cofacets[X.dim]
-    return recognition._Screens(X, ridges)
-
-
 class TestLinkScreenMatchesReference:
-    """_Screens reads X, the facet adjacency and the gates' ridge map, where
-    the screens built every link and counted the f-vector (kept in
+    """_Screens reads X, its ridge map and its facet graph, where the
+    screens built every link and counted the f-vector (kept in
     tests/helpers.py).  Both give the same first refutation, or none, for
     chi(X) and the vertex links and, called directly, for the larger faces."""
 
@@ -470,7 +481,7 @@ class TestLinkScreenMatchesReference:
         X = _pinch(_planted_complex(kind, dim, None, 0, 0, rng), rng, pinches)
         if reference_sphere_gates(X) is not None:
             return
-        screens = _screens(X)
+        screens = recognition._Screens(X)
         expected = reference_screens(X)
         assert screens.stalled() == expected
         # a complex the screens refute is no sphere, so collapses stall on it
@@ -490,7 +501,7 @@ class TestLinkScreenMatchesReference:
         if reference_sphere_gates(X) is not None:
             return
         sizes = range(2, X.dim - 1)
-        assert _screens(X).links(sizes) == reference_link_screen(X, sizes)
+        assert recognition._Screens(X).links(sizes) == reference_link_screen(X, sizes)
 
     def test_face_screen_names_the_first_failing_face(self):
         # chi(X) refutes torus * S0 * S0 inside certify_sphere, and so do its
@@ -501,7 +512,7 @@ class TestLinkScreenMatchesReference:
         expected = Verdict(
             REFUTED, "link of face (8, 10) has Euler characteristic 0 != 2"
         )
-        assert _screens(X).links(range(2, X.dim - 1)) == expected
+        assert recognition._Screens(X).links(range(2, X.dim - 1)) == expected
         assert reference_link_screen(X, (2,)) == expected
 
 
@@ -726,7 +737,8 @@ class TestScreensOnlyWhenCollapsesStall:
         stalled, links = recognition._Screens.stalled, recognition._Screens.links
 
         def recorded_stalled(screens):
-            owners = {r: frozenset(map(tuple, fs)) for r, fs in screens.ridges.items()}
+            ridges = screens.X._ridge_map()
+            owners = {r: frozenset(map(tuple, fs)) for r, fs in ridges.items()}
             calls.append((screens.X, owners))
             return stalled(screens)
 
@@ -760,11 +772,12 @@ class TestScreensOnlyWhenCollapsesStall:
     def test_stalled_collapses_screen_once_unflipped(self, screened, name, budget):
         X = get(name).complex
         if name == "cross_polytope(5)":
-            # a collapse comes first, and drops the ridges from the index
+            # a collapse comes first: the walk has flipped when collapses stall
             X = _subdivided(X, random.Random(0))[0]
         verdict = certify_sphere(X, budget)
         ridges = {
-            r: frozenset(map(tuple, fs)) for r, fs in _ridge_map(X).items()
+            r: frozenset(map(tuple, fs))
+            for r, fs in _reference_ordered_ridge_map(X).items()
         }
         expected = [(X, ridges), (X, sorted(ridges), range(1, 2))]
         # cross_polytope(6) exhausts its budget, and its larger faces are
@@ -1146,14 +1159,14 @@ class TestMoveIndexMatchesRebuild:
         steps=st.integers(1, 30),
         seed=st.integers(0, 2**16),
     )
-    # the collapse of the subdividing vertex drops the ridges, and the edge
-    # moves that follow index them again
+    # the collapse of the subdividing vertex comes first, and the edge moves
+    # that follow index the edges and the ridges
     @example(kind="cross", dim=4, extra=1, subdivide=True, steps=4, seed=0)
     def test_sizes_indexed_on_demand_match_a_fresh_index(
         self, kind, dim, extra, subdivide, steps, seed
     ):
-        # built as certify_sphere builds it: the ridges, then the vertices,
-        # then whatever sizes the walk comes to use
+        # built as certify_sphere builds it: the vertices, then whatever
+        # sizes the walk comes to use
         rng = random.Random(seed)
         if subdivide:
             X, _ = _walk_start(kind, dim, extra, rng)
@@ -1161,8 +1174,7 @@ class TestMoveIndexMatchesRebuild:
             X = random_stacked_sphere(rng, dim, dim + 1 + extra)
         else:
             X = get(f"cross_polytope({dim + 1})").complex
-        index = recognition._MoveIndex(X, X.dim, sizes=(X.dim,))
-        index.index(1)
+        index = recognition._MoveIndex(X, X.dim)
         undo = None
         for _ in range(steps):
             fresh = _settled_fresh(index, X.dim)
