@@ -141,9 +141,9 @@ def _meet_inside(P: Complex, Q: Complex, R: Complex) -> bool:
     are read off Q's vertex stars.
     """
     return all(
-        R.has_face(q.intersection(p))
+        R.has_face([u for u in q if u in p])
         for p in P.facets
-        for q in {q for v in p for q in Q._star(v)}
+        for q in set().union(*map(Q._star, p))
     )
 
 

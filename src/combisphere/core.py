@@ -15,6 +15,7 @@ operation returns one.
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from typing import Collection, Iterable, Mapping, NamedTuple
 
 from .errors import (
@@ -69,30 +70,29 @@ class Simplex(tuple):
 class Complex:
     """A pure simplicial complex, identified with its canonical facet tuple.
 
-    The vertices, the faces of each size and three maps are derived on first
-    use: the star map (vertex -> the vertex sets of the facets through it, in
-    facet order), the ridge map (ridge -> the facets owning it) and the facet
-    graph (facet -> the facets across its ridges in exactly two facets).
-    Queries for the facets containing a vertex or a face read the star map;
-    the boundary, the pseudomanifold checks and the sphere screens read the
-    ridge map and the facet graph.  Readers must not mutate them.
+    The vertices and three maps are derived on first use: the star map
+    (vertex -> the facets through it), the ridge map (ridge -> the facets
+    owning it) and the facet graph (facet -> the facets across its ridges in
+    exactly two facets).  All three name a facet by the same Simplex.  Queries
+    for the facets containing a vertex or a face intersect vertex stars; the
+    boundary, the pseudomanifold checks and the sphere screens read the ridge
+    map and the facet graph.  Readers must not mutate them.
     """
 
     __slots__ = (
         "_facets", "_stars", "_ridges", "_graph", "_vertices", "_vertex_set",
-        "_faces", "_hash",
+        "_hash",
     )
 
     def __init__(self, facets: tuple[Simplex, ...], *, _canonical: bool = False):
         if not _canonical:
             raise TypeError("use from_facets() or the module operations")
         self._facets = facets
-        self._stars: dict[int, list[frozenset[int]]] | None = None
+        self._stars: dict[int, set[Simplex]] | None = None
         self._ridges: dict[tuple[int, ...], list[Simplex]] | None = None
         self._graph: dict[Simplex, list[Simplex]] | None = None
         self._vertices: tuple[int, ...] | None = None
         self._vertex_set: frozenset[int] | None = None
-        self._faces: dict[int, frozenset[frozenset[int]]] = {}
         self._hash: int | None = None
 
     # -- construction ---------------------------------------------------------
@@ -144,48 +144,48 @@ class Complex:
     def n_vertices(self) -> int:
         return len(self.vertices)
 
+    def _face_tuples(self, k: int) -> set[tuple[int, ...]]:
+        """The faces with k >= 0 vertices as sorted tuples, in a fresh set.
+        Facets are sorted, so distinct vertex combinations are distinct faces."""
+        combos = (itertools.combinations(f, k) for f in self._facets)
+        return set(itertools.chain.from_iterable(combos))
+
     def faces_of_size(self, k: int) -> frozenset[frozenset[int]]:
         """All faces with exactly k vertices, as frozensets."""
         if k < 0 or k > self.dim + 1:
             return frozenset()
-        if k not in self._faces:
-            out: set[frozenset[int]] = set()
-            for f in self._facets:
-                out.update(frozenset(c) for c in itertools.combinations(f, k))
-            self._faces[k] = frozenset(out)
-        return self._faces[k]
+        return frozenset(map(frozenset, self._face_tuples(k)))
 
     @property
     def f_vector(self) -> tuple[int, ...]:
-        """The number of faces with 1..dim + 1 vertices.  Facets are sorted
-        tuples, so distinct vertex combinations are distinct faces."""
-        counts = []
-        for k in range(1, self.dim + 2):
-            faces: set[tuple[int, ...]] = set()
-            for f in self._facets:
-                faces.update(itertools.combinations(f, k))
-            counts.append(len(faces))
-        return tuple(counts)
+        """The number of faces with 1..dim + 1 vertices."""
+        return tuple(len(self._face_tuples(k)) for k in range(1, self.dim + 2))
 
     def has_face(self, face: Iterable[int]) -> bool:
         return bool(self._facets_containing(face))
 
-    def _star(self, v: int) -> list[frozenset[int]]:
-        """The facets through v as vertex sets, in facet order; [] for a non-vertex."""
+    def _star_map(self) -> dict[int, set[Simplex]]:
+        """Vertex -> the facets through it."""
         if self._stars is None:
-            self._stars = {}
+            self._stars = defaultdict(set)
             for f in self._facets:
-                fs = frozenset(f)
                 for u in f:
-                    self._stars.setdefault(u, []).append(fs)
-        return self._stars.get(v, [])
+                    self._stars[u].add(f)
+        return self._stars
 
-    def _facets_containing(self, face: Iterable[int]) -> list[frozenset[int]]:
-        """The facets containing face as vertex sets, in facet order: the
-        smallest vertex star of face, filtered.  Every facet for the empty face."""
-        vs = frozenset(face)
-        star = min(map(self._star, vs), key=len) if vs else map(frozenset, self._facets)
-        return [fs for fs in star if vs <= fs]
+    def _star(self, v: int) -> set[Simplex]:
+        """The facets through v; an empty set for a non-vertex."""
+        return self._star_map().get(v) or set()
+
+    def _facets_containing(self, face: Iterable[int]) -> set[Simplex]:
+        """The facets containing face: the intersection of its vertex stars,
+        each step walking the smaller set.  Every facet for the empty face.
+        The set is fresh, never a star, so callers may consume it."""
+        star = self._star_map().get
+        stars = [star(v) or set() for v in face]
+        if not stars:
+            return set(self._facets)
+        return stars[0].intersection(*stars[1:])
 
     def _ridge_map(self) -> dict[tuple[int, ...], list[Simplex]]:
         """Ridge -> owning facets, in facet order.  Ridges are sorted tuples,
@@ -289,7 +289,9 @@ def link(X: Complex, v: int) -> Complex:
         raise VertexNotPresent(f"vertex {v} not in the complex")
     if X.dim == 0:
         raise NonPureResult("link of a vertex in a 0-complex is empty")
-    return Complex._from_vertex_sets(fs - {v} for fs in star)
+    return Complex._from_simplices(
+        Simplex._raw(tuple(u for u in f if u != v)) for f in star
+    )
 
 
 def anti_star(X: Complex, v: int) -> Complex:
@@ -302,11 +304,11 @@ def anti_star(X: Complex, v: int) -> Complex:
         raise NonPureResult(
             f"every facet contains {v}; the anti-star drops a dimension"
         )
-    for fs in star:
-        rest = fs - {v}
+    for f in sorted(star):
+        rest = tuple(u for u in f if u != v)
         if all(v in g for g in X._facets_containing(rest)):
             raise NonPureResult(
-                f"face {tuple(sorted(rest))} is maximal in the anti-star "
+                f"face {rest} is maximal in the anti-star "
                 f"but has dimension {len(rest) - 1} < {X.dim}"
             )
     return Complex._from_simplices(f for f in X.facets if v not in f)
@@ -373,7 +375,7 @@ def _link_shape(
 
 def _flip(X: Complex, A: tuple[int, ...], B: tuple[int, ...]) -> Complex:
     """Replace the facets of A * dB by the facets of dA * B."""
-    gone = {tuple(sorted(fs)) for fs in X._facets_containing(A)}
+    gone = X._facets_containing(A)
     keep = [f for f in X.facets if f not in gone]
     keep.extend(
         Simplex._raw(tuple(sorted(A[:i] + A[i + 1 :] + B))) for i in range(len(A))
@@ -502,9 +504,10 @@ def generalized_bistellar_move(
 ) -> Complex:
     """Exchange the star of face A for the complementary configuration on B.
 
-    Requires A a face whose link is exactly the boundary of B, B not a face,
-    and |A| + |B| = dim + 2.  With |B| = 1 this subdivides the facet A with a
-    fresh vertex; with |A| = 1 it is the vertex collapse of bistellar_move.
+    Requires A a nonempty face whose link is exactly the boundary of B, B not
+    a face, and |A| + |B| = dim + 2.  With |B| = 1 this subdivides the facet A
+    with a fresh vertex; with |A| = 1 it is the vertex collapse of
+    bistellar_move.
     The move is an involution: applying (B, A) afterwards restores X.
     """
     A = Simplex(a_face)
@@ -516,6 +519,8 @@ def generalized_bistellar_move(
         raise MovePreconditionFailed(
             f"|A| + |B| = {len(A) + len(B)} != dim + 2 = {X.dim + 2}"
         )
+    if not A:
+        raise MovePreconditionFailed("A must be a nonempty face")
     cofacets = X._facets_containing(A)
     if not cofacets:
         raise MovePreconditionFailed(f"{tuple(A)} is not a face")

@@ -392,8 +392,8 @@ def perturb_to_general_position(
     label order tries the zero displacement first, then random rational
     displacements of halving magnitude, accepting the first candidate that
     keeps the processed prefix in general position and the whole
-    configuration realizing the target complex.  Every vertex of the
-    target needs a point.
+    configuration realizing the target complex.  The point labels must be
+    exactly the target's vertices.
     """
     d = pc.dim
     if len(pc) < d + 1:
@@ -408,6 +408,9 @@ def perturb_to_general_position(
     for v in combinatorial_type.vertices:
         if v not in rows:
             raise VertexNotPresent(f"no point labeled {v}")
+    stray = set(rows) - combinatorial_type.vertex_set
+    if stray:
+        raise VertexNotPresent(f"point {min(stray)} is not a vertex of the target")
     if not _all_independent([rows[v] for v in anchor], d, []):
         raise DegenerateSpan(
             f"anchor facet {tuple(anchor)} is affinely degenerate"

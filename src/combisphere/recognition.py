@@ -347,8 +347,8 @@ class _Screens:
     """Checks chi(X) and the face links of a closed pseudomanifold X: lk F
     must be connected across the ridges through F, with the chi of a
     (dim X - |F|)-sphere, to which each face tau through F adds
-    (-1)^(|tau| - |F| - 1).  The screens read X's ridge map and facet
-    graph, which no flip of the walk touches.
+    (-1)^(|tau| - |F| - 1).  The screens read X's stars, ridge map and
+    facet graph, which no flip of the walk touches.
     """
 
     X: Complex
@@ -356,21 +356,10 @@ class _Screens:
     @cached_property
     def faces(self) -> list[Collection[Any]]:
         # faces[k]: the k-vertex faces, ints for k = 1 and tuples after (dim >= 2)
-        X, d = self.X, self.X.dim
+        X = self.X
         faces: list[Collection[Any]] = [(), X.vertices]
-        for k in range(2, d):
-            combos = (itertools.combinations(f, k) for f in X.facets)
-            faces.append(set(itertools.chain.from_iterable(combos)))
+        faces.extend(X._face_tuples(k) for k in range(2, X.dim))
         return faces + [X._ridge_map().keys(), X.facets]
-
-    @cached_property
-    def stars(self) -> dict[int, set[Simplex]]:
-        # the stars of the facet graph's keys themselves, which X's stars are not
-        stars: dict[int, set[Simplex]] = {}
-        for f in self.X.facets:
-            for v in f:
-                stars.setdefault(v, set()).add(f)
-        return stars
 
     def stalled(self) -> Verdict | None:
         """The refutation by chi(X) or, from dimension 3 on, a vertex link."""
@@ -382,8 +371,8 @@ class _Screens:
 
     def links(self, sizes: range) -> Verdict | None:
         """The first failing link of a face with a size in sizes, or None."""
-        d, faces, stars = self.X.dim, self.faces, self.stars
-        across = self.X._facet_graph()
+        X, faces = self.X, self.faces
+        d, across = X.dim, X._facet_graph()
         for k in sizes:
             # per k-face, the faces through it with an even and an odd size
             through: tuple[Counter[Any], Counter[Any]] = (Counter(), Counter())
@@ -394,7 +383,7 @@ class _Screens:
             expected = 1 + (-1) ** (d - k)
             kind = "vertex" if k == 1 else "face"
             for F in sorted(faces[k]):
-                unseen = set.intersection(*(stars[v] for v in ((F,) if k == 1 else F)))
+                unseen = X._facets_containing((F,) if k == 1 else F)
                 stack = [unseen.pop()]
                 while stack:
                     # the popped facet meets g in a ridge through F iff g contains F

@@ -469,9 +469,10 @@ def reference_generalized_bistellar_move(
 ) -> Complex:
     """Exchange the star of face A for the complementary configuration on B.
 
-    Requires A a face whose link is exactly the boundary of B, B not a face,
-    and |A| + |B| = dim + 2.  With |B| = 1 this subdivides the facet A with a
-    fresh vertex; with |A| = 1 it is the vertex collapse of bistellar_move.
+    Requires A a nonempty face whose link is exactly the boundary of B, B not
+    a face, and |A| + |B| = dim + 2.  With |B| = 1 this subdivides the facet A
+    with a fresh vertex; with |A| = 1 it is the vertex collapse of
+    bistellar_move.
     The move is an involution: applying (B, A) afterwards restores X.
     """
     A = Simplex(a_face)
@@ -483,6 +484,8 @@ def reference_generalized_bistellar_move(
         raise MovePreconditionFailed(
             f"|A| + |B| = {len(A) + len(B)} != dim + 2 = {X.dim + 2}"
         )
+    if not A:
+        raise MovePreconditionFailed("A must be a nonempty face")
     a_set, b_set = frozenset(A), frozenset(B)
     if not X.has_face(a_set):
         raise MovePreconditionFailed(f"{tuple(A)} is not a face")

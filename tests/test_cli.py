@@ -464,6 +464,19 @@ class TestHostileInput:
                         "target-labels")
         assert err == "combisphere: no point labeled 7\n"
 
+    @pytest.mark.parametrize("argv, message", [
+        (["info", "--catalog", "cyclic_polytope_points(6,3)"],
+         "catalog entry 'cyclic_polytope_points(6,3)' is a point configuration"),
+        (["hull", "--catalog", "cycle(5)"],
+         "catalog entry 'cycle(5)' is not a point configuration"),
+        (["complete", "polytopal", "--in", "t.txt"],
+         "complete polytopal needs --points or --catalog"),
+    ], ids=["complex-from-points", "points-from-complex", "polytopal-without-points"])
+    def test_wrong_kind_of_input(self, capsys, monkeypatch, tmp_path, argv, message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "t.txt").write_text("1 2\n2 3\n1 3\n")
+        assert run(capsys, *argv) == (65, "", f"combisphere: {message}\n")
+
     @pytest.mark.parametrize("verb", [["info"], ["verify", "sphere"],
                                       ["verify", "ball"], ["complete", "degree"]])
     def test_empty_facet(self, capsys, tmp_path, verb):

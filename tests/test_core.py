@@ -389,6 +389,15 @@ class TestGeneralizedBistellarMove:
         with pytest.raises(MovePreconditionFailed):
             generalized_bistellar_move(S, (2,), (1, 3, 4))
 
+    @pytest.mark.parametrize("name, B", [
+        ("standard_sphere(2)", (1, 2, 3, 4)),
+        ("cycle(3)", (1, 2, 3)),
+    ])
+    def test_empty_a_rejected(self, name, B):
+        # the empty face lies in every facet, so the move would empty X
+        with pytest.raises(MovePreconditionFailed, match="A must be a nonempty face"):
+            generalized_bistellar_move(get(name).complex, (), B)
+
 
 # ---------------------------------------------------------------------------
 # the shared ridge map, connectivity walk and link-shape test against the
@@ -585,7 +594,8 @@ class TestSharedChecksMatchReference:
         ]:
             assert _outcome(move, S0, *args) == _outcome(ref, S0, *args)
         assert bistellar_move(S0, 1, (3,)) == from_facets([(2,), (3,)])
-        assert generalized_bistellar_move(S0, (), (1, 2)).is_empty
+        with pytest.raises(MovePreconditionFailed, match="A must be a nonempty face"):
+            generalized_bistellar_move(S0, (), (1, 2))
 
     def test_ridges_print_as_plain_tuples(self):
         from combisphere import certify_sphere
@@ -650,6 +660,18 @@ class TestStarQueriesMatchReference:
         face = data.draw(_subfaces(X))
         assert X.has_face(face) == reference_has_face(X, face)
         assert X.has_face(iter(face)) == reference_has_face(X, face)
+
+    @settings(max_examples=300, deadline=None)
+    @given(X=pure_complexes(), data=st.data())
+    def test_facet_queries_are_fresh_sets_of_the_facets(self, X, data):
+        face = data.draw(_subfaces(X))
+        stars = {v: set(X._star(v)) for v in X.vertices}
+        found = X._facets_containing(face)
+        assert found == {f for f in X.facets if set(face) <= set(f)}
+        # the stars, ridge map and facet graph share one object per facet
+        assert {id(f) for f in found} <= {id(f) for f in X.facets}
+        found.clear()  # a reader may consume the set; no star loses a facet
+        assert {v: X._star(v) for v in X.vertices} == stars
 
     @settings(max_examples=300, deadline=None)
     @given(X=pure_complexes(), data=st.data())

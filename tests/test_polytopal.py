@@ -264,6 +264,13 @@ class TestPerturbation:
         with pytest.raises(VertexNotPresent, match=f"^no point labeled {label}$"):
             perturb_to_general_position(pts, from_facets(facets), seed=0)
 
+    def test_point_that_is_not_a_target_vertex(self):
+        # point 7 has no place on the hull of the six points before it
+        pts = get("cyclic_polytope_points(7,3)").points
+        target = convex_hull(get("cyclic_polytope_points(6,3)").points).boundary_complex
+        with pytest.raises(VertexNotPresent, match="^point 7 is not a vertex of the target$"):
+            perturb_to_general_position(pts, target, seed=0)
+
 
 class TestPolytopalComplete:
     def test_cyclic_polytope(self):
@@ -326,6 +333,21 @@ def _outcome(fn, *args, **kwargs):
         return "ok", fn(*args, **kwargs)
     except Exception as exc:
         return type(exc), str(exc)
+
+
+def _reference_perturbation(pc, target, *args):
+    """The reference perturbation's outcome, where point labels and target
+    vertices agree.  Where they differ, the reference raised a bare KeyError
+    on a missing anchor point or tried every displacement in vain; the
+    library names the smallest label at fault."""
+    if len(pc) > pc.dim and target.dim == pc.dim - 1:  # the size checks passed
+        missing = sorted(target.vertex_set.difference(pc.labels))
+        if missing:
+            return VertexNotPresent, f"no point labeled {missing[0]}"
+        stray = sorted(set(pc.labels).difference(target.vertex_set))
+        if stray:
+            return VertexNotPresent, f"point {stray[0]} is not a vertex of the target"
+    return _outcome(reference_perturb_to_general_position, pc, target, *args)
 
 
 def _affine_combination(draw, points):
@@ -457,17 +479,9 @@ class TestIntegerKernelMatchesReference:
                 )
             seed = data.draw(st.integers(0, 1 << 16))
             attempts = data.draw(st.integers(1, 6))
-            expected = _outcome(
-                reference_perturb_to_general_position, pc, target, seed, attempts
-            )
-            missing = sorted(target.vertex_set.difference(pc.labels))
-            if missing and len(pc) > pc.dim and target.dim == pc.dim - 1:
-                # the reference raised a bare KeyError on a missing anchor
-                # point, or tried every displacement in vain
-                expected = (VertexNotPresent, f"no point labeled {missing[0]}")
             assert _outcome(
                 perturb_to_general_position, pc, target, seed, attempts
-            ) == expected
+            ) == _reference_perturbation(pc, target, seed, attempts)
 
     @pytest.mark.parametrize("points", [
         octahedron_points(), cube_points(),
@@ -491,5 +505,5 @@ class TestIntegerKernelMatchesReference:
         octa = get("octahedron").complex
         for seed in range(3):
             assert _outcome(perturb_to_general_position, points, octa, seed) == (
-                _outcome(reference_perturb_to_general_position, points, octa, seed)
+                _reference_perturbation(points, octa, seed)
             )

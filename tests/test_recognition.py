@@ -594,6 +594,23 @@ class TestCertifyBall:
     def test_non_pseudomanifold_refuted(self):
         assert certify_ball(from_facets([(1, 2, 3), (1, 2, 4), (1, 2, 5)])).is_refuted
 
+    def test_annulus_boundary_refuted(self):
+        annulus = from_facets(
+            [(1, 2, 4), (2, 4, 5), (2, 3, 5), (3, 5, 6), (1, 3, 6), (1, 4, 6)]
+        )
+        assert certify_ball(annulus) == Verdict(
+            REFUTED,
+            "boundary is not a sphere: not a pseudomanifold: "
+            "the facet-adjacency graph is disconnected",
+        )
+
+    def test_punctured_torus_capped_refuted(self):
+        # one facet short of the torus: a disc boundary, but a torus when capped
+        punctured = from_facets(moebius_torus().facets[1:])
+        assert certify_ball(punctured) == Verdict(
+            REFUTED, "capped complex is not a sphere: Euler characteristic 0 != 2"
+        )
+
 
 class TestIsStackedBall:
     def test_random_stacked_balls_with_witness(self):
