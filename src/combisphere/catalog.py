@@ -192,9 +192,10 @@ _POINT_PROPERTIES = ("dim", "n_points")
 _NAME_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)(?:\(([^()]*)\))?$")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def _build(base: str, *args: int) -> NamedExample:
-    """Build the entry of row `base` of the table at `args`, once per argument list."""
+    """Build the entry of row `base` of the table at `args`; the 32 entries
+    last used are kept, with the maps their complexes derive, and no more."""
     build, provenance, stated = _TABLE[base]
     signature = inspect.signature(build)
     names = tuple(signature.parameters)

@@ -29,9 +29,7 @@ from .constructions import (
 )
 from .core import Complex, pseudomanifold_check
 from .errors import (
-    ComplexError,
     FactorNotSphere,
-    GeometryError,
     NotBall,
     NotDisc,
     NotFlag,
@@ -189,31 +187,39 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _catalog_complex(name: str) -> Complex:
+def _catalog_entry(name: str, points: bool) -> Complex | PointConfiguration:
+    """The point configuration of a catalog entry if points, else its complex."""
     entry = _catalog.get(name)
-    if entry.complex is None:
-        raise ValueError(f"catalog entry {name!r} is a point configuration")
-    return entry.complex
-
-
-def _catalog_points(name: str) -> PointConfiguration:
-    entry = _catalog.get(name)
-    if entry.points is None:
-        raise ValueError(f"catalog entry {name!r} is not a point configuration")
-    return entry.points
+    found = entry.points if points else entry.complex
+    if found is None:
+        kind = "not a" if points else "a"
+        raise ValueError(f"catalog entry {name!r} is {kind} point configuration")
+    return found
 
 
 def _load_complex(args: argparse.Namespace) -> Complex:
-    if getattr(args, "catalog", None):
-        return _catalog_complex(args.catalog)
+    """Only complete takes --points besides --in and --catalog, as the input
+    that its polytopal kind reads in place of a complex."""
+    if args.catalog is not None:
+        return _catalog_entry(args.catalog, points=False)
+    if args.infile is None:
+        raise ValueError(f"complete {args.kind} needs --in or --catalog")
     return serialize.parse_complex(_read(args.infile))
+
+
+def _load_points(args: argparse.Namespace) -> PointConfiguration:
+    if args.catalog is not None:
+        return _catalog_entry(args.catalog, points=True)
+    if args.points is None:
+        raise ValueError(f"complete {args.kind} needs --points or --catalog")
+    return serialize.parse_points(_read(args.points))
 
 
 def _resolve_source(source: str) -> Complex:
     """A factor or target: an existing file wins, otherwise the catalog."""
     if source == "-" or os.path.exists(source):
         return serialize.parse_complex(_read(source))
-    return _catalog_complex(source)
+    return _catalog_entry(source, points=False)
 
 
 def _emit(text: str, args: argparse.Namespace) -> None:
@@ -314,13 +320,8 @@ def _completion_output(result, args: argparse.Namespace) -> tuple[str, int]:
 def _do_complete(args: argparse.Namespace) -> tuple[str, int]:
     kw = {"trust": args.trust, "budget": args.budget, "seed": args.seed}
     if args.kind == "polytopal":
-        if args.points:
-            pc = serialize.parse_points(_read(args.points))
-        elif args.catalog:
-            pc = _catalog_points(args.catalog)
-        else:
-            raise ValueError("complete polytopal needs --points or --catalog")
-        return _completion_output(polytopal_complete(pc, args.vertex), args)
+        result = polytopal_complete(_load_points(args), args.vertex)
+        return _completion_output(result, args)
     X = _load_complex(args)
     if args.kind == "join":
         if len(args.factor) < 2:
@@ -346,10 +347,7 @@ def _do_complete(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def _do_hull(args: argparse.Namespace) -> tuple[str, int]:
-    if args.points:
-        pc = serialize.parse_points(_read(args.points))
-    else:
-        pc = _catalog_points(args.catalog)
+    pc = _load_points(args)
     if args.perturb:
         if not args.target:
             raise ValueError("--perturb needs --target")
@@ -430,7 +428,7 @@ def main(argv: list[str] | None = None) -> int:
     except _REFUTATIONS as exc:
         sys.stderr.write(f"combisphere: {exc}\n")
         return EX_REFUTED
-    except (ComplexError, GeometryError, UnknownName, ValueError) as exc:
+    except (UnknownName, ValueError) as exc:
         message = exc.args[0] if exc.args else exc
         sys.stderr.write(f"combisphere: {message}\n")
         return EX_DATA

@@ -12,6 +12,7 @@ reproducible; explicit choices override.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
@@ -97,6 +98,15 @@ def _finish(
     return CompletionResult(sphere, True, tuple(trace))
 
 
+def _suspend_and_finish(
+    input_complex: Complex, T: Complex, u: int, v: int, trace: list[str]
+) -> CompletionResult:
+    """Finish with the one-point suspension of T over (u, v)."""
+    sphere = one_point_suspension(T, u, v)
+    trace.append(f"one-point suspension (u={u}, v={v})")
+    return _finish(input_complex, sphere, trace)
+
+
 _INPUT_CHECKS = {
     "sphere": (NotSphere, "certification"),
     "ball": (NotBall, "ball certification"),
@@ -130,6 +140,11 @@ def _degree_d_vertex(X: Complex, v: int | None, d: int) -> int:
     if degree(X, v) != d:
         raise NoDegreeDVertex(f"vertex {v} has degree {degree(X, v)} != {d}")
     return v
+
+
+def _joined(*parts: Complex) -> Complex:
+    """The join of the parts, taken left to right."""
+    return functools.reduce(join, parts)
 
 
 def _meet_inside(P: Complex, Q: Complex, R: Complex) -> bool:
@@ -171,10 +186,7 @@ def complete_join(
     if len(factors) < 2:
         raise FactorJoinMismatch("need at least two join factors")
     trace: list[str] = []
-    joined = factors[0]
-    for f in factors[1:]:
-        joined = join(joined, f)
-    if joined != S:
+    if _joined(*factors) != S:
         raise FactorJoinMismatch("the join of the factors does not equal the input")
     trace.append(f"verified input = join of {len(factors)} factors")
     if not trust:
@@ -193,14 +205,8 @@ def complete_join(
         if vi not in f.vertex_set:
             raise VertexNotPresent(f"chosen vertex {vi} is not in its factor")
     v1, v2 = v_choices[0], v_choices[1]
-    d1 = _cone(v1, anti_star(factors[0], v1))
-    b1 = d1
-    for f in factors[1:]:
-        b1 = join(b1, f)
-    d2 = _cone(v2, anti_star(factors[1], v2))
-    b2 = join(factors[0], d2)
-    for f in factors[2:]:
-        b2 = join(b2, f)
+    b1 = _joined(_cone(v1, anti_star(factors[0], v1)), *factors[1:])
+    b2 = _joined(factors[0], _cone(v2, anti_star(factors[1], v2)), *factors[2:])
     trace.append(
         f"coned vertex {v1} in factor 0 and vertex {v2} in factor 1; "
         f"union of the two balls"
@@ -241,9 +247,7 @@ def complete_degree_d(
     trace.append(f"collapsed vertex {v} onto {tuple(sigma)}")
     if u is None:
         u = min(collapsed.vertices)
-    sphere = one_point_suspension(collapsed, u, v)
-    trace.append(f"one-point suspension (u={u}, v={v})")
-    return _finish(S, sphere, trace)
+    return _suspend_and_finish(S, collapsed, u, v, trace)
 
 
 def complete_flag(
@@ -289,9 +293,7 @@ def complete_flag(
             f"the glued complex is not a sphere: {mid_verdict.reason}"
         )
     trace.append(f"glued sphere without {v}: certification {mid_verdict.status}")
-    sphere = one_point_suspension(s2, u, v)
-    trace.append(f"one-point suspension (u={u}, v={v})")
-    return _finish(S, sphere, trace)
+    return _suspend_and_finish(S, s2, u, v, trace)
 
 
 # ---------------------------------------------------------------------------

@@ -255,7 +255,7 @@ class DualGraph:
         return max(len(owners) for owners in self.ridge_index.values())
 
     def is_connected(self) -> bool:
-        return bool(self.nodes) and _is_connected(self._adj, self.nodes[0])
+        return bool(self.nodes) and _is_connected(self._adj, set(self.nodes))
 
     def is_tree(self) -> bool:
         return self.is_connected() and len(self.edges) == len(self.nodes) - 1
@@ -341,17 +341,18 @@ def complement(X: Complex, Y: Complex) -> Complex:
 
 
 def _is_connected(
-    adj: Mapping[tuple[int, ...], Iterable[tuple[int, ...]]], root: tuple[int, ...]
+    adj: Mapping[tuple[int, ...], Iterable[tuple[int, ...]]],
+    unseen: set[tuple[int, ...]],
 ) -> bool:
-    """Whether every facet in the facet graph adj is reachable from root."""
-    seen = {root}
-    stack = [root]
+    """Whether the nonempty set of facets unseen is connected through its
+    own members in adj.  It consumes unseen, so pass a set of your own."""
+    stack = [unseen.pop()]
     while stack:
         for g in adj[stack.pop()]:
-            if g not in seen:
-                seen.add(g)
+            if g in unseen:
+                unseen.remove(g)
                 stack.append(g)
-    return len(seen) == len(adj)
+    return not unseen
 
 
 def _link_shape(
@@ -438,7 +439,7 @@ def _pm_failure(X: Complex) -> str | None:
     for ridge, owners in X._ridge_map().items():
         if len(owners) > 2:
             return f"not a pseudomanifold: ridge {ridge} lies in {len(owners)} facets"
-    if not _is_connected(X._facet_graph(), X.facets[0]):
+    if not _is_connected(X._facet_graph(), set(X.facets)):
         return "not a pseudomanifold: the facet-adjacency graph is disconnected"
     return None
 

@@ -23,7 +23,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Mapping, Sequence
 
-from .core import Complex, Simplex, anti_star, is_subcomplex, one_point_suspension
+from .core import Complex, Simplex, anti_star, is_subcomplex
 from .errors import (
     DegenerateSpan,
     GeometryError,
@@ -460,7 +460,7 @@ def polytopal_complete(
     the smallest remaining hull vertex.  The reduced coordinates witness the
     intermediate sphere.
     """
-    from .constructions import _finish
+    from .constructions import _suspend_and_finish
 
     d = pc.dim
     n = len(pc)
@@ -493,6 +493,5 @@ def polytopal_complete(
         )
     trace.append(f"verified the anti-star of {v} lies in the reduced boundary")
     u = min(reduced.vertices)
-    sphere = one_point_suspension(reduced, u, v)
-    trace.append(f"one-point suspension (u={u}, v={v})")
-    return replace(_finish(sphere_in, sphere, trace), witness_points=reduced_pc)
+    result = _suspend_and_finish(sphere_in, reduced, u, v, trace)
+    return replace(result, witness_points=reduced_pc)

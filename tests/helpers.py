@@ -693,11 +693,11 @@ def reference_sphere_gates(X: Complex) -> Verdict | None:
     return None
 
 
-def reference_pool(index, undo=None) -> list:
+def reference_pool(index, max_a, undo=None) -> list:
     """``_MoveIndex.pool`` as it was when every size was kept settled: the
-    index is settled in full first.  The undo move is left out only when some
-    other move, of any size, is legal."""
-    for k in index._sizes:
+    sizes up to max_a are settled in full first.  The undo move is left out
+    only when some other move, of any of those sizes, is legal."""
+    for k in range(1, max_a + 1):
         index.settle(k)
     skip = None
     if (
@@ -1175,6 +1175,28 @@ def moebius_torus() -> Complex:
     for base in ((0, 1, 3), (0, 2, 3)):
         for shift in range(7):
             facets.append(tuple(sorted((v + shift) % 7 + 1 for v in base)))
+    return from_facets(facets)
+
+
+def staircase_product(X: Complex, Y: Complex) -> Complex:
+    """The staircase triangulation of |X| x |Y|, built from the facet lists.
+
+    Over each pair of facets s, t, one simplex per monotone lattice path
+    through the vertex grid s x t.  Every facet is sorted, so the paths of
+    two pairs agree on their common faces.  The vertex (a, b) is labeled
+    (a - 1) * m + b, with m the largest vertex of Y.
+    """
+    m = max(Y.vertices)
+    facets = []
+    for s, t in itertools.product(X.facets, Y.facets):
+        p, q = len(s) - 1, len(t) - 1
+        for ups in itertools.combinations(range(p + q), p):
+            i = j = 0
+            path = [(s[0], t[0])]
+            for step in range(p + q):
+                i, j = (i + 1, j) if step in ups else (i, j + 1)
+                path.append((s[i], t[j]))
+            facets.append([(a - 1) * m + b for a, b in path])
     return from_facets(facets)
 
 

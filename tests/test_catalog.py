@@ -16,6 +16,7 @@ from combisphere import (
     link,
     one_point_suspension,
 )
+from combisphere import catalog
 from combisphere.errors import UnknownName
 from combisphere.serialize import complex_to_text
 from helpers import gale_evenness_facets
@@ -227,6 +228,14 @@ class TestLookup:
     def test_repeated_lookup_is_not_rebuilt(self):
         assert get("gs_s48").complex is get(" gs_s48 ").complex
         assert get("cycle(7)") is get("cycle(7)")
+
+    def test_the_build_cache_is_bounded(self):
+        first = get("cycle(3)")
+        for n in range(4, 44):
+            get(f"cycle({n})")
+        assert catalog._build.cache_info().currsize <= 32
+        assert get("cycle(3)") is not first
+        assert get("cycle(3)") is get("cycle(3)")
 
     def test_malformed_names(self):
         for bad in ("cycle(", "cycle)4(", "cycle(x)", "gs_m38(3)", "cycle()"):

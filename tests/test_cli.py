@@ -401,6 +401,11 @@ TETRAHEDRON_7_TO_10 = "7 8 9\n7 8 10\n7 9 10\n8 9 10\n"
 REPEATED_FACETS = '{"dim": 1, "facets": [[1, 2], [2, 3]], "facets": [[1, 2]]}'
 
 
+# the complete kinds that read a complex, not points
+COMPLEX_KINDS = ("join", "degree", "flag", "stacked-ball", "stacked-sphere",
+                 "ball-degree", "disc")
+
+
 class TestHostileInput:
     """Input that used to escape as a traceback or be read silently wrong."""
 
@@ -471,11 +476,23 @@ class TestHostileInput:
          "catalog entry 'cycle(5)' is not a point configuration"),
         (["complete", "polytopal", "--in", "t.txt"],
          "complete polytopal needs --points or --catalog"),
-    ], ids=["complex-from-points", "points-from-complex", "polytopal-without-points"])
+        *((["complete", kind, "--points", "t.txt"],
+           f"complete {kind} needs --in or --catalog") for kind in COMPLEX_KINDS),
+    ], ids=["complex-from-points", "points-from-complex", "polytopal-without-points",
+            *(f"{kind}-from-points" for kind in COMPLEX_KINDS)])
     def test_wrong_kind_of_input(self, capsys, monkeypatch, tmp_path, argv, message):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "t.txt").write_text("1 2\n2 3\n1 3\n")
         assert run(capsys, *argv) == (65, "", f"combisphere: {message}\n")
+
+    @pytest.mark.parametrize("argv, code, message", [
+        (["info", "--catalog", ""], 65, "malformed catalog name ''"),
+        (["complete", "degree", "--catalog", ""], 65, "malformed catalog name ''"),
+        (["hull", "--points", ""], 66, "[Errno 2] No such file or directory: ''"),
+    ], ids=["info-catalog", "complete-catalog", "hull-points"])
+    def test_empty_flag_value(self, capsys, argv, code, message):
+        # a given flag is read even when empty, not taken for a missing one
+        assert run(capsys, *argv) == (code, "", f"combisphere: {message}\n")
 
     @pytest.mark.parametrize("verb", [["info"], ["verify", "sphere"],
                                       ["verify", "ball"], ["complete", "degree"]])

@@ -1,10 +1,11 @@
 """Static checks on the package source, with the standard library's ast.
 
-No linter ships with the project, so four rules are checked here: every
+No linter ships with the project, so five rules are checked here: every
 imported name is used, only core reads the storage of a Complex (the
 attributes named in Complex.__slots__), no code run at import keeps a
-reference to a function that perfbench's traced mode wraps, and every
-private function, method or class is read somewhere in the package.
+reference to a function that perfbench's traced mode wraps, every private
+function, method or class is read somewhere in the package, and only a
+function without parameters has an unbounded cache.
 """
 
 from __future__ import annotations
@@ -154,6 +155,39 @@ def unread_private_definitions(trees: dict[str, ast.Module]) -> list[str]:
     return found
 
 
+def _is_unbounded_cache(decorator: ast.expr) -> bool:
+    """Whether decorator is functools.cache or lru_cache(maxsize=None)."""
+    def name(node: ast.expr) -> str | None:
+        return getattr(node, "id", getattr(node, "attr", None))
+
+    if not isinstance(decorator, ast.Call):
+        return name(decorator) == "cache"  # a bare lru_cache keeps 128
+    if name(decorator.func) != "lru_cache":
+        return False
+    sizes = [*decorator.args[:1], *(k.value for k in decorator.keywords
+                                    if k.arg == "maxsize")]
+    return any(isinstance(s, ast.Constant) and s.value is None for s in sizes)
+
+
+def unbounded_caches(tree: ast.Module) -> list[str]:
+    """Functions with parameters under an unbounded cache.
+
+    Such a cache keeps every argument list it is called with, and each
+    result with all it refers to, for the life of the process; on a method
+    it keeps every instance alive.  Without parameters there is one entry.
+    """
+    found: list[str] = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = node.args
+        if not (a.posonlyargs or a.args or a.kwonlyargs or a.vararg or a.kwarg):
+            continue
+        if any(map(_is_unbounded_cache, node.decorator_list)):
+            found.append(f"{node.name} (line {node.lineno})")
+    return found
+
+
 def test_the_checks_see_what_they_look_for():
     tree = ast.parse(
         "import os\n"
@@ -164,6 +198,38 @@ def test_the_checks_see_what_they_look_for():
     )
     assert unused_imports(tree) == ["os (line 1)", "Simplex (line 3)"]
     assert storage_reads(tree) == ["._facets (line 5)"]
+
+
+def test_the_cache_check_sees_unbounded_caches():
+    tree = ast.parse(
+        "import functools\n"
+        "from functools import cache, lru_cache\n"
+        "@functools.cache\n"
+        "def parser():\n"
+        "    pass\n"
+        "@cache\n"
+        "def a(x):\n"
+        "    pass\n"
+        "@functools.lru_cache(maxsize=None)\n"
+        "def b(*args):\n"
+        "    pass\n"
+        "@lru_cache(None)\n"
+        "def c(*, x=1):\n"
+        "    pass\n"
+        "@lru_cache(maxsize=32)\n"
+        "def bounded(x):\n"
+        "    pass\n"
+        "@lru_cache\n"
+        "def default(x):\n"
+        "    pass\n"
+        "class K:\n"
+        "    @functools.cache\n"
+        "    def method(self):\n"
+        "        pass\n"
+    )
+    assert unbounded_caches(tree) == [
+        "a (line 7)", "b (line 10)", "c (line 13)", "method (line 23)",
+    ]
 
 
 def test_the_private_check_sees_unread_definitions():
@@ -243,3 +309,8 @@ def test_no_traced_function_is_stored_at_import(path):
 def test_every_private_definition_is_read():
     trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in MODULES}
     assert unread_private_definitions(trees) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unbounded_cache_takes_arguments(path):
+    assert unbounded_caches(ast.parse(path.read_text(encoding="utf-8"))) == []

@@ -45,6 +45,7 @@ from helpers import (
     reference_screens,
     reference_sphere_gates,
     reference_surface_link_loop,
+    staircase_product,
 )
 
 
@@ -332,9 +333,9 @@ class TestSphereGatesMatchReference:
         init, index = recognition._MoveIndex.__init__, recognition._MoveIndex.index
         settle, flip = recognition._MoveIndex.settle, recognition._MoveIndex.flip
 
-        def recorded_init(self, X, max_a):
+        def recorded_init(self, X):
             events.append("init")
-            init(self, X, max_a)
+            init(self, X)
 
         def recorded_index(self, k):
             events.append(k)
@@ -514,6 +515,42 @@ class TestLinkScreenMatchesReference:
         )
         assert recognition._Screens(X).links(range(2, X.dim - 1)) == expected
         assert reference_link_screen(X, (2,)) == expected
+
+
+def _cycle(n):
+    return from_facets((i, i % n + 1) for i in range(1, n + 1))
+
+
+def _not_a_sphere(name):
+    """Closed manifolds whose homology is not a sphere's, with their facet
+    counts: S2 x S1, T3 and the suspension of S2 x S1."""
+    tetrahedron = from_facets(itertools.combinations(range(1, 5), 3))
+    if name.startswith("S2xC"):
+        return staircase_product(tetrahedron, _cycle(int(name[-1])))
+    if name == "T3":
+        return staircase_product(staircase_product(_cycle(4), _cycle(4)), _cycle(4))
+    X = staircase_product(tetrahedron, _cycle(4))
+    top = max(X.vertices)
+    return from_facets([*f, apex] for f in X.facets for apex in (top + 1, top + 2))
+
+
+class TestManifoldsThatAreNotSpheres:
+    """Closed manifolds that pass every gate and screen, so that only the
+    bistellar walk decides them: it must never reach the standard sphere."""
+
+    @pytest.mark.parametrize("name, n_facets", [
+        ("S2xC3", 36), ("S2xC4", 48), ("S2xC5", 60), ("T3", 384), ("susp-S2xC4", 96),
+    ])
+    def test_gates_and_screens_pass_and_no_seed_certifies(self, name, n_facets):
+        X = _not_a_sphere(name)
+        assert X.n_facets == n_facets
+        assert recognition._pm_failure(X) is None
+        assert all(len(owners) == 2 for owners in X._ridge_map().values())
+        screens = recognition._Screens(X)
+        assert screens.stalled() is None
+        assert screens.links(range(2, X.dim - 1)) is None
+        for seed in range(3):
+            assert not certify_sphere(X, budget=200, seed=seed).is_certified
 
 
 class TestSurfaceLinksNeedNoCheck:
@@ -943,7 +980,7 @@ class TestWalkMatchesReference:
     )
     def test_traces_match_and_replay(self, dim, extra, seed):
         S = random_stacked_sphere(random.Random(seed), dim, dim + extra)
-        index = recognition._MoveIndex(S, S.dim)
+        index = recognition._MoveIndex(S)
         ok, trace = recognition._greedy_reduce(index, DEFAULT_BUDGET, seed)
         assert (ok, trace) == reference_greedy_reduce(S, DEFAULT_BUDGET, seed)
         assert ok and is_standard(apply_trace(S, trace)).sphere
@@ -1082,14 +1119,14 @@ def _walk_start(kind, dim, extra, rng):
     return _subdivided(X, rng)
 
 
-def _settle_all(index):
-    for k in index._sizes:
+def _settle_all(index, max_a):
+    for k in range(1, max_a + 1):
         index.settle(k)
 
 
 def _settled_fresh(index, max_a):
-    fresh = recognition._MoveIndex(Complex._from_vertex_sets(index.facets), max_a)
-    _settle_all(fresh)
+    fresh = recognition._MoveIndex(Complex._from_vertex_sets(index.facets))
+    _settle_all(fresh, max_a)
     return fresh
 
 
@@ -1114,7 +1151,7 @@ class TestMoveIndexMatchesRebuild:
         rng = random.Random(seed)
         X, _ = _walk_start(kind, dim, extra, rng)
         max_a = 1 if vertex_moves_only else X.dim
-        index = recognition._MoveIndex(X, max_a)
+        index = recognition._MoveIndex(X)
         flips = 0
         while True:
             fresh = _settled_fresh(index, max_a)
@@ -1122,7 +1159,7 @@ class TestMoveIndexMatchesRebuild:
                 (A, fresh._shape[A]) for legal in fresh._legal for A in legal
             )
             if flips % settle_every == 0 or flips == steps or not moves:
-                _settle_all(index)
+                _settle_all(index, max_a)
                 assert index.facets == fresh.facets
                 assert index._cofacets == fresh._cofacets
                 assert index._shape == fresh._shape
@@ -1157,10 +1194,10 @@ class TestMoveIndexMatchesRebuild:
         rng = random.Random(seed)
         X, undo = _walk_start(kind, dim, extra, rng)
         max_a = 1 if vertex_moves_only else X.dim
-        index = recognition._MoveIndex(X, max_a)
+        index = recognition._MoveIndex(X)
         for _ in range(steps):
-            pool = index.pool(undo)
-            assert pool == reference_pool(_settled_fresh(index, max_a), undo)
+            pool = index.pool(undo, max_a)
+            assert pool == reference_pool(_settled_fresh(index, max_a), max_a, undo)
             if not pool:
                 break
             A, B = rng.choice(pool)
@@ -1191,12 +1228,12 @@ class TestMoveIndexMatchesRebuild:
             X = random_stacked_sphere(rng, dim, dim + 1 + extra)
         else:
             X = get(f"cross_polytope({dim + 1})").complex
-        index = recognition._MoveIndex(X, X.dim)
+        index = recognition._MoveIndex(X)
         undo = None
         for _ in range(steps):
             fresh = _settled_fresh(index, X.dim)
             pool = index.pool(undo)
-            assert pool == reference_pool(fresh, undo)
+            assert pool == reference_pool(fresh, X.dim, undo)
             for k, faces in index._cofacets.items():
                 assert faces == fresh._cofacets[k], k
             if not pool:
@@ -1204,7 +1241,7 @@ class TestMoveIndexMatchesRebuild:
             A, B = rng.choice(pool)
             index.flip(A, B)
             undo = (B, A)
-        _settle_all(index)
+        _settle_all(index, X.dim)
         fresh = _settled_fresh(index, X.dim)
         assert index._cofacets == fresh._cofacets
         assert index._shape == fresh._shape
@@ -1215,9 +1252,9 @@ class TestMoveIndexMatchesRebuild:
         # the collapse of the subdividing vertex is the only vertex move of
         # a subdivided cross-polytope; only ridge flips are legal besides it
         X, undo = _subdivided(get("cross_polytope(4)").complex, random.Random(0))
-        index = recognition._MoveIndex(X, max_a)
-        pool = index.pool(undo)
-        assert pool == reference_pool(_settled_fresh(index, max_a), undo)
+        index = recognition._MoveIndex(X)
+        pool = index.pool(undo, max_a)
+        assert pool == reference_pool(_settled_fresh(index, max_a), max_a, undo)
         if max_a == 1:
             assert pool == [undo]
         else:
