@@ -101,6 +101,16 @@ def _budget(text: str) -> int:
     return value
 
 
+def _choices(text: str) -> list[int]:
+    """--choices: comma-separated ints; anything else is bad input data."""
+    try:
+        return [int(tok) for tok in text.split(",")]
+    except ValueError:
+        raise ValueError(
+            f"--choices expects comma-separated integers, got {text!r}"
+        ) from None
+
+
 def _add_search_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
@@ -327,9 +337,7 @@ def _do_complete(args: argparse.Namespace) -> tuple[str, int]:
         if len(args.factor) < 2:
             raise ValueError("complete join needs at least two --factor")
         factors = [_resolve_source(source) for source in args.factor]
-        choices = None
-        if args.choices:
-            choices = [int(tok) for tok in args.choices.split(",")]
+        choices = _choices(args.choices) if args.choices else None
         result = complete_join(X, factors, choices, **kw)
     elif args.kind == "degree":
         result = complete_degree_d(X, args.vertex, args.apex, **kw)

@@ -434,13 +434,12 @@ def complete_disc(
     trace: list[str] = []
     _certify_input(B, "disc", trust, budget, seed, trace)
     cycle = _boundary_cycle(B)
-    edges = B.faces_of_size(2)
     filled: list[tuple[int, ...]] = []
     while len(cycle) > 3:
         m = len(cycle)
         for i in range(m):
             prev, here, nxt = cycle[i - 1], cycle[i], cycle[(i + 1) % m]
-            if frozenset((prev, nxt)) not in edges:
+            if not B.has_face((prev, nxt)):
                 break
         else:
             raise IntermediateClaimFailed(

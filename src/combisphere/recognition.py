@@ -14,6 +14,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from heapq import heappop, heappush
 from typing import Any, Callable, Collection, Iterable
 
 from .core import (
@@ -504,67 +505,56 @@ def certify_ball(
 
 
 def is_stacked_ball(X: Complex) -> StackedBallReport:
-    """Stacked exactly when the facet-adjacency graph is a tree and
-    f_0 = f_top + dim; a witness stacking order is produced by peeling."""
+    """Stacked exactly when no ridge lies in three facets, the facet graph is
+    a tree and f_0 = f_top + dim.
+
+    The witness comes from peeling the smallest current leaf first;
+    reversed, the peel is the gluing order.  Each leaf's apex, its one
+    vertex off the ridge it shares, lies in no other facet: removing the
+    leaf from a tree of m facets leaves a tree of m - 1, any connected
+    gluing order covers that with at most m - 1 + dim vertices, and
+    f_0 = m + dim forces the apex out.
+    """
     if X.is_empty or X.dim < 1:
         return StackedBallReport(False, reason="needs dimension >= 1")
-    d = X.dim
-    # two facets share at most one ridge, so each 2-owner ridge is one edge.
-    # Built here, not copied from _facet_graph(): that ran 1.09-1.13x slower
-    adj: dict[Simplex, set[Simplex]] = {f: set() for f in X.facets}
-    n_edges = 0
-    for pair in X._ridge_map().values():
-        if len(pair) > 2:
-            return StackedBallReport(
-                False, reason="a ridge lies in three or more facets"
-            )
-        if len(pair) == 2:
-            n_edges += 1
-            a, b = pair
-            adj[a].add(b)
-            adj[b].add(a)
-    if n_edges != X.n_facets - 1 or not _is_connected(adj, set(X.facets)):
+    ridges = X._ridge_map()
+    if max(map(len, ridges.values())) > 2:
+        return StackedBallReport(False, reason="a ridge lies in three or more facets")
+    m = X.n_facets
+    # with no ridge in three facets, the m * (dim + 1) facet-ridge incidences
+    # count each ridge once and each ridge in two facets, an edge, twice
+    n_edges = m * (X.dim + 1) - len(ridges)
+    if n_edges != m - 1 or not _is_connected(X._facet_graph(), set(X.facets)):
+        return StackedBallReport(False, reason="facet-adjacency graph is not a tree")
+    if X.n_vertices != m + X.dim:
         return StackedBallReport(
-            False, reason="facet-adjacency graph is not a tree"
+            False, reason=f"f_0 = {X.n_vertices} != f_top + dim = {m + X.dim}"
         )
-    if X.n_vertices != X.n_facets + d:
-        return StackedBallReport(
-            False,
-            reason=f"f_0 = {X.n_vertices} != f_top + dim = {X.n_facets + d}",
-        )
-    # peel leaves that own a private vertex; reversing gives the gluing order
-    remaining = set(X.facets)
-    vertex_count: dict[int, int] = {}
-    for f in X.facets:
-        for v in f:
-            vertex_count[v] = vertex_count.get(v, 0) + 1
-    peeled: list[tuple[Simplex, Simplex, int]] = []
-    while len(remaining) > 1:
-        pick = None
-        for f in sorted(remaining):
-            if len(adj[f]) != 1:
-                continue
-            private = [v for v in f if vertex_count[v] == 1]
-            if private:
-                pick = (f, private[0])
-                break
-        assert pick is not None, "peel stalled on a tree with matching counts"
-        f, apex = pick
-        ridge = Simplex._raw(tuple(v for v in f if v != apex))
-        peeled.append((f, ridge, apex))
-        remaining.remove(f)
-        neighbor = adj[f].pop()
-        adj[neighbor].discard(f)
-        for v in f:
-            vertex_count[v] -= 1
-    (first,) = remaining
-    order = [first]
+    graph = X._facet_graph()
+    degree = {f: len(neighbors) for f, neighbors in graph.items()}
+    leaves = [f for f in X.facets if degree[f] == 1]  # sorted, so a heap
+    neighbor = X.facets[0]  # in the end the one facet left, the witness's first
+    peeled: list[Simplex] = []
     attachments: list[tuple[Simplex, int]] = []
-    for f, ridge, apex in reversed(peeled):
-        order.append(f)
-        attachments.append((ridge, apex))
+    for _ in range(m - 1):
+        leaf = heappop(leaves)
+        degree[leaf] = 0
+        for neighbor in graph[leaf]:  # the one not yet peeled
+            if degree[neighbor]:
+                break
+        for i, apex in enumerate(leaf):  # the vertex off the shared ridge
+            if apex not in neighbor:
+                break
+        peeled.append(leaf)
+        attachments.append((Simplex._raw(leaf[:i] + leaf[i + 1 :]), apex))
+        degree[neighbor] -= 1
+        if degree[neighbor] == 1:
+            heappush(leaves, neighbor)
     return StackedBallReport(
-        True, witness=StackingSequence(tuple(order), tuple(attachments))
+        True,
+        witness=StackingSequence(
+            (neighbor, *reversed(peeled)), tuple(reversed(attachments))
+        ),
     )
 
 

@@ -164,6 +164,14 @@ class TestComplete:
                            "--factor", str(s))
         assert code == 65 and "factor" in err
 
+    def test_join_choices_must_be_integers(self, capsys):
+        code, out, err = run(capsys, "complete", "join", "--catalog",
+                             "barnette_join", "--factor", "standard_sphere(0)",
+                             "--factor", "cycle(3)", "--choices", "1,x")
+        assert code == 65 and out == ""
+        assert "--choices expects comma-separated integers, got '1,x'" in err
+        assert "invalid literal" not in err
+
     def test_degree_json(self, capsys, tmp_path):
         s = tmp_path / "s.txt"
         s.write_text("1 2\n2 3\n3 4\n1 4\n")

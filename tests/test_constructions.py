@@ -458,10 +458,10 @@ def _disc_outcome(complete, B, trust):
 
 
 class TestCompleteDiscMatchesReference:
-    """complete_disc updates one boundary cycle and edge set per ear and
-    builds the sphere once, where it built a complex and its boundary for
-    every ear (kept in tests/helpers.py).  Spheres, traces and errors are
-    unchanged, on discs and on trusted non-discs."""
+    """complete_disc updates one boundary cycle per ear and builds the
+    sphere once, where it built a complex and its boundary for every ear
+    (kept in tests/helpers.py).  Spheres, traces and errors are unchanged,
+    on discs and on trusted non-discs."""
 
     @settings(max_examples=120, deadline=None)
     @given(

@@ -40,6 +40,7 @@ from helpers import (
     reference_certify_surface,
     reference_collapse_stacked_sphere_to_ball,
     reference_greedy_reduce,
+    reference_is_stacked_ball,
     reference_link_screen,
     reference_pool,
     reference_screens,
@@ -674,17 +675,7 @@ class TestIsStackedBall:
         assert not is_stacked_ball(B).stacked
 
     def test_reasons_keep_their_order(self):
-        three_owners = from_facets([(1, 2, 3), (1, 2, 4), (1, 2, 5), (3, 4, 5)])
-        cycle = from_facets([(1, 2, 5), (2, 3, 5), (3, 4, 5), (1, 4, 5)])
-        # as many shared ridges as a tree has, but two components
-        cycle_and_triangle = from_facets(list(cycle.facets) + [(6, 7, 8)])
-        path_on_too_few_vertices = from_facets(
-            [(1, 2, 3), (2, 3, 4), (2, 4, 5), (1, 4, 5)]
-        )
-        reasons = [
-            is_stacked_ball(X).reason
-            for X in (three_owners, cycle, cycle_and_triangle, path_on_too_few_vertices)
-        ]
+        reasons = [is_stacked_ball(X).reason for X in _reason_inputs()]
         assert reasons == [
             "a ridge lies in three or more facets",
             "facet-adjacency graph is not a tree",
@@ -697,6 +688,40 @@ class TestIsStackedBall:
         assert report.stacked
         assert report.witness.facets == ((1, 2, 3, 4),)
         assert report.witness.attachments == ()
+
+    def test_reports_match_the_reference_peel(self):
+        """Whole reports, witness order included: the completions take their
+        cone apex from the witness's last step."""
+        rng = random.Random(41)
+        triangles = list(itertools.combinations(range(1, 8), 3))
+        inputs = list(_reason_inputs())
+        inputs += [from_facets([(1, 2, 3)]), from_facets([(1, 2, 3), (2, 3, 4)])]
+        for _ in range(60):
+            d = rng.randint(1, 5)
+            inputs.append(random_stacked_ball(rng, d, rng.randint(d + 1, 40)))
+        # families of 1-10 triangles on 7 labels; half of those of <= 5 stack
+        for _ in range(1000):
+            m = rng.randint(1, 10)
+            if m <= 5 and rng.random() < 0.5:
+                ball = random_stacked_ball(rng, 2, m + 2)
+                image = dict(zip(ball.vertices, rng.sample(range(1, 8), m + 2)))
+                inputs.append(from_facets([[image[v] for v in f] for f in ball.facets]))
+            else:
+                inputs.append(from_facets(rng.sample(triangles, m)))
+        expected = [reference_is_stacked_ball(X) for X in inputs]
+        assert sum(report.stacked for report in expected) > 300
+        for X, report in zip(inputs, expected):
+            assert is_stacked_ball(X) == report, X.facets
+
+
+def _reason_inputs():
+    """One complex failing each test of is_stacked_ball, in test order; the
+    third has as many shared ridges as a tree has, but two components."""
+    three_owners = from_facets([(1, 2, 3), (1, 2, 4), (1, 2, 5), (3, 4, 5)])
+    cycle = from_facets([(1, 2, 5), (2, 3, 5), (3, 4, 5), (1, 4, 5)])
+    cycle_and_triangle = from_facets(list(cycle.facets) + [(6, 7, 8)])
+    path_on_too_few_vertices = from_facets([(1, 2, 3), (2, 3, 4), (2, 4, 5), (1, 4, 5)])
+    return three_owners, cycle, cycle_and_triangle, path_on_too_few_vertices
 
 
 def _check_witness(B, witness):
