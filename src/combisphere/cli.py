@@ -234,7 +234,7 @@ def _resolve_source(source: str) -> Complex:
 
 def _emit(text: str, args: argparse.Namespace) -> None:
     out = getattr(args, "out", None)
-    if out and out != "-":
+    if out is not None and out != "-":
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
@@ -337,7 +337,7 @@ def _do_complete(args: argparse.Namespace) -> tuple[str, int]:
         if len(args.factor) < 2:
             raise ValueError("complete join needs at least two --factor")
         factors = [_resolve_source(source) for source in args.factor]
-        choices = _choices(args.choices) if args.choices else None
+        choices = _choices(args.choices) if args.choices is not None else None
         result = complete_join(X, factors, choices, **kw)
     elif args.kind == "degree":
         result = complete_degree_d(X, args.vertex, args.apex, **kw)
@@ -357,7 +357,7 @@ def _do_complete(args: argparse.Namespace) -> tuple[str, int]:
 def _do_hull(args: argparse.Namespace) -> tuple[str, int]:
     pc = _load_points(args)
     if args.perturb:
-        if not args.target:
+        if args.target is None:
             raise ValueError("--perturb needs --target")
         target = _resolve_source(args.target)
         moved = perturb_to_general_position(pc, target, seed=args.seed)

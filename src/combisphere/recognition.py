@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush
-from typing import Any, Callable, Collection, Iterable
+from typing import Any, Collection, Iterable
 
 from .core import (
     Complex,
@@ -291,20 +291,16 @@ class _MoveIndex:
             dirty.update(itertools.combinations(AB, k))
 
 
-def _greedy_reduce(
-    index: _MoveIndex,
-    budget: int,
-    seed: int,
-    screen: Callable[[], Verdict | None] | None = None,
-) -> tuple[bool, tuple[MovePair, ...]] | Verdict:
-    """Walk the flip graph toward the boundary of a simplex.
+class _Walk:
+    """A walk toward the boundary of a simplex: the _MoveIndex it flips in
+    place, the seed's RNG, the budget, the trace and the undo move.
 
-    The walk flips the _MoveIndex it is given in place.  A step costs one
-    pass over the subfaces of the facets the flip removes and adds, for each
-    size indexed so far, then reshaping the faces of A u B, for the sizes
-    |A| that pool settles, plus sorting one pool.  While vertex collapses
-    are legal that is |A| = 1 alone; a walk of vertex collapses indexes only
-    the vertices, and no step rescans every face against every facet.
+    A step costs one pass over the subfaces of the facets the flip removes
+    and adds, for each size indexed so far, then reshaping the faces of
+    A u B, for the sizes |A| that pool settles, plus sorting one pool.
+    While vertex collapses are legal that is |A| = 1 alone; a walk of vertex
+    collapses indexes only the vertices, and no step rescans every face
+    against every facet.
 
     Choice rule: immediately undoing the previous move is avoided unless it
     is the only legal move.  The pool is the remaining legal moves with the
@@ -312,33 +308,30 @@ def _greedy_reduce(
     sorted by A; a seeded RNG picks from it when it holds more than one.  The
     same seed and a larger budget replay the identical prefix, so Certified
     verdicts are budget-monotone.
-
-    Given screen, which reads the unflipped complex X, the walk makes vertex
-    collapses only until they stall, then returns screen()'s refutation of X
-    if there is one and otherwise goes on with every move, keeping its RNG,
-    undo, trace and budget.  Each move is a PL homeomorphism, so reaching
-    the standard sphere proves X a PL sphere, which passes the screen.
     """
-    rng = random.Random(seed)
-    trace: list[MovePair] = []
-    undo: MovePair | None = None
-    max_a = 0 if screen is None else 1
-    while True:
-        if index.is_standard_sphere():
-            return True, tuple(trace)
-        pool = index.pool(undo, max_a) if len(trace) < budget else []
-        if not pool:
-            if screen is None:
-                return False, tuple(trace)
-            refutation = screen()
-            if refutation is not None:
-                return refutation
-            screen, max_a = None, 0
-            continue
-        choice = pool[rng.randrange(len(pool))] if len(pool) > 1 else pool[0]
-        index.flip(*choice)
-        trace.append(choice)
-        undo = (choice[1], choice[0])
+
+    __slots__ = ("index", "rng", "budget", "trace", "undo")
+
+    def __init__(self, X: Complex, budget: int, seed: int):
+        self.index = _MoveIndex(X)
+        self.rng = random.Random(seed)
+        self.budget = budget
+        self.trace: list[MovePair] = []
+        self.undo: MovePair | None = None
+
+    def run(self, max_a: int = 0) -> bool:
+        """Flip until the standard sphere (True), or until no legal move with
+        |A| <= max_a (any |A| if max_a is 0) is left within the budget."""
+        index = self.index
+        while not index.is_standard_sphere():
+            pool = index.pool(self.undo, max_a) if len(self.trace) < self.budget else []
+            if not pool:
+                return False
+            choice = pool[self.rng.randrange(len(pool))] if len(pool) > 1 else pool[0]
+            index.flip(*choice)
+            self.trace.append(choice)
+            self.undo = (choice[1], choice[0])
+        return True
 
 
 @dataclass
@@ -408,9 +401,9 @@ def certify_sphere(
     (_pm_failure), then a disconnected facet graph, then the smallest ridge
     in one facet (in dimension 0, the empty face).  _Screens then checks
     chi(X) in dimension 2; from dimension 3 on, chi(X) and the vertex links
-    only if vertex collapses stall (see _greedy_reduce), and the faces with
-    2..d - 2 vertices only after a failed walk, which alone spends moves.
-    Verdicts do not depend on this order.
+    only if vertex collapses stall, and the faces with 2..d - 2 vertices
+    only after a failed walk, which alone spends moves.  Verdicts do not
+    depend on this order: a complex the walk reduces is a PL sphere.
 
     The face screen refutes what certifying each vertex link, recursively,
     would: a link that certifies is a PL sphere, whose links are spheres,
@@ -437,19 +430,21 @@ def certify_sphere(
         # past the gates, two points and a cycle are spheres: chi checks surfaces
         return (d == 2 and screens.stalled()) or Verdict(CERTIFIED, _EXACT[d])
     # d >= 3: vertex collapses first, the screens only if they stall
-    walked = _greedy_reduce(_MoveIndex(X), budget, seed, screens.stalled)
-    if isinstance(walked, Verdict):
-        return walked
-    ok, trace = walked
-    if ok:
-        return Verdict(
-            CERTIFIED,
-            f"reduced to the standard {d}-sphere in {len(trace)} bistellar moves",
-            trace,
-        )
-    # a failed walk screened the vertex links when collapses stalled
-    return screens.links(range(2, d - 1)) or Verdict(
-        UNKNOWN, f"bistellar reduction budget exhausted ({budget} moves)"
+    walk = _Walk(X, budget, seed)
+    if not walk.run(max_a=1):
+        refutation = screens.stalled()
+        if refutation is not None:
+            return refutation
+        if not walk.run():
+            # the vertex links were screened when collapses stalled
+            return screens.links(range(2, d - 1)) or Verdict(
+                UNKNOWN, f"bistellar reduction budget exhausted ({budget} moves)"
+            )
+    trace = tuple(walk.trace)
+    return Verdict(
+        CERTIFIED,
+        f"reduced to the standard {d}-sphere in {len(trace)} bistellar moves",
+        trace,
     )
 
 
@@ -459,9 +454,14 @@ def certify_ball(
     """Certify a combinatorial ball by capping the boundary with a fresh cone.
 
     X is a ball exactly when X plus a cone over its boundary is a sphere: the
-    cone apex's anti-star in the capped complex is X itself.  Verdicts inherit
+    cone apex's anti-star in the capped complex is X itself, and the
+    anti-star of a vertex in a PL sphere is a PL ball.  Verdicts inherit
     exactness from certify_sphere (dimension 2 inputs are decided exactly).
     A negative budget raises ValueError.
+
+    Only the capped complex is walked, with the whole budget: if it is
+    certified, so is the apex's link, the boundary.  Otherwise the boundary
+    is certified with budget 0, which refutes it as any budget would.
     """
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
@@ -477,9 +477,6 @@ def certify_ball(
     bd = boundary(X)
     if bd.is_empty:
         return Verdict(REFUTED, "no boundary: a closed pseudomanifold is not a ball")
-    bd_verdict = certify_sphere(bd, budget, seed)
-    if bd_verdict.is_refuted:
-        return Verdict(REFUTED, f"boundary is not a sphere: {bd_verdict.reason}")
     apex = max(X.vertices) + 1
     capped = Complex._from_vertex_sets(
         list(X.facets) + [f + (apex,) for f in bd.facets]
@@ -492,6 +489,9 @@ def certify_ball(
             f"{capped_verdict.reason}",
             capped_verdict.trace,
         )
+    bd_verdict = certify_sphere(bd, 0, seed)
+    if bd_verdict.is_refuted:
+        return Verdict(REFUTED, f"boundary is not a sphere: {bd_verdict.reason}")
     if capped_verdict.is_refuted:
         return Verdict(
             REFUTED, f"capped complex is not a sphere: {capped_verdict.reason}"

@@ -28,6 +28,7 @@ from combisphere.core import (
     PseudomanifoldReport,
     Simplex,
     _is_connected,
+    _pm_failure,
     anti_star,
     boundary,
     euler_characteristic,
@@ -254,8 +255,8 @@ def _reference_apply_move(X: Complex, A: Simplex, B: Simplex) -> Complex:
 def reference_greedy_reduce(X: Complex, budget: int, seed: int):
     """The bistellar walk as it was before the incremental move index: every
     step rescans every face against every facet and rebuilds the complex.
-    Returns (reached the standard sphere, trace), like
-    ``recognition._greedy_reduce``."""
+    Returns (reached the standard sphere, trace): the result of
+    ``recognition._Walk(X, budget, seed).run()`` and its trace."""
     rng = random.Random(seed)
     cur = X
     trace = []
@@ -400,6 +401,46 @@ def reference_certify_sphere(X: Complex, budget: int, seed: int) -> Verdict:
     return Verdict(
         UNKNOWN, f"bistellar reduction budget exhausted ({budget} moves){detail}"
     )
+
+
+def reference_certify_ball(X: Complex, budget: int, seed: int) -> Verdict:
+    """``certify_ball`` as it was when it walked the boundary with the full
+    budget before it walked the capped complex, both through the library's
+    ``certify_sphere``, so that it could make twice budget moves."""
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
+    if X.is_empty:
+        return Verdict(REFUTED, "the empty complex is not a ball")
+    if X.n_facets == 1:
+        return Verdict(CERTIFIED, "standard ball: the closure of one simplex")
+    if X.dim == 0:
+        return Verdict(REFUTED, "a 0-ball is a single point")
+    failure = _pm_failure(X)
+    if failure is not None:
+        return Verdict(REFUTED, failure)
+    bd = boundary(X)
+    if bd.is_empty:
+        return Verdict(REFUTED, "no boundary: a closed pseudomanifold is not a ball")
+    bd_verdict = certify_sphere(bd, budget, seed)
+    if bd_verdict.is_refuted:
+        return Verdict(REFUTED, f"boundary is not a sphere: {bd_verdict.reason}")
+    apex = max(X.vertices) + 1
+    capped = Complex._from_vertex_sets(
+        list(X.facets) + [f + (apex,) for f in bd.facets]
+    )
+    capped_verdict = certify_sphere(capped, budget, seed)
+    if capped_verdict.is_certified:
+        return Verdict(
+            CERTIFIED,
+            f"capping the boundary with vertex {apex} gives a sphere: "
+            f"{capped_verdict.reason}",
+            capped_verdict.trace,
+        )
+    if capped_verdict.is_refuted:
+        return Verdict(
+            REFUTED, f"capped complex is not a sphere: {capped_verdict.reason}"
+        )
+    return Verdict(UNKNOWN, f"capped complex unresolved: {capped_verdict.reason}")
 
 
 # ---------------------------------------------------------------------------

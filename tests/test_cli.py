@@ -497,7 +497,15 @@ class TestHostileInput:
         (["info", "--catalog", ""], 65, "malformed catalog name ''"),
         (["complete", "degree", "--catalog", ""], 65, "malformed catalog name ''"),
         (["hull", "--points", ""], 66, "[Errno 2] No such file or directory: ''"),
-    ], ids=["info-catalog", "complete-catalog", "hull-points"])
+        (["complete", "join", "--catalog", "barnette_join", "--factor",
+          "standard_sphere(0)", "--factor", "cycle(3)", "--choices", ""],
+         65, "--choices expects comma-separated integers, got ''"),
+        (["info", "--catalog", "cycle(5)", "--out", ""],
+         73, "[Errno 2] No such file or directory: ''"),
+        (["hull", "--catalog", "cyclic_polytope_points(6,3)", "--perturb",
+          "--target", ""], 65, "malformed catalog name ''"),
+    ], ids=["info-catalog", "complete-catalog", "hull-points", "join-choices",
+            "info-out", "hull-target"])
     def test_empty_flag_value(self, capsys, argv, code, message):
         # a given flag is read even when empty, not taken for a missing one
         assert run(capsys, *argv) == (code, "", f"combisphere: {message}\n")

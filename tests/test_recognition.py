@@ -8,6 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from combisphere import (
+    anti_star,
     boundary,
     generalized_bistellar_move,
     certify_ball,
@@ -36,6 +37,7 @@ from helpers import (
     random_stacked_ball,
     random_stacked_sphere,
     record_ridge_map_builds,
+    reference_certify_ball,
     reference_certify_sphere,
     reference_certify_surface,
     reference_collapse_stacked_sphere_to_ball,
@@ -603,6 +605,28 @@ class TestSurfaceLinksNeedNoCheck:
         )
 
 
+_ANNULUS = [(1, 2, 4), (2, 4, 5), (2, 3, 5), (3, 5, 6), (1, 3, 6), (1, 4, 6)]
+
+
+def _balls():
+    """Name -> complex: seeded stacked balls of dimensions 2-5, the
+    anti-stars of cross-polytopes, two catalog balls, and the annulus and
+    punctured torus that TestCertifyBall refutes."""
+    rng = random.Random(2021)
+    balls = {}
+    for d in (2, 3, 4, 5):
+        for n in (d + 4, d + 12):
+            balls[f"stacked_ball({d}, {n})"] = random_stacked_ball(rng, d, n)
+    for k in (3, 4, 5, 6):
+        cp = get(f"cross_polytope({k})").complex
+        balls[f"anti_star(cross_polytope({k}), 1)"] = anti_star(cp, 1)
+    for name in ("example43_ball", "gs_ball_D"):
+        balls[name] = get(name).complex
+    balls["annulus"] = from_facets(_ANNULUS)
+    balls["punctured torus"] = from_facets(moebius_torus().facets[1:])
+    return balls
+
+
 class TestCertifyBall:
     def test_standard_balls(self):
         for d in range(4):
@@ -633,10 +657,7 @@ class TestCertifyBall:
         assert certify_ball(from_facets([(1, 2, 3), (1, 2, 4), (1, 2, 5)])).is_refuted
 
     def test_annulus_boundary_refuted(self):
-        annulus = from_facets(
-            [(1, 2, 4), (2, 4, 5), (2, 3, 5), (3, 5, 6), (1, 3, 6), (1, 4, 6)]
-        )
-        assert certify_ball(annulus) == Verdict(
+        assert certify_ball(from_facets(_ANNULUS)) == Verdict(
             REFUTED,
             "boundary is not a sphere: not a pseudomanifold: "
             "the facet-adjacency graph is disconnected",
@@ -648,6 +669,28 @@ class TestCertifyBall:
         assert certify_ball(punctured) == Verdict(
             REFUTED, "capped complex is not a sphere: Euler characteristic 0 != 2"
         )
+
+    @pytest.mark.parametrize("budget", [0, 1, 3, 8, 100])
+    def test_spends_at_most_the_budget(self, budget):
+        # only the capped complex is walked; the boundary is walked with
+        # budget 0, and only if the capped complex is not certified
+        for name, X in _balls().items():
+            with _counted_flips() as flips:
+                certify_ball(X, budget, 0)
+            assert flips[0] <= budget, name
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("budget", [0, 3, 100, DEFAULT_BUDGET])
+    def test_matches_walking_the_boundary_first(self, budget, seed):
+        # a certified cap certifies its apex's link, the boundary, and no
+        # refutation of certify_sphere depends on its budget: the verdicts
+        # are those of the boundary walk with the whole budget
+        for name, X in _balls().items():
+            if budget == DEFAULT_BUDGET and name == "anti_star(cross_polytope(6), 1)":
+                continue  # Unknown: each side walks all 10,000 moves, 3-4 s
+            assert certify_ball(X, budget, seed) == (
+                reference_certify_ball(X, budget, seed)
+            ), name
 
 
 class TestIsStackedBall:
@@ -869,25 +912,33 @@ class TestScreensOnlyWhenCollapsesStall:
 
 @contextlib.contextmanager
 def _reference_walk():
-    """Replace certify_sphere's walk, _greedy_reduce, by the order it
-    replaced: the screens of the complex first, then the rescanning walk of
+    """Replace certify_sphere's walk, _Walk, by the order it replaced: the
+    screens of the complex first, then the rescanning walk of
     tests/helpers.py.  Yields the list of complexes it is called on."""
     calls = []
+    stalled = recognition._Screens.stalled
 
-    def reference_walk(index, budget, seed, screen=None):
-        # the reference rebuilds the complex from the facets of the
-        # unflipped index, and walks without it
-        start = Complex._from_vertex_sets(index.facets)
-        calls.append(start)
-        if screen is not None:
-            refutation = reference_screens(start)
-            assert screen() == refutation
-            if refutation is not None:
-                return refutation
-        return reference_greedy_reduce(start, budget, seed)
+    class ReferenceWalk:
+        # its vertex collapses stall at once, so the screens always come
+        # first; then the reference walks the unflipped X
+        def __init__(self, X, budget, seed):
+            calls.append(X)
+            self.X, self.budget, self.seed, self.trace = X, budget, seed, ()
+
+        def run(self, max_a=0):
+            if max_a == 1:
+                return False
+            ok, self.trace = reference_greedy_reduce(self.X, self.budget, self.seed)
+            return ok
+
+    def reference_stalled(screens):
+        refutation = reference_screens(screens.X)
+        assert stalled(screens) == refutation
+        return refutation
 
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(recognition, "_greedy_reduce", reference_walk)
+        m.setattr(recognition, "_Walk", ReferenceWalk)
+        m.setattr(recognition._Screens, "stalled", reference_stalled)
         yield calls
 
 
@@ -918,8 +969,8 @@ class TestWalkMatchesReference:
             return verdict
 
         yield run
-        # a certify_sphere that walked without _greedy_reduce would be
-        # compared with itself
+        # a certify_sphere that walked without _Walk would be compared with
+        # itself
         assert called, "the reference walk was never called"
 
     def _assert_same(self, on_reference, fn, X, seeds, budget=DEFAULT_BUDGET):
@@ -1005,10 +1056,11 @@ class TestWalkMatchesReference:
     )
     def test_traces_match_and_replay(self, dim, extra, seed):
         S = random_stacked_sphere(random.Random(seed), dim, dim + extra)
-        index = recognition._MoveIndex(S)
-        ok, trace = recognition._greedy_reduce(index, DEFAULT_BUDGET, seed)
-        assert (ok, trace) == reference_greedy_reduce(S, DEFAULT_BUDGET, seed)
-        assert ok and is_standard(apply_trace(S, trace)).sphere
+        walk = recognition._Walk(S, DEFAULT_BUDGET, seed)
+        ok = walk.run()
+        expected = reference_greedy_reduce(S, DEFAULT_BUDGET, seed)
+        assert (ok, tuple(walk.trace)) == expected
+        assert ok and is_standard(apply_trace(S, walk.trace)).sphere
 
 
 @contextlib.contextmanager
