@@ -321,6 +321,16 @@ def _do_verify(args: argparse.Namespace) -> tuple[str, int]:
     return _bool_output(report.is_pseudomanifold, reason, args, "pseudomanifold")
 
 
+# the choice flags each complete kind reads; any other one given is refused
+_CHOICE_FLAGS = {
+    "join": ("factor", "choices"),
+    "degree": ("vertex", "apex"),
+    "flag": ("vertex", "apex"),
+    "ball-degree": ("vertex",),
+    "polytopal": ("vertex",),
+}
+
+
 def _completion_output(result, args: argparse.Namespace) -> tuple[str, int]:
     if args.json:
         return serialize.dumps(serialize.completion_to_json_obj(result)), EX_OK
@@ -328,6 +338,10 @@ def _completion_output(result, args: argparse.Namespace) -> tuple[str, int]:
 
 
 def _do_complete(args: argparse.Namespace) -> tuple[str, int]:
+    for flag in ("factor", "choices", "vertex", "apex"):
+        unread = flag not in _CHOICE_FLAGS.get(args.kind, ())
+        if unread and getattr(args, flag) not in (None, []):
+            raise ValueError(f"complete {args.kind} does not take --{flag}")
     kw = {"trust": args.trust, "budget": args.budget, "seed": args.seed}
     if args.kind == "polytopal":
         result = polytopal_complete(_load_points(args), args.vertex)
@@ -355,6 +369,8 @@ def _do_complete(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def _do_hull(args: argparse.Namespace) -> tuple[str, int]:
+    if args.target is not None and not args.perturb:
+        raise ValueError("--target needs --perturb")
     pc = _load_points(args)
     if args.perturb:
         if args.target is None:

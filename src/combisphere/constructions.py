@@ -4,7 +4,9 @@ Every operation returns a CompletionResult whose sphere contains the input as
 a subcomplex and uses exactly the input's vertices.  Sphere completions raise
 the dimension by one; ball completions keep it.  Inputs are re-certified by
 default (trust=True skips); a refuted input raises, an unresolved
-certification is noted in the trace and the construction proceeds.
+certification is noted in the trace and the construction proceeds.  The
+certifications of one call share its budget: each may spend the moves the
+earlier ones left, and none are left after an unresolved one.
 
 All free choices default to the smallest available label so runs are
 reproducible; explicit choices override.
@@ -47,6 +49,7 @@ from .errors import (
 from .recognition import (
     DEFAULT_BUDGET,
     DEFAULT_SEED,
+    Verdict,
     certify_ball,
     certify_sphere,
     collapse_stacked_sphere_to_ball,
@@ -114,12 +117,18 @@ _INPUT_CHECKS = {
 }
 
 
+def _moves_left(budget: int, verdict: Verdict) -> int:
+    """What a later certification may spend of budget after verdict."""
+    return budget - len(verdict.trace) if verdict.is_certified else 0
+
+
 def _certify_input(
     X: Complex, kind: str, trust: bool, budget: int, seed: int, trace: list[str]
-) -> None:
+) -> int:
+    """Certify X unless trusted, and return the moves left of budget."""
     if trust:
         trace.append("input: certification skipped (trusted)")
-        return
+        return budget
     error, label = _INPUT_CHECKS[kind]
     # named at call time: perfbench's tracer wraps module attributes, not table entries
     certify = certify_sphere if kind == "sphere" else certify_ball
@@ -127,6 +136,7 @@ def _certify_input(
     if verdict.is_refuted:
         raise error(f"input is not a {kind}: {verdict.reason}")
     trace.append(f"input: {label} {verdict.status}")
+    return _moves_left(budget, verdict)
 
 
 def _degree_d_vertex(X: Complex, v: int | None, d: int) -> int:
@@ -195,6 +205,7 @@ def complete_join(
             if verdict.is_refuted:
                 raise FactorNotSphere(f"factor {i} is not a sphere: {verdict.reason}")
             trace.append(f"factor {i}: certification {verdict.status}")
+            budget = _moves_left(budget, verdict)
     else:
         trace.append("factor certification skipped (trusted)")
     if v_choices is None:
@@ -267,7 +278,7 @@ def complete_flag(
     finishes the job.
     """
     trace: list[str] = []
-    _certify_input(S, "sphere", trust, budget, seed, trace)
+    budget = _certify_input(S, "sphere", trust, budget, seed, trace)
     if not is_flag(S):
         raise NotFlag("input is not a flag sphere")
     if v is None:
@@ -432,7 +443,7 @@ def complete_disc(
     if B.n_vertices < 4:
         raise TooFewVertices(f"need at least 4 vertices, have {B.n_vertices}")
     trace: list[str] = []
-    _certify_input(B, "disc", trust, budget, seed, trace)
+    budget = _certify_input(B, "disc", trust, budget, seed, trace)
     cycle = _boundary_cycle(B)
     filled: list[tuple[int, ...]] = []
     while len(cycle) > 3:

@@ -81,7 +81,6 @@ class Complex:
 
     __slots__ = (
         "_facets", "_stars", "_ridges", "_graph", "_vertices", "_vertex_set",
-        "_hash",
     )
 
     def __init__(self, facets: tuple[Simplex, ...], *, _canonical: bool = False):
@@ -93,7 +92,6 @@ class Complex:
         self._graph: dict[Simplex, list[Simplex]] | None = None
         self._vertices: tuple[int, ...] | None = None
         self._vertex_set: frozenset[int] | None = None
-        self._hash: int | None = None
 
     # -- construction ---------------------------------------------------------
 
@@ -217,9 +215,7 @@ class Complex:
         return self._facets == other._facets
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(self._facets)
-        return self._hash
+        return hash(self._facets)
 
     def __repr__(self) -> str:
         if self.is_empty:
@@ -393,8 +389,6 @@ def boundary(X: Complex) -> Complex:
         if len(owners) > 2:
             raise RidgeInThreeFacets(f"ridge {r} lies in {len(owners)} facets")
     out = [Simplex._raw(r) for r, owners in ridges.items() if len(owners) == 1]
-    if not out:
-        return Complex((), _canonical=True)
     return Complex._from_simplices(out)
 
 
@@ -408,8 +402,7 @@ def dual_graph(X: Complex) -> DualGraph:
         owner_facets = tuple(ridges[r])
         ridge_index[Simplex._raw(r)] = owner_facets
         for a, b in itertools.combinations(owner_facets, 2):
-            lo, hi = (a, b) if a <= b else (b, a)
-            edges.add((lo, hi))
+            edges.add((a, b))
             adj[a].add(b)
             adj[b].add(a)
     return DualGraph(

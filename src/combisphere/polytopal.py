@@ -23,6 +23,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Mapping, Sequence
 
+from .constructions import CompletionResult, _suspend_and_finish
 from .core import Complex, Simplex, anti_star, is_subcomplex
 from .errors import (
     DegenerateSpan,
@@ -87,12 +88,9 @@ class PointConfiguration:
     def drop(self, label: int) -> "PointConfiguration":
         if label not in self.labels:
             raise VertexNotPresent(f"no point labeled {label}")
-        rest = PointConfiguration(
+        return PointConfiguration(
             self.dim, tuple((l, v) for l, v in self.points if l != label)
         )
-        # reuse the cleared rows instead of converting the points again
-        rest.__dict__["_rows"] = {l: h for l, h in self._rows.items() if l != label}
-        return rest
 
     def __len__(self) -> int:
         return len(self.points)
@@ -237,7 +235,7 @@ def _affine_basis(pc: PointConfiguration) -> list[int]:
     )
 
 
-@dataclass
+@dataclass(eq=False)
 class _Facet:
     vertices: frozenset[int]
     functional: Row  # primitive, negative strictly beneath, at the interior reference
@@ -318,7 +316,7 @@ def convex_hull(pc: PointConfiguration) -> HullResult:
                 )
         if not beyond:
             continue  # interior of the current hull, hence never a vertex
-        beyond_set = {id(f) for f in beyond}
+        beyond_set = set(beyond)
         # Scanning the ridges of every facet in list (= creation) order would
         # meet each horizon ridge first in its older owner.  New facets are
         # made in that order and from that owner's copy of the ridge, so the
@@ -334,7 +332,7 @@ def convex_hull(pc: PointConfiguration) -> HullResult:
                     del ridge_owner[ridge]
                     continue
                 kept = owners[0]
-                if id(kept) in beyond_set:
+                if kept in beyond_set:
                     continue
                 first = min(f, kept, key=lambda o: o.order)
                 pos, w = next(
@@ -342,7 +340,7 @@ def convex_hull(pc: PointConfiguration) -> HullResult:
                 )
                 horizon.append(((first.order, pos), first.vertices - {w}, f, kept))
         horizon.sort(key=lambda h: h[0])
-        facets = [f for f in facets if id(f) not in beyond_set]
+        facets = [f for f in facets if f not in beyond_set]
         facets += [rotated(r | {label}, gone, kept) for _, r, gone, kept in horizon]
     hull_facets = []
     for f in sorted(facets, key=lambda f: tuple(sorted(f.vertices))):
@@ -452,7 +450,7 @@ def perturb_to_general_position(
 
 def polytopal_complete(
     pc: PointConfiguration, v: int | None = None
-) -> "CompletionResult":
+) -> CompletionResult:
     """Complete the boundary complex of a simplicial polytope.
 
     Drop the chosen vertex, take the hull boundary of the rest (which must
@@ -460,8 +458,6 @@ def polytopal_complete(
     the smallest remaining hull vertex.  The reduced coordinates witness the
     intermediate sphere.
     """
-    from .constructions import _suspend_and_finish
-
     d = pc.dim
     n = len(pc)
     if n < d + 2:

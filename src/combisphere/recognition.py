@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush
-from typing import Any, Collection, Iterable
+from typing import Any, Collection, Iterable, NamedTuple
 
 from .core import (
     Complex,
@@ -79,14 +79,11 @@ class StackedBallReport:
     reason: str = ""
 
 
-class StandardReport:
+class StandardReport(NamedTuple):
     """is_standard result: .ball and .sphere flags."""
 
-    __slots__ = ("ball", "sphere")
-
-    def __init__(self, ball: bool, sphere: bool):
-        self.ball = ball
-        self.sphere = sphere
+    ball: bool
+    sphere: bool
 
 
 def is_standard(X: Complex) -> StandardReport:
@@ -293,7 +290,7 @@ class _MoveIndex:
 
 class _Walk:
     """A walk toward the boundary of a simplex: the _MoveIndex it flips in
-    place, the seed's RNG, the budget, the trace and the undo move.
+    place, the caller's RNG, the budget, the trace and the undo move.
 
     A step costs one pass over the subfaces of the facets the flip removes
     and adds, for each size indexed so far, then reshaping the faces of
@@ -305,16 +302,17 @@ class _Walk:
     Choice rule: immediately undoing the previous move is avoided unless it
     is the only legal move.  The pool is the remaining legal moves with the
     smallest |A| (the largest drop in facet count, vertex collapses first),
-    sorted by A; a seeded RNG picks from it when it holds more than one.  The
-    same seed and a larger budget replay the identical prefix, so Certified
-    verdicts are budget-monotone.
+    sorted by A; the RNG picks from it when it holds more than one, and
+    without an RNG the first move is taken.  The same seed and a larger
+    budget replay the identical prefix, so Certified verdicts are
+    budget-monotone.
     """
 
     __slots__ = ("index", "rng", "budget", "trace", "undo")
 
-    def __init__(self, X: Complex, budget: int, seed: int):
+    def __init__(self, X: Complex, budget: int, rng: random.Random | None):
         self.index = _MoveIndex(X)
-        self.rng = random.Random(seed)
+        self.rng = rng
         self.budget = budget
         self.trace: list[MovePair] = []
         self.undo: MovePair | None = None
@@ -327,7 +325,8 @@ class _Walk:
             pool = index.pool(self.undo, max_a) if len(self.trace) < self.budget else []
             if not pool:
                 return False
-            choice = pool[self.rng.randrange(len(pool))] if len(pool) > 1 else pool[0]
+            pick = self.rng.randrange(len(pool)) if self.rng and len(pool) > 1 else 0
+            choice = pool[pick]
             index.flip(*choice)
             self.trace.append(choice)
             self.undo = (choice[1], choice[0])
@@ -430,7 +429,7 @@ def certify_sphere(
         # past the gates, two points and a cycle are spheres: chi checks surfaces
         return (d == 2 and screens.stalled()) or Verdict(CERTIFIED, _EXACT[d])
     # d >= 3: vertex collapses first, the screens only if they stall
-    walk = _Walk(X, budget, seed)
+    walk = _Walk(X, budget, random.Random(seed))
     if not walk.run(max_a=1):
         refutation = screens.stalled()
         if refutation is not None:
@@ -562,24 +561,20 @@ def collapse_stacked_sphere_to_ball(S: Complex) -> Complex:
     """Build a stacked ball whose boundary is S, on the same vertex set.
 
     Repeatedly collapses a vertex whose link is the boundary of a missing
-    simplex; reversing the collapses glues the ball back together.  Raises
-    NotStacked when no collapsible vertex exists and S is not standard.
+    simplex, the first legal one, through a _Walk without an RNG; reversing
+    the collapses glues the ball back together.  Raises NotStacked when no
+    collapsible vertex exists and S is not standard.
     """
     report = pseudomanifold_check(S)
     if not (report.is_pseudomanifold and report.closed) or S.dim < 1:
         raise NotStacked("input is not a closed pseudomanifold of dimension >= 1")
-    index = _MoveIndex(S)
-    steps: list[MovePair] = []
-    while not index.is_standard_sphere():
-        pool = index.pool(max_a=1)
-        if not pool:
-            raise NotStacked(
-                "no vertex link is the boundary of a missing simplex; not stacked"
-            )
-        steps.append(pool[0])
-        index.flip(*pool[0])
-    ball_facets = [frozenset().union(*index.facets)]
-    for (v,), sigma in reversed(steps):
+    walk = _Walk(S, S.n_vertices, None)  # each collapse removes a vertex
+    if not walk.run(max_a=1):
+        raise NotStacked(
+            "no vertex link is the boundary of a missing simplex; not stacked"
+        )
+    ball_facets = [frozenset().union(*walk.index.facets)]
+    for (v,), sigma in reversed(walk.trace):
         ball_facets.append(frozenset(sigma) | {v})
     return Complex._from_vertex_sets(ball_facets)
 

@@ -7,6 +7,7 @@ definitions so that agreement with the package is evidence, not tautology.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import random
 from collections import Counter
@@ -14,7 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from combisphere import Complex, from_facets
+import pytest
+
+from combisphere import Complex, from_facets, recognition
 from combisphere.constructions import (
     _certify_input,
     _cone,
@@ -252,12 +255,11 @@ def _reference_apply_move(X: Complex, A: Simplex, B: Simplex) -> Complex:
     return Complex._from_vertex_sets(new_facets)
 
 
-def reference_greedy_reduce(X: Complex, budget: int, seed: int):
+def reference_greedy_reduce(X: Complex, budget: int, rng: random.Random):
     """The bistellar walk as it was before the incremental move index: every
     step rescans every face against every facet and rebuilds the complex.
     Returns (reached the standard sphere, trace): the result of
-    ``recognition._Walk(X, budget, seed).run()`` and its trace."""
-    rng = random.Random(seed)
+    ``recognition._Walk(X, budget, rng).run()`` and its trace."""
     cur = X
     trace = []
     prev = None
@@ -383,7 +385,7 @@ def reference_certify_sphere(X: Complex, budget: int, seed: int) -> Verdict:
             CERTIFIED,
             "exact (dim 2): closed surface with Euler characteristic 2 and cycle links",
         )
-    ok, trace = reference_greedy_reduce(X, budget, seed)
+    ok, trace = reference_greedy_reduce(X, budget, random.Random(seed))
     if ok:
         return Verdict(
             CERTIFIED,
@@ -1279,6 +1281,22 @@ def record_ridge_map_builds(monkeypatch) -> dict:
     return built
 
 
+@contextlib.contextmanager
+def _counted_flips():
+    """Counts the _MoveIndex.flip calls made inside; yields a one-element
+    list that holds the count."""
+    count = [0]
+    flip = recognition._MoveIndex.flip
+
+    def counted(index, A, B):
+        count[0] += 1
+        flip(index, A, B)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(recognition._MoveIndex, "flip", counted)
+        yield count
+
+
 def moebius_torus() -> Complex:
     """The 7-vertex torus: orbits of two triangles under i -> i + 1 (mod 7)."""
     facets = []
@@ -1308,6 +1326,28 @@ def staircase_product(X: Complex, Y: Complex) -> Complex:
                 path.append((s[i], t[j]))
             facets.append([(a - 1) * m + b for a, b in path])
     return from_facets(facets)
+
+
+def barycentric_subdivision(X: Complex) -> Complex:
+    """The barycentric subdivision of X, built from the facet list.
+
+    One vertex per nonempty face, labeled by the face's 1-based position in
+    the sorted list of all faces (each a sorted tuple), and one facet per
+    ordering of each facet's vertices: the chain of its prefixes.  It is
+    always flag.
+    """
+    faces = sorted({
+        face
+        for f in X.facets
+        for k in range(1, len(f) + 1)
+        for face in itertools.combinations(f, k)
+    })
+    label = {face: i for i, face in enumerate(faces, 1)}
+    return from_facets(
+        [label[tuple(sorted(order[:k]))] for k in range(1, len(order) + 1)]
+        for f in X.facets
+        for order in itertools.permutations(f)
+    )
 
 
 def pinched_coned_solid_torus(apex: int, pinch: int) -> Complex:

@@ -412,6 +412,18 @@ REPEATED_FACETS = '{"dim": 1, "facets": [[1, 2], [2, 3]], "facets": [[1, 2]]}'
 # the complete kinds that read a complex, not points
 COMPLEX_KINDS = ("join", "degree", "flag", "stacked-ball", "stacked-sphere",
                  "ball-degree", "disc")
+_ALL_CHOICES = ("factor", "choices", "vertex", "apex")
+# the choice flags that each complete kind does not read
+UNREAD_CHOICE_FLAGS = {
+    "join": ("vertex", "apex"),
+    "degree": ("factor", "choices"),
+    "flag": ("factor", "choices"),
+    "ball-degree": ("factor", "choices", "apex"),
+    "polytopal": ("factor", "choices", "apex"),
+    "stacked-ball": _ALL_CHOICES,
+    "stacked-sphere": _ALL_CHOICES,
+    "disc": _ALL_CHOICES,
+}
 
 
 class TestHostileInput:
@@ -509,6 +521,23 @@ class TestHostileInput:
     def test_empty_flag_value(self, capsys, argv, code, message):
         # a given flag is read even when empty, not taken for a missing one
         assert run(capsys, *argv) == (code, "", f"combisphere: {message}\n")
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["stacked-ball", "--catalog", "gs_ball_C", "--vertex", "3"], "vertex"),
+        (["disc", "--catalog", "gs_ball_C", "--apex", "2"], "apex"),
+        (["degree", "--catalog", "gs_m38", "--choices", "1,2"], "choices"),
+        *(([kind, "--in", "/no/such/file", f"--{flag}", "1"], flag)
+          for kind, flags in UNREAD_CHOICE_FLAGS.items() for flag in flags),
+    ], ids=lambda p: "".join(p[:2]) if isinstance(p, list) else p)
+    def test_unread_choice_flag(self, capsys, argv, flag):
+        # refused before the input is read, so a missing file is not reached
+        message = f"combisphere: complete {argv[0]} does not take --{flag}\n"
+        assert run(capsys, "complete", *argv) == (65, "", message)
+
+    def test_target_without_perturb(self, capsys):
+        argv = ["hull", "--catalog", "cyclic_polytope_points(6,3)",
+                "--target", "octahedron"]
+        assert run(capsys, *argv) == (65, "", "combisphere: --target needs --perturb\n")
 
     @pytest.mark.parametrize("verb", [["info"], ["verify", "sphere"],
                                       ["verify", "ball"], ["complete", "degree"]])

@@ -42,6 +42,8 @@ from combisphere.errors import (
 from combisphere import constructions
 from combisphere.constructions import _meet_inside
 from helpers import (
+    _counted_flips,
+    barycentric_subdivision,
     moebius_torus,
     random_disc,
     random_flag_2sphere,
@@ -197,6 +199,14 @@ class TestCompleteFlag:
             result = complete_flag(S)
             _check_contract(S, result, 3)
             assert certify_sphere(result.sphere).is_certified
+
+    def test_barycentric_subdivision_of_cross_polytope_4(self):
+        # flag, with one vertex per face of cp4: 80 vertices, 384 facets
+        S = barycentric_subdivision(get("cross_polytope(4)").complex)
+        result = complete_flag(S)
+        _check_contract(S, result, 4)
+        assert result.sphere.n_facets == 704
+        assert result.trace[2] == "glued sphere without 1: certification certified"
 
     def test_non_flag_rejected(self):
         S = random_stacked_sphere(random.Random(2), 2, 7)
@@ -500,6 +510,60 @@ class TestCompleteDiscMatchesReference:
         assert _disc_outcome(complete_disc, B, trust) == _disc_outcome(
             reference_complete_disc, B, trust
         )
+
+
+def _shifted(X, by):
+    return from_facets([v + by for v in f] for f in X.facets)
+
+
+def _completions():
+    """Completions that certify, by name, each a call that takes the budget."""
+    cp4, cp5, cp6 = (get(f"cross_polytope({k})").complex for k in (4, 5, 6))
+    flag2 = random_flag_2sphere(random.Random(12), 9)
+    cp4_far = _shifted(cp4, 20)
+    c4 = from_facets([(1, 2), (2, 3), (3, 4), (1, 4)])
+    c5 = from_facets([(5, 6), (6, 7), (7, 8), (8, 9), (5, 9)])
+    stacked = random_stacked_sphere(random.Random(6), 4, 12)
+    ball = get("example43_ball").complex
+    disc = random_disc(random.Random(2), 9)
+    return {
+        "flag cp4": lambda budget: complete_flag(cp4, budget=budget),
+        "flag cp5": lambda budget: complete_flag(cp5, budget=budget),
+        "flag cp6": lambda budget: complete_flag(cp6, budget=budget),
+        "flag 2-sphere": lambda budget: complete_flag(flag2, budget=budget),
+        "join cp4*cp4": lambda budget: complete_join(
+            join(cp4, cp4_far), [cp4, cp4_far], budget=budget
+        ),
+        "join C4*C5": lambda budget: complete_join(
+            join(c4, c5), [c4, c5], budget=budget
+        ),
+        "degree stacked": lambda budget: complete_degree_d(stacked, budget=budget),
+        "ball-degree example43": lambda budget: complete_ball_degree_d(
+            ball, budget=budget
+        ),
+        "disc": lambda budget: complete_disc(disc, budget=budget),
+    }
+
+
+class TestCompletionsShareOneBudget:
+    """The certifications inside one completion share its budget: each may
+    spend the moves the earlier ones left, and none after an Unknown one."""
+
+    @pytest.mark.parametrize("budget", [0, 1, 3, 8, 100])
+    def test_spends_at_most_the_budget(self, budget):
+        for name, complete in _completions().items():
+            with _counted_flips() as flips:
+                complete(budget)
+            assert flips[0] <= budget, name
+
+    def test_the_glued_sphere_gets_what_the_input_left(self):
+        # cp4 certifies in 7 moves and its glued sphere in 3 more
+        S = get("cross_polytope(4)").complex
+        with _counted_flips() as flips:
+            complete_flag(S)
+        for budget, status in ((flips[0], "certified"), (flips[0] - 1, "unknown")):
+            line = complete_flag(S, budget=budget).trace[2]
+            assert line == f"glued sphere without 1: certification {status}"
 
 
 class TestMeetCheckMatchesReference:

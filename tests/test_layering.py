@@ -1,11 +1,12 @@
 """Static checks on the package source, with the standard library's ast.
 
-No linter ships with the project, so five rules are checked here: every
+No linter ships with the project, so six rules are checked here: every
 imported name is used, only core reads the storage of a Complex (the
 attributes named in Complex.__slots__), no code run at import keeps a
 reference to a function that perfbench's traced mode wraps, every private
-function, method or class is read somewhere in the package, and only a
-function without parameters has an unbounded cache.
+function, method or class is read somewhere in the package, only a
+function without parameters has an unbounded cache, and every import sits
+at module top level or in a top-level ``if TYPE_CHECKING:`` block.
 """
 
 from __future__ import annotations
@@ -188,6 +189,22 @@ def unbounded_caches(tree: ast.Module) -> list[str]:
     return found
 
 
+def nested_imports(tree: ast.Module) -> list[str]:
+    """Imports that are neither at module top level nor directly in the body
+    of a top-level ``if TYPE_CHECKING:``."""
+    allowed: set[int] = set()
+    for node in tree.body:
+        if isinstance(node, ast.If) and getattr(node.test, "id", None) == "TYPE_CHECKING":
+            allowed |= {id(child) for child in node.body}
+        allowed.add(id(node))
+    found = [
+        node for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in allowed
+    ]
+    return [f"{ast.unparse(node)} (line {node.lineno})"
+            for node in sorted(found, key=lambda node: node.lineno)]
+
+
 def test_the_checks_see_what_they_look_for():
     tree = ast.parse(
         "import os\n"
@@ -198,6 +215,32 @@ def test_the_checks_see_what_they_look_for():
     )
     assert unused_imports(tree) == ["os (line 1)", "Simplex (line 3)"]
     assert storage_reads(tree) == ["._facets (line 5)"]
+
+
+def test_the_import_check_sees_nested_imports():
+    tree = ast.parse(
+        "import os\n"
+        "from typing import TYPE_CHECKING\n"
+        "if TYPE_CHECKING:\n"
+        "    from .polytopal import PointConfiguration\n"
+        "    if os.name:\n"
+        "        import sys\n"
+        "else:\n"
+        "    import json\n"
+        "try:\n"
+        "    import gzip\n"
+        "except ImportError:\n"
+        "    pass\n"
+        "def f():\n"
+        "    from .constructions import _suspend_and_finish\n"
+        "class C:\n"
+        "    import math\n"
+    )
+    assert nested_imports(tree) == [
+        "import sys (line 6)", "import json (line 8)", "import gzip (line 10)",
+        "from .constructions import _suspend_and_finish (line 14)",
+        "import math (line 16)",
+    ]
 
 
 def test_the_cache_check_sees_unbounded_caches():
@@ -309,6 +352,11 @@ def test_no_traced_function_is_stored_at_import(path):
 def test_every_private_definition_is_read():
     trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in MODULES}
     assert unread_private_definitions(trees) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_import_is_at_top_level(path):
+    assert nested_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

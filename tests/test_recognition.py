@@ -27,8 +27,10 @@ from combisphere import Complex, recognition
 from combisphere.recognition import CERTIFIED, DEFAULT_BUDGET, REFUTED, UNKNOWN, Verdict
 from combisphere.errors import NotStacked
 from helpers import (
+    _counted_flips,
     _reference_ordered_ridge_map,
     apply_trace,
+    barycentric_subdivision,
     face_polynomial,
     moebius_torus,
     pinched_coned_solid_torus,
@@ -526,8 +528,13 @@ def _cycle(n):
 
 def _not_a_sphere(name):
     """Closed manifolds whose homology is not a sphere's, with their facet
-    counts: S2 x S1, T3 and the suspension of S2 x S1."""
+    counts: S2 x S1, T3, the suspension of S2 x S1 and the join of S2 x S1
+    with a 3-cycle."""
     tetrahedron = from_facets(itertools.combinations(range(1, 5), 3))
+    if name == "S2xC4*C3":
+        X = staircase_product(tetrahedron, _cycle(4))
+        top = max(X.vertices)
+        return join(X, from_facets(itertools.combinations(range(top + 1, top + 4), 2)))
     if name.startswith("S2xC"):
         return staircase_product(tetrahedron, _cycle(int(name[-1])))
     if name == "T3":
@@ -543,6 +550,7 @@ class TestManifoldsThatAreNotSpheres:
 
     @pytest.mark.parametrize("name, n_facets", [
         ("S2xC3", 36), ("S2xC4", 48), ("S2xC5", 60), ("T3", 384), ("susp-S2xC4", 96),
+        ("S2xC4*C3", 144),
     ])
     def test_gates_and_screens_pass_and_no_seed_certifies(self, name, n_facets):
         X = _not_a_sphere(name)
@@ -921,14 +929,14 @@ def _reference_walk():
     class ReferenceWalk:
         # its vertex collapses stall at once, so the screens always come
         # first; then the reference walks the unflipped X
-        def __init__(self, X, budget, seed):
+        def __init__(self, X, budget, rng):
             calls.append(X)
-            self.X, self.budget, self.seed, self.trace = X, budget, seed, ()
+            self.X, self.budget, self.rng, self.trace = X, budget, rng, ()
 
         def run(self, max_a=0):
             if max_a == 1:
                 return False
-            ok, self.trace = reference_greedy_reduce(self.X, self.budget, self.seed)
+            ok, self.trace = reference_greedy_reduce(self.X, self.budget, self.rng)
             return ok
 
     def reference_stalled(screens):
@@ -1056,27 +1064,11 @@ class TestWalkMatchesReference:
     )
     def test_traces_match_and_replay(self, dim, extra, seed):
         S = random_stacked_sphere(random.Random(seed), dim, dim + extra)
-        walk = recognition._Walk(S, DEFAULT_BUDGET, seed)
+        walk = recognition._Walk(S, DEFAULT_BUDGET, random.Random(seed))
         ok = walk.run()
-        expected = reference_greedy_reduce(S, DEFAULT_BUDGET, seed)
+        expected = reference_greedy_reduce(S, DEFAULT_BUDGET, random.Random(seed))
         assert (ok, tuple(walk.trace)) == expected
         assert ok and is_standard(apply_trace(S, walk.trace)).sphere
-
-
-@contextlib.contextmanager
-def _counted_flips():
-    """Counts the _MoveIndex.flip calls made inside; yields a one-element
-    list that holds the count."""
-    count = [0]
-    flip = recognition._MoveIndex.flip
-
-    def counted(index, A, B):
-        count[0] += 1
-        flip(index, A, B)
-
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(recognition._MoveIndex, "flip", counted)
-        yield count
 
 
 class TestFaceScreenMatchesRecursion:
@@ -1119,8 +1111,11 @@ class TestFaceScreenMatchesRecursion:
 
 
 def _pinned_input(name):
-    """A catalog entry; Ca*Cb*S0, the join of two cycles and a 0-sphere; or
-    stacked_ball(dim, n), grown from the seed 2020."""
+    """A catalog entry; Ca*Cb*S0, the join of two cycles and a 0-sphere;
+    stacked_ball(dim, n), grown from the seed 2020; or sd(name), the
+    barycentric subdivision of a catalog entry."""
+    if name.startswith("sd("):
+        return barycentric_subdivision(get(name[3:-1]).complex)
     if name.startswith("C"):
         a, b = int(name[1]), int(name[4])
         S0 = from_facets([(a + b + 1,), (a + b + 2,)])
@@ -1134,7 +1129,8 @@ def _pinned_input(name):
 class TestCertifiedBytesArePinned:
     """The sha256 of (status, reason, trace) of certify_sphere and
     certify_ball, recorded before the move index kept only the face sizes
-    its readers use.  Any change to a verdict, a reason or a trace shows."""
+    its readers use (the sd rows before the walk took its RNG from its
+    caller).  Any change to a verdict, a reason or a trace shows."""
 
     @pytest.mark.parametrize(
         "name, budget, seed, digest",
@@ -1169,6 +1165,13 @@ class TestCertifiedBytesArePinned:
              "df731288be01a622460efcdf04bb5c3a7d775637252b9918a2eac70832b71f1d"),
             ("stacked_ball(4, 25)", DEFAULT_BUDGET, 7,
              "ed1c48bdfb9dc88ad1dfaeaa8c606c2f43acb95d70a76d2e109a3ef6a76a7ea5"),
+            # 425, 429 and 483 moves, revisiting facet sets on the way
+            ("sd(cross_polytope(4))", DEFAULT_BUDGET, 0,
+             "c9cd7fa79fb5afdbcc44bbae309644e93cc4f13c9efdf6386b09392878fdf4ad"),
+            ("sd(cross_polytope(4))", DEFAULT_BUDGET, 1,
+             "6f224d044cfc8e247b8c7534739fcf2db22ee1e29f4993b2af9c79209e051084"),
+            ("sd(cross_polytope(4))", DEFAULT_BUDGET, 2,
+             "70ff060a28f4774f9eff603404700e47701fd02869d3ba8e2c8270fe8492857e"),
         ],
     )
     def test_verdict_digest(self, name, budget, seed, digest):
