@@ -4,7 +4,9 @@ Verbs: info, verify, complete, hull, catalog, chain.  Exit codes follow the
 sysexits convention where it applies: 0 the requested contract held, 1 it
 was refuted, 2 it could not be decided, 64 usage, 65 bad input data, 66
 unreadable input, 73 the --out file could not be written.  Output is
-deterministic for a fixed invocation and seed.
+deterministic for a fixed invocation and seed.  An option that a verify or
+complete kind does not read (see _READS) exits 65, and one left out takes the
+library's default.
 """
 
 from __future__ import annotations
@@ -45,8 +47,6 @@ from .polytopal import (
     polytopal_complete,
 )
 from .recognition import (
-    DEFAULT_BUDGET,
-    DEFAULT_SEED,
     certify_ball,
     certify_sphere,
     collapse_stacked_sphere_to_ball,
@@ -111,11 +111,6 @@ def _choices(text: str) -> list[int]:
         ) from None
 
 
-def _add_search_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="combisphere",
                      description="exact combinatorial spheres and balls")
@@ -129,7 +124,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=["sphere", "ball", "stacked-ball",
                                     "stacked-sphere", "flag", "pseudomanifold"])
     _add_input_flags(p)
-    _add_search_flags(p)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--budget", type=_budget)
     _add_output_flags(p)
 
     p = sub.add_parser("complete",
@@ -142,17 +138,18 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--catalog", metavar="NAME")
     g.add_argument("--points", metavar="PATH",
                    help="point configuration JSON (polytopal only)")
-    p.add_argument("--factor", action="append", default=[], metavar="SRC",
+    p.add_argument("--factor", action="append", metavar="SRC",
                    help="join factor, a file path or catalog name; repeatable")
     p.add_argument("--choices", metavar="V1,V2,...",
-                   help="per-factor pivot vertices for join")
+                   help="per-factor pivot vertices")
     p.add_argument("--vertex", type=int, metavar="V",
-                   help="vertex choice (v for degree/flag/polytopal, u for ball-degree)")
+                   help="vertex choice: the v, or for a ball the u, of the construction")
     p.add_argument("--apex", type=int, metavar="U",
                    help="apex choice (u) where the construction takes one")
-    p.add_argument("--trust", action="store_true",
+    p.add_argument("--trust", action="store_true", default=None,
                    help="skip re-certifying the inputs")
-    _add_search_flags(p)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--budget", type=_budget)
     _add_output_flags(p)
 
     p = sub.add_parser("hull", help="exact convex hull of rational points")
@@ -163,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="nudge into general position instead of extracting the hull")
     p.add_argument("--target", metavar="SRC",
                    help="hull complex to preserve while perturbing")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=int)
     _add_output_flags(p)
 
     p = sub.add_parser("catalog", help="list or show built-in examples")
@@ -274,10 +271,37 @@ def _do_info(args: argparse.Namespace) -> tuple[str, int]:
     return "\n".join(lines) + "\n", EX_OK
 
 
+# per verify and complete kind, each option it reads and the library keyword
+# that the option becomes; a kind not listed reads none
+_SEARCH = {"budget": "budget", "seed": "seed"}
+_CERTIFYING = {"trust": "trust", **_SEARCH}
+_READS: dict[tuple[str, str], dict[str, str]] = {
+    ("verify", "sphere"): _SEARCH,
+    ("verify", "ball"): _SEARCH,
+    ("complete", "join"): {"factor": "factors", "choices": "v_choices", **_CERTIFYING},
+    ("complete", "degree"): {"vertex": "v", "apex": "u", **_CERTIFYING},
+    ("complete", "flag"): {"vertex": "v", "apex": "u", **_CERTIFYING},
+    ("complete", "ball-degree"): {"vertex": "u", **_CERTIFYING},
+    ("complete", "disc"): _CERTIFYING,
+    ("complete", "polytopal"): {"vertex": "v"},
+}
+# every option of verify and complete besides input and output, in the order checked
+_OPTIONS = ("factor", "choices", "vertex", "apex", "trust", "budget", "seed")
+
+
+def _given(args: argparse.Namespace) -> dict[str, Any]:
+    """The library keywords of the options given; refuses one the kind does not read."""
+    reads = _READS.get((args.verb, args.kind), {})
+    given = [flag for flag in _OPTIONS if getattr(args, flag, None) is not None]
+    for flag in given:
+        if flag not in reads:
+            raise ValueError(f"{args.verb} {args.kind} does not take --{flag}")
+    return {reads[flag]: getattr(args, flag) for flag in given}
+
+
 def _verdict_output(verdict, args: argparse.Namespace) -> tuple[str, int]:
-    code = {"certified": EX_OK, "refuted": EX_REFUTED, "unknown": EX_UNKNOWN}[
-        verdict.status
-    ]
+    codes = {"certified": EX_OK, "refuted": EX_REFUTED, "unknown": EX_UNKNOWN}
+    code = codes[verdict.status]
     if args.json:
         return serialize.dumps(serialize.verdict_to_json_obj(verdict)), code
     return f"{verdict.status}: {verdict.reason}\n", code
@@ -292,15 +316,11 @@ def _bool_output(held: bool, reason: str, args: argparse.Namespace,
 
 
 def _do_verify(args: argparse.Namespace) -> tuple[str, int]:
+    kw = _given(args)
     X = _load_complex(args)
-    if args.kind == "sphere":
-        return _verdict_output(
-            certify_sphere(X, budget=args.budget, seed=args.seed), args
-        )
-    if args.kind == "ball":
-        return _verdict_output(
-            certify_ball(X, budget=args.budget, seed=args.seed), args
-        )
+    if args.kind in ("sphere", "ball"):
+        certify = certify_sphere if args.kind == "sphere" else certify_ball
+        return _verdict_output(certify(X, **kw), args)
     if args.kind == "stacked-ball":
         report = is_stacked_ball(X)
         return _bool_output(report.stacked, report.reason or "stacked ball",
@@ -321,16 +341,6 @@ def _do_verify(args: argparse.Namespace) -> tuple[str, int]:
     return _bool_output(report.is_pseudomanifold, reason, args, "pseudomanifold")
 
 
-# the choice flags each complete kind reads; any other one given is refused
-_CHOICE_FLAGS = {
-    "join": ("factor", "choices"),
-    "degree": ("vertex", "apex"),
-    "flag": ("vertex", "apex"),
-    "ball-degree": ("vertex",),
-    "polytopal": ("vertex",),
-}
-
-
 def _completion_output(result, args: argparse.Namespace) -> tuple[str, int]:
     if args.json:
         return serialize.dumps(serialize.completion_to_json_obj(result)), EX_OK
@@ -338,45 +348,39 @@ def _completion_output(result, args: argparse.Namespace) -> tuple[str, int]:
 
 
 def _do_complete(args: argparse.Namespace) -> tuple[str, int]:
-    for flag in ("factor", "choices", "vertex", "apex"):
-        unread = flag not in _CHOICE_FLAGS.get(args.kind, ())
-        if unread and getattr(args, flag) not in (None, []):
-            raise ValueError(f"complete {args.kind} does not take --{flag}")
-    kw = {"trust": args.trust, "budget": args.budget, "seed": args.seed}
-    if args.kind == "polytopal":
-        result = polytopal_complete(_load_points(args), args.vertex)
-        return _completion_output(result, args)
-    X = _load_complex(args)
+    kw = _given(args)
+    # named at call time: perfbench's tracer wraps module attributes, not table entries
+    complete = {
+        "join": complete_join,
+        "degree": complete_degree_d,
+        "flag": complete_flag,
+        "stacked-ball": complete_stacked_ball,
+        "stacked-sphere": complete_stacked_sphere,
+        "ball-degree": complete_ball_degree_d,
+        "disc": complete_disc,
+        "polytopal": polytopal_complete,
+    }[args.kind]
+    X = _load_points(args) if args.kind == "polytopal" else _load_complex(args)
     if args.kind == "join":
-        if len(args.factor) < 2:
+        if len(kw.get("factors", ())) < 2:
             raise ValueError("complete join needs at least two --factor")
-        factors = [_resolve_source(source) for source in args.factor]
-        choices = _choices(args.choices) if args.choices is not None else None
-        result = complete_join(X, factors, choices, **kw)
-    elif args.kind == "degree":
-        result = complete_degree_d(X, args.vertex, args.apex, **kw)
-    elif args.kind == "flag":
-        result = complete_flag(X, args.vertex, args.apex, **kw)
-    elif args.kind == "stacked-ball":
-        result = complete_stacked_ball(X)
-    elif args.kind == "stacked-sphere":
-        result = complete_stacked_sphere(X)
-    elif args.kind == "ball-degree":
-        result = complete_ball_degree_d(X, args.vertex, **kw)
-    else:
-        result = complete_disc(X, **kw)
-    return _completion_output(result, args)
+        kw["factors"] = [_resolve_source(source) for source in kw["factors"]]
+        if "v_choices" in kw:
+            kw["v_choices"] = _choices(kw["v_choices"])
+    return _completion_output(complete(X, **kw), args)
 
 
 def _do_hull(args: argparse.Namespace) -> tuple[str, int]:
-    if args.target is not None and not args.perturb:
-        raise ValueError("--target needs --perturb")
+    for flag in ("target", "seed"):
+        if getattr(args, flag) is not None and not args.perturb:
+            raise ValueError(f"--{flag} needs --perturb")
     pc = _load_points(args)
     if args.perturb:
         if args.target is None:
             raise ValueError("--perturb needs --target")
         target = _resolve_source(args.target)
-        moved = perturb_to_general_position(pc, target, seed=args.seed)
+        kw = {} if args.seed is None else {"seed": args.seed}
+        moved = perturb_to_general_position(pc, target, **kw)
         return serialize.points_to_json(moved), EX_OK
     hull = convex_hull(pc)
     if args.json:
@@ -428,10 +432,8 @@ def _do_chain(args: argparse.Namespace) -> tuple[str, int]:
         return serialize.dumps(
             {"chain": [serialize.complex_to_json_obj(step) for step in chain]}
         ), EX_OK
-    blocks = []
-    for i, step in enumerate(chain):
-        blocks.append(f"# step {i}: dim {step.dim}, {step.n_facets} facets\n"
-                      + serialize.complex_to_text(step))
+    blocks = (f"# step {i}: dim {step.dim}, {step.n_facets} facets\n"
+              + serialize.complex_to_text(step) for i, step in enumerate(chain))
     return "\n".join(blocks), EX_OK
 
 

@@ -147,8 +147,9 @@ def _degree_d_vertex(X: Complex, v: int | None, d: int) -> int:
             if degree(X, cand) == d:
                 return cand
         raise NoDegreeDVertex(f"no vertex of degree {d}")
-    if degree(X, v) != d:
-        raise NoDegreeDVertex(f"vertex {v} has degree {degree(X, v)} != {d}")
+    found = degree(X, v)
+    if found != d:
+        raise NoDegreeDVertex(f"vertex {v} has degree {found} != {d}")
     return v
 
 

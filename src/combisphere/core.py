@@ -453,8 +453,7 @@ def one_point_suspension(X: Complex, u: int, v: int) -> Complex:
     The result is one dimension higher, on vertex_set(X) plus v, and contains
     every subcomplex of X through u's side unchanged.
     """
-    report = pseudomanifold_check(X)
-    if not (report.is_pseudomanifold and report.closed):
+    if not pseudomanifold_check(X).closed:
         raise NotClosedPseudomanifold(
             "one-point suspension needs a pseudomanifold without boundary"
         )
@@ -477,8 +476,7 @@ def bistellar_move(X: Complex, v: int, sigma: Iterable[int]) -> Complex:
     be a face.  The result is a closed pseudomanifold on vertex_set(X) minus v.
     """
     sig = Simplex(sigma)
-    report = pseudomanifold_check(X)
-    if not (report.is_pseudomanifold and report.closed):
+    if not pseudomanifold_check(X).closed:
         raise NotClosedPseudomanifold("bistellar moves need a closed pseudomanifold")
     if v not in X.vertex_set:
         raise VertexNotPresent(f"vertex {v} not in the complex")
@@ -506,8 +504,7 @@ def generalized_bistellar_move(
     """
     A = Simplex(a_face)
     B = Simplex(b_face)
-    report = pseudomanifold_check(X)
-    if not (report.is_pseudomanifold and report.closed):
+    if not pseudomanifold_check(X).closed:
         raise MovePreconditionFailed("moves need a closed pseudomanifold")
     if len(A) + len(B) != X.dim + 2:
         raise MovePreconditionFailed(

@@ -565,8 +565,7 @@ def collapse_stacked_sphere_to_ball(S: Complex) -> Complex:
     the collapses glues the ball back together.  Raises NotStacked when no
     collapsible vertex exists and S is not standard.
     """
-    report = pseudomanifold_check(S)
-    if not (report.is_pseudomanifold and report.closed) or S.dim < 1:
+    if not pseudomanifold_check(S).closed or S.dim < 1:
         raise NotStacked("input is not a closed pseudomanifold of dimension >= 1")
     walk = _Walk(S, S.n_vertices, None)  # each collapse removes a vertex
     if not walk.run(max_a=1):

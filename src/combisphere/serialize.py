@@ -12,6 +12,7 @@ with exact rational strings and labels in numeric order.
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING, Any
 
@@ -134,8 +135,26 @@ def points_from_json_obj(obj: Any) -> PointConfiguration:
             raise ValueError(f"point label {key!r} is not an integer") from None
         if label in coords:
             raise ValueError(f"point label {key!r} repeats the label {label}")
-        coords[label] = tuple(Fraction(str(c)) for c in _list(row, f"point {key}"))
+        coords[label] = tuple(_coordinate(c, key) for c in _list(row, f"point {key}"))
     return PointConfiguration.from_dict(dim, coords)
+
+
+def _coordinate(value: Any, key: str) -> Fraction:
+    """Fraction(str(value)), refusing a zero denominator and an exponent past
+    Python's int string-digit limit, which Fraction would expand for minutes."""
+    text = str(value)
+    _, e, exponent = text.lower().partition("e")
+    limit = sys.get_int_max_str_digits()  # 0 when unlimited
+    try:
+        huge = bool(e and limit) and abs(int(exponent)) > limit
+    except ValueError:  # not an exponent; Fraction says what is wrong
+        huge = False
+    if huge:
+        raise ValueError(f"point {key}: the exponent of {text!r} exceeds {limit}")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"point {key}: {text!r} has a zero denominator") from None
 
 
 def points_to_json(pc: PointConfiguration) -> str:

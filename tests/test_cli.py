@@ -9,13 +9,25 @@ from pathlib import Path
 
 import pytest
 
-from combisphere import cli, from_facets, get
+from combisphere import (
+    certify_ball,
+    certify_sphere,
+    cli,
+    complete_ball_degree_d,
+    complete_flag,
+    from_facets,
+    get,
+    perturb_to_general_position,
+)
 from combisphere.cli import main
 from combisphere.serialize import (
     complex_to_text,
+    completion_to_json_obj,
+    dumps,
     parse_complex,
     parse_points,
     points_to_json,
+    verdict_to_json_obj,
 )
 from helpers import moebius_torus, octahedron_points
 
@@ -413,17 +425,29 @@ REPEATED_FACETS = '{"dim": 1, "facets": [[1, 2], [2, 3]], "facets": [[1, 2]]}'
 COMPLEX_KINDS = ("join", "degree", "flag", "stacked-ball", "stacked-sphere",
                  "ball-degree", "disc")
 _ALL_CHOICES = ("factor", "choices", "vertex", "apex")
-# the choice flags that each complete kind does not read
-UNREAD_CHOICE_FLAGS = {
-    "join": ("vertex", "apex"),
-    "degree": ("factor", "choices"),
-    "flag": ("factor", "choices"),
-    "ball-degree": ("factor", "choices", "apex"),
-    "polytopal": ("factor", "choices", "apex"),
-    "stacked-ball": _ALL_CHOICES,
-    "stacked-sphere": _ALL_CHOICES,
-    "disc": _ALL_CHOICES,
+_SEARCH = ("budget", "seed")
+# the options that each verify and complete kind does not read, of those its
+# parser defines
+UNREAD_OPTIONS = {
+    ("complete", "join"): ("vertex", "apex"),
+    ("complete", "degree"): ("factor", "choices"),
+    ("complete", "flag"): ("factor", "choices"),
+    ("complete", "ball-degree"): ("factor", "choices", "apex"),
+    ("complete", "polytopal"): ("factor", "choices", "apex", "trust", *_SEARCH),
+    ("complete", "stacked-ball"): (*_ALL_CHOICES, "trust", *_SEARCH),
+    ("complete", "stacked-sphere"): (*_ALL_CHOICES, "trust", *_SEARCH),
+    ("complete", "disc"): _ALL_CHOICES,
+    ("verify", "stacked-ball"): _SEARCH,
+    ("verify", "stacked-sphere"): _SEARCH,
+    ("verify", "flag"): _SEARCH,
+    ("verify", "pseudomanifold"): _SEARCH,
 }
+
+
+def _case_id(argv):
+    """"disc--in" for complete disc --in ..., "verify-flag--in" for verify."""
+    prefix = "" if argv[0] == "complete" else f"{argv[0]}-"
+    return prefix + "".join(argv[1:3])
 
 
 class TestHostileInput:
@@ -483,6 +507,16 @@ class TestHostileInput:
         err = self._run(capsys, monkeypatch, tmp_path, REPEATED_FACETS, via)
         assert "repeats the key 'facets'" in err
 
+    @pytest.mark.parametrize("coordinate, message", [
+        ("1/0", "'1/0' has a zero denominator"),
+        ("1e5000", f"the exponent of '1e5000' exceeds {sys.get_int_max_str_digits()}"),
+    ], ids=["zero-denominator", "huge-exponent"])
+    def test_unreadable_coordinate(self, capsys, monkeypatch, tmp_path,
+                                   coordinate, message):
+        text = f'{{"dim": 1, "points": {{"1": ["0"], "2": ["{coordinate}"]}}}}'
+        err = self._run(capsys, monkeypatch, tmp_path, text, "points")
+        assert err == f"combisphere: point 2: {message}\n"
+
     def test_target_vertex_without_a_point(self, capsys, monkeypatch, tmp_path):
         # the boundary of a tetrahedron on labels that no point carries
         err = self._run(capsys, monkeypatch, tmp_path, TETRAHEDRON_7_TO_10,
@@ -523,21 +557,31 @@ class TestHostileInput:
         assert run(capsys, *argv) == (code, "", f"combisphere: {message}\n")
 
     @pytest.mark.parametrize("argv, flag", [
-        (["stacked-ball", "--catalog", "gs_ball_C", "--vertex", "3"], "vertex"),
-        (["disc", "--catalog", "gs_ball_C", "--apex", "2"], "apex"),
-        (["degree", "--catalog", "gs_m38", "--choices", "1,2"], "choices"),
-        *(([kind, "--in", "/no/such/file", f"--{flag}", "1"], flag)
-          for kind, flags in UNREAD_CHOICE_FLAGS.items() for flag in flags),
-    ], ids=lambda p: "".join(p[:2]) if isinstance(p, list) else p)
+        (["complete", "stacked-ball", "--catalog", "gs_ball_C", "--vertex", "3"],
+         "vertex"),
+        (["complete", "disc", "--catalog", "gs_ball_C", "--apex", "2"], "apex"),
+        (["complete", "degree", "--catalog", "gs_m38", "--choices", "1,2"], "choices"),
+        (["complete", "stacked-ball", "--catalog", "gs_ball_C", "--budget", "5",
+          "--trust", "--seed", "3"], "trust"),
+        (["verify", "flag", "--catalog", "octahedron", "--seed", "3"], "seed"),
+        # --trust takes no value
+        *(([verb, kind, "--in", "/no/such/file", f"--{flag}",
+            *(() if flag == "trust" else ("1",))], flag)
+          for (verb, kind), flags in UNREAD_OPTIONS.items() for flag in flags),
+    ], ids=lambda p: _case_id(p) if isinstance(p, list) else p)
     def test_unread_choice_flag(self, capsys, argv, flag):
         # refused before the input is read, so a missing file is not reached
-        message = f"combisphere: complete {argv[0]} does not take --{flag}\n"
-        assert run(capsys, "complete", *argv) == (65, "", message)
+        message = f"combisphere: {argv[0]} {argv[1]} does not take --{flag}\n"
+        assert run(capsys, *argv) == (65, "", message)
 
     def test_target_without_perturb(self, capsys):
         argv = ["hull", "--catalog", "cyclic_polytope_points(6,3)",
                 "--target", "octahedron"]
         assert run(capsys, *argv) == (65, "", "combisphere: --target needs --perturb\n")
+
+    def test_seed_without_perturb(self, capsys):
+        argv = ["hull", "--catalog", "cyclic_polytope_points(6,3)", "--seed", "9"]
+        assert run(capsys, *argv) == (65, "", "combisphere: --seed needs --perturb\n")
 
     @pytest.mark.parametrize("verb", [["info"], ["verify", "sphere"],
                                       ["verify", "ball"], ["complete", "degree"]])
@@ -547,6 +591,55 @@ class TestHostileInput:
         code, out, err = run(capsys, *verb, "--in", str(path))
         assert (code, out) == (65, "")
         assert err == "combisphere: a facet needs at least one vertex\n"
+
+
+def _verb_parsers() -> dict:
+    sub = next(a for a in cli.build_parser()._actions if a.dest == "verb")
+    return sub.choices
+
+
+class TestOptionTable:
+    """cli._READS alone says which verify and complete kind reads which option."""
+
+    def test_given_options_are_the_parsers(self):
+        not_options = {"help", "kind", "infile", "catalog", "points", "json", "out"}
+        defined = {action.dest for verb in ("verify", "complete")
+                   for action in _verb_parsers()[verb]._actions}
+        assert len(set(cli._OPTIONS)) == len(cli._OPTIONS)
+        assert set(cli._OPTIONS) == defined - not_options
+
+    def test_every_option_is_read_by_some_kind(self):
+        assert set().union(*cli._READS.values()) == set(cli._OPTIONS)
+
+    def test_every_row_names_a_kind(self):
+        parsers = _verb_parsers()
+        for verb, kind in cli._READS:
+            kinds = next(a for a in parsers[verb]._actions if a.dest == "kind")
+            assert kind in kinds.choices
+
+    @pytest.mark.parametrize("argv, library", [
+        (["verify", "sphere", "--catalog", "gs_s48", "--json"],
+         lambda: dumps(verdict_to_json_obj(certify_sphere(get("gs_s48").complex)))),
+        (["verify", "ball", "--catalog", "gs_ball_D", "--json"],
+         lambda: dumps(verdict_to_json_obj(certify_ball(get("gs_ball_D").complex)))),
+        (["complete", "flag", "--catalog", "octahedron", "--json"],
+         lambda: dumps(completion_to_json_obj(
+             complete_flag(get("octahedron").complex)))),
+        (["complete", "ball-degree", "--catalog", "example43_ball", "--vertex", "8",
+          "--json"],
+         lambda: dumps(completion_to_json_obj(
+             complete_ball_degree_d(get("example43_ball").complex, 8)))),
+    ], ids=["verify-sphere", "verify-ball", "complete-flag", "complete-ball-degree"])
+    def test_option_left_out_takes_the_library_default(self, capsys, argv, library):
+        assert run(capsys, *argv) == (0, library(), "")
+
+    def test_hull_seed_left_out_takes_the_library_default(self, capsys,
+                                                           octa_points_file):
+        moved = perturb_to_general_position(octahedron_points(),
+                                            get("octahedron").complex)
+        argv = ["hull", "--points", octa_points_file, "--perturb", "--target",
+                "octahedron"]
+        assert run(capsys, *argv) == (0, points_to_json(moved), "")
 
 
 class TestPlumbing:

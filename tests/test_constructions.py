@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from combisphere import (
     boundary,
+    certify_ball,
     certify_sphere,
     complete_ball_degree_d,
     complete_degree_d,
@@ -45,6 +47,7 @@ from helpers import (
     _counted_flips,
     barycentric_subdivision,
     moebius_torus,
+    random_closed_pseudomanifold,
     random_disc,
     random_flag_2sphere,
     random_stacked_ball,
@@ -555,6 +558,33 @@ class TestCompletionsShareOneBudget:
             with _counted_flips() as flips:
                 complete(budget)
             assert flips[0] <= budget, name
+
+    @settings(max_examples=300, deadline=None)
+    @given(kind=st.sampled_from(["stacked sphere", "pseudomanifold", "stacked ball",
+                                 "flag", "join"]),
+           budget=st.integers(0, 40), seed=st.integers(0, 2**16))
+    def test_random_inputs_spend_at_most_the_budget(self, kind, budget, seed):
+        rng = random.Random(seed)
+        d = rng.randint(1, 4)
+        n = rng.randint(d + 3, d + 10)
+        if kind == "stacked sphere":
+            call = functools.partial(certify_sphere, random_stacked_sphere(rng, d, n))
+        elif kind == "pseudomanifold":
+            call = functools.partial(certify_sphere, random_closed_pseudomanifold(rng))
+        elif kind == "stacked ball":
+            call = functools.partial(certify_ball, random_stacked_ball(rng, d, n))
+        elif kind == "flag":
+            call = functools.partial(
+                complete_flag, get(f"cross_polytope({rng.randint(4, 6)})").complex
+            )
+        else:
+            a, b = (get(f"cross_polytope({rng.randint(2, 4)})").complex
+                    for _ in range(2))
+            b = _shifted(b, 20)
+            call = functools.partial(complete_join, join(a, b), [a, b])
+        with _counted_flips() as flips:
+            call(budget=budget, seed=seed)
+        assert flips[0] <= budget
 
     def test_the_glued_sphere_gets_what_the_input_left(self):
         # cp4 certifies in 7 moves and its glued sphere in 3 more
