@@ -188,6 +188,9 @@ _TABLE = {
 }
 _COMPLEX_PROPERTIES = ("dim", "n_vertices", "n_facets", "euler_characteristic")
 _POINT_PROPERTIES = ("dim", "n_points")
+# Bound on every argument and on the stated size of an entry: facets times
+# facet size for a complex, points times dimension for points.
+_BOUND = 2**16
 
 _NAME_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)(?:\(([^()]*)\))?$")
 
@@ -213,11 +216,18 @@ def _build(base: str, *args: int) -> NamedExample:
     bound.apply_defaults()
     args = bound.args
     name = f"{base}({','.join(map(str, args))})" if names else base
+    too_large = UnknownName(f"{name} exceeds the catalog's size bound of {_BOUND}")
+    if any(abs(a) > _BOUND for a in args):  # before stated() forms 2**k
+        raise too_large
+    facts = stated(*args)
+    width, count = facts[:2] if len(facts) == 2 else (facts[0] + 1, facts[2])
+    if width * count > _BOUND:
+        raise too_large
     built = build(*args)
     if isinstance(built, PointConfiguration):
-        properties = tuple(zip(_POINT_PROPERTIES, stated(*args)))
+        properties = tuple(zip(_POINT_PROPERTIES, facts))
         return NamedExample(name, None, provenance, properties, points=built)
-    properties = tuple(zip(_COMPLEX_PROPERTIES, stated(*args)))
+    properties = tuple(zip(_COMPLEX_PROPERTIES, facts))
     return NamedExample(name, built, provenance, properties)
 
 

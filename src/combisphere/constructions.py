@@ -49,7 +49,6 @@ from .errors import (
 from .recognition import (
     DEFAULT_BUDGET,
     DEFAULT_SEED,
-    Verdict,
     certify_ball,
     certify_sphere,
     collapse_stacked_sphere_to_ball,
@@ -117,8 +116,20 @@ _INPUT_CHECKS = {
 }
 
 
-def _moves_left(budget: int, verdict: Verdict) -> int:
-    """What a later certification may spend of budget after verdict."""
+def _certify(
+    X: Complex, kind: str, budget: int, seed: int, trace: list[str],
+    step: str, refusal: tuple[type[Exception], str],
+) -> int:
+    """Certify X as a sphere, or as a ball for any other kind, within budget:
+    raise on a refutation, log the status after step, and return the moves
+    left that a later certification may spend."""
+    # named at call time: perfbench's tracer wraps module attributes, not table entries
+    certify = certify_sphere if kind == "sphere" else certify_ball
+    verdict = certify(X, budget, seed)
+    if verdict.is_refuted:
+        error, claim = refusal
+        raise error(f"{claim}: {verdict.reason}")
+    trace.append(f"{step} {verdict.status}")
     return budget - len(verdict.trace) if verdict.is_certified else 0
 
 
@@ -130,13 +141,14 @@ def _certify_input(
         trace.append("input: certification skipped (trusted)")
         return budget
     error, label = _INPUT_CHECKS[kind]
-    # named at call time: perfbench's tracer wraps module attributes, not table entries
-    certify = certify_sphere if kind == "sphere" else certify_ball
-    verdict = certify(X, budget, seed)
-    if verdict.is_refuted:
-        raise error(f"input is not a {kind}: {verdict.reason}")
-    trace.append(f"input: {label} {verdict.status}")
-    return _moves_left(budget, verdict)
+    return _certify(X, kind, budget, seed, trace, f"input: {label}",
+                    (error, f"input is not a {kind}"))
+
+
+def _vertex_floor(n: int, d: int, what: str = "vertices") -> None:
+    """Refuse a completion to dimension d on fewer than d + 2 vertices."""
+    if n < d + 2:
+        raise TooFewVertices(f"need at least {d + 2} {what}, have {n}")
 
 
 def _degree_d_vertex(X: Complex, v: int | None, d: int) -> int:
@@ -202,11 +214,9 @@ def complete_join(
     trace.append(f"verified input = join of {len(factors)} factors")
     if not trust:
         for i, f in enumerate(factors):
-            verdict = certify_sphere(f, budget, seed)
-            if verdict.is_refuted:
-                raise FactorNotSphere(f"factor {i} is not a sphere: {verdict.reason}")
-            trace.append(f"factor {i}: certification {verdict.status}")
-            budget = _moves_left(budget, verdict)
+            budget = _certify(f, "sphere", budget, seed, trace,
+                              f"factor {i}: certification",
+                              (FactorNotSphere, f"factor {i} is not a sphere"))
     else:
         trace.append("factor certification skipped (trusted)")
     if v_choices is None:
@@ -245,9 +255,7 @@ def complete_degree_d(
     trace: list[str] = []
     _certify_input(S, "sphere", trust, budget, seed, trace)
     d = S.dim + 1
-    n = S.n_vertices
-    if n < d + 2:
-        raise TooFewVertices(f"need at least {d + 2} vertices, have {n}")
+    _vertex_floor(S.n_vertices, d)
     v = _degree_d_vertex(S, v, d)
     sigma = Simplex._raw(tuple(sorted(link(S, v).vertex_set)))
     try:
@@ -299,12 +307,9 @@ def complete_flag(
         )
     trace.append(f"verified ball intersection equals the link of {v}")
     s2 = _union(d2, d3)
-    mid_verdict = certify_sphere(s2, budget, seed)
-    if mid_verdict.is_refuted:
-        raise IntermediateClaimFailed(
-            f"the glued complex is not a sphere: {mid_verdict.reason}"
-        )
-    trace.append(f"glued sphere without {v}: certification {mid_verdict.status}")
+    _certify(s2, "sphere", budget, seed, trace,
+             f"glued sphere without {v}: certification",
+             (IntermediateClaimFailed, "the glued complex is not a sphere"))
     return _suspend_and_finish(S, s2, u, v, trace)
 
 
@@ -327,8 +332,7 @@ def complete_stacked_ball(B: Complex) -> CompletionResult:
     d = B.dim
     if d < 2:
         raise DimensionTooLow("needs dimension >= 2")
-    if B.n_vertices < d + 2:
-        raise TooFewVertices(f"need at least {d + 2} vertices, have {B.n_vertices}")
+    _vertex_floor(B.n_vertices, d)
     witness = report.witness
     assert witness is not None
     last = witness.facets[-1]
@@ -351,9 +355,7 @@ def complete_stacked_ball(B: Complex) -> CompletionResult:
 
 def complete_stacked_sphere(S: Complex) -> CompletionResult:
     """Collapse the stacked sphere to a ball it bounds, then complete the ball."""
-    d = S.dim + 1
-    if S.n_vertices < d + 2:
-        raise TooFewVertices(f"need at least {d + 2} vertices, have {S.n_vertices}")
+    _vertex_floor(S.n_vertices, S.dim + 1)
     ball = collapse_stacked_sphere_to_ball(S)
     trace = [
         f"collapsed to a stacked {ball.dim}-ball with {ball.n_facets} facets"
@@ -403,9 +405,7 @@ def complete_ball_degree_d(
     trace: list[str] = []
     _certify_input(B, "ball", trust, budget, seed, trace)
     d = B.dim
-    n = B.n_vertices
-    if n < d + 2:
-        raise TooFewVertices(f"need at least {d + 2} vertices, have {n}")
+    _vertex_floor(B.n_vertices, d)
     u = _degree_d_vertex(B, u, d)
     # u has exactly d neighbours and every facet through u holds d of them,
     # so u lies only in the facet u * tau.  Each ridge of it through u has
@@ -441,10 +441,9 @@ def complete_disc(
     """
     if B.dim != 2:
         raise NotDisc(f"dimension {B.dim} != 2")
-    if B.n_vertices < 4:
-        raise TooFewVertices(f"need at least 4 vertices, have {B.n_vertices}")
+    _vertex_floor(B.n_vertices, 2)
     trace: list[str] = []
-    budget = _certify_input(B, "disc", trust, budget, seed, trace)
+    _certify_input(B, "disc", trust, budget, seed, trace)
     cycle = _boundary_cycle(B)
     filled: list[tuple[int, ...]] = []
     while len(cycle) > 3:
@@ -467,7 +466,7 @@ def complete_disc(
         raise IntermediateClaimFailed(f"boundary triangle {cap} is already a face")
     trace.append(f"capped the final triangle {cap}")
     sphere = Complex._from_vertex_sets([*B.facets, *filled, cap])
-    final = certify_sphere(sphere, budget, seed)
+    final = certify_sphere(sphere, 0, seed)  # exact in dimension 2, so no moves
     if not final.is_certified:
         raise IntermediateClaimFailed(f"filled disc is not a 2-sphere: {final.reason}")
     return _finish(B, sphere, trace)

@@ -14,7 +14,6 @@ rather than guessing.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -23,7 +22,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Mapping, Sequence
 
-from .constructions import CompletionResult, _suspend_and_finish
+from .constructions import CompletionResult, _suspend_and_finish, _vertex_floor
 from .core import Complex, Simplex, anti_star, is_subcomplex
 from .errors import (
     DegenerateSpan,
@@ -33,7 +32,6 @@ from .errors import (
     NotSimplicial,
     PerturbationBudgetExhausted,
     TooFewPoints,
-    TooFewVertices,
     VertexNotPresent,
 )
 
@@ -239,7 +237,6 @@ def _affine_basis(pc: PointConfiguration) -> list[int]:
 class _Facet:
     vertices: frozenset[int]
     functional: Row  # primitive, negative strictly beneath, at the interior reference
-    order: int  # creation order, which is also the order of the facet list
     side: int = 0  # functional at the point being inserted, set by the scan
 
 
@@ -248,7 +245,8 @@ def convex_hull(pc: PointConfiguration) -> HullResult:
 
     Points are inserted in ascending label order.  Strictly interior points
     are skipped; a point exactly on a current facet hyperplane is a general
-    position violation and raises NotSimplicial.  Elimination gives the
+    position violation and raises NotSimplicial naming the smallest such
+    facet of the hull so far, compared as sorted labels.  Elimination gives the
     hyperplanes of the initial simplex only: every later facet is a horizon
     ridge plus the new point, and its functional is rotated about that ridge
     from the functionals of the two facets that met there.  In dimension 0
@@ -271,10 +269,9 @@ def convex_hull(pc: PointConfiguration) -> HullResult:
         map(sum, zip(*([c * (common // rows[b][0]) for c in rows[b]] for b in basis)))
     )
     ridge_owner: dict[frozenset[int], list[_Facet]] = {}  # kept up to date
-    created = itertools.count()
 
     def added(labels: frozenset[int], a: Row) -> _Facet:
-        facet = _Facet(labels, a, next(created))
+        facet = _Facet(labels, a)
         for v in labels:
             ridge_owner.setdefault(labels - {v}, []).append(facet)
         return facet
@@ -304,25 +301,19 @@ def convex_hull(pc: PointConfiguration) -> HullResult:
         if label in basis:
             continue
         x = rows[label]
-        beyond: list[_Facet] = []
         for f in facets:
-            f.side = side = _side(f.functional, x)
-            if side > 0:
-                beyond.append(f)
-            elif side == 0:
-                raise NotSimplicial(
-                    f"point {label} lies on the hyperplane of facet "
-                    f"{tuple(sorted(f.vertices))}; not in general position"
-                )
+            f.side = _side(f.functional, x)
+        ties = [tuple(sorted(f.vertices)) for f in facets if f.side == 0]
+        if ties:
+            raise NotSimplicial(
+                f"point {label} lies on the hyperplane of facet "
+                f"{min(ties)}; not in general position"
+            )
+        beyond = [f for f in facets if f.side > 0]
         if not beyond:
             continue  # interior of the current hull, hence never a vertex
         beyond_set = set(beyond)
-        # Scanning the ridges of every facet in list (= creation) order would
-        # meet each horizon ridge first in its older owner.  New facets are
-        # made in that order and from that owner's copy of the ridge, so the
-        # facet list, and with it the tie NotSimplicial names, is the one a
-        # full rescan gives.
-        horizon: list[tuple[tuple[int, int], frozenset[int], _Facet, _Facet]] = []
+        horizon: list[tuple[frozenset[int], _Facet, _Facet]] = []
         for f in beyond:
             for v in f.vertices:
                 ridge = f.vertices - {v}
@@ -332,16 +323,10 @@ def convex_hull(pc: PointConfiguration) -> HullResult:
                     del ridge_owner[ridge]
                     continue
                 kept = owners[0]
-                if kept in beyond_set:
-                    continue
-                first = min(f, kept, key=lambda o: o.order)
-                pos, w = next(
-                    (i, w) for i, w in enumerate(first.vertices) if w not in ridge
-                )
-                horizon.append(((first.order, pos), first.vertices - {w}, f, kept))
-        horizon.sort(key=lambda h: h[0])
+                if kept not in beyond_set:
+                    horizon.append((ridge, f, kept))
         facets = [f for f in facets if f not in beyond_set]
-        facets += [rotated(r | {label}, gone, kept) for _, r, gone, kept in horizon]
+        facets += [rotated(r | {label}, gone, kept) for r, gone, kept in horizon]
     hull_facets = []
     for f in sorted(facets, key=lambda f: tuple(sorted(f.vertices))):
         normal, offset = _primitive(f.functional)
@@ -460,8 +445,7 @@ def polytopal_complete(
     """
     d = pc.dim
     n = len(pc)
-    if n < d + 2:
-        raise TooFewVertices(f"need at least {d + 2} points, have {n}")
+    _vertex_floor(n, d, "points")
     if not general_position_check(pc):
         raise NotGeneralPosition(
             "points are not in general position; perturb them first"

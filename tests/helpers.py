@@ -1129,15 +1129,18 @@ def reference_convex_hull(pc: PointConfiguration) -> HullResult:
             continue
         x = coords[label]
         beyond: list[_ReferenceFacet] = []
+        ties: list[tuple[int, ...]] = []
         for f in facets:
             side = _reference_dot(f.normal, x) - f.offset
             if side > 0:
                 beyond.append(f)
             elif side == 0:
-                raise NotSimplicial(
-                    f"point {label} lies on the hyperplane of facet "
-                    f"{tuple(sorted(f.vertices))}; not in general position"
-                )
+                ties.append(tuple(sorted(f.vertices)))
+        if ties:  # the smallest tied facet, so the list's order never matters
+            raise NotSimplicial(
+                f"point {label} lies on the hyperplane of facet "
+                f"{min(ties)}; not in general position"
+            )
         if not beyond:
             continue  # interior of the current hull, hence never a vertex
         beyond_set = {id(f) for f in beyond}

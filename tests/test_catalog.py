@@ -1,4 +1,6 @@
 import hashlib
+import inspect
+import re
 
 import pytest
 
@@ -17,6 +19,7 @@ from combisphere import (
     one_point_suspension,
 )
 from combisphere import catalog
+from combisphere.cli import main
 from combisphere.errors import UnknownName
 from combisphere.serialize import complex_to_text
 from helpers import gale_evenness_facets
@@ -247,6 +250,32 @@ class TestLookup:
                     "cyclic_polytope_points(3,3)"):
             with pytest.raises(UnknownName):
                 get(bad)
+
+    @pytest.mark.parametrize("name", [
+        "cross_polytope(13)", "cross_polytope(40)", "cross_polytope(99999999999)",
+        "cycle(32769)", "cycle(-70000)", "standard_sphere(255)",
+        "standard_ball(65536)", "cyclic_polytope_points(16385,4)",
+    ])
+    def test_oversized_entries_are_refused_unbuilt(self, monkeypatch, capsys, name):
+        # the row's builder fails if called, and its stated size if formed
+        # for an argument above the bound
+        base = name.partition("(")[0]
+        build, provenance, stated = catalog._TABLE[base]
+
+        def unbuildable(*args):
+            raise AssertionError(f"{name} was built")
+
+        def bounded(*args):
+            assert all(abs(a) <= 2**16 for a in args), "stated size of a huge argument"
+            return stated(*args)
+
+        unbuildable.__signature__ = inspect.signature(build)
+        monkeypatch.setitem(catalog._TABLE, base, (unbuildable, provenance, bounded))
+        message = f"{name} exceeds the catalog's size bound of 65536"
+        with pytest.raises(UnknownName, match=re.escape(message)):
+            get(name)
+        assert main(["info", "--catalog", name]) == 65
+        assert message in capsys.readouterr().err
 
     def test_whitespace_tolerated(self):
         assert get(" cycle( 5 ) ").complex == get("cycle(5)").complex

@@ -517,6 +517,11 @@ class TestHostileInput:
         err = self._run(capsys, monkeypatch, tmp_path, text, "points")
         assert err == f"combisphere: point 2: {message}\n"
 
+    def test_coordinate_with_an_empty_exponent(self, capsys, monkeypatch, tmp_path):
+        text = '{"dim": 1, "points": {"1": ["0"], "2": ["1e"]}}'
+        err = self._run(capsys, monkeypatch, tmp_path, text, "points")
+        assert err == "combisphere: Invalid literal for Fraction: '1e'\n"
+
     def test_target_vertex_without_a_point(self, capsys, monkeypatch, tmp_path):
         # the boundary of a tetrahedron on labels that no point carries
         err = self._run(capsys, monkeypatch, tmp_path, TETRAHEDRON_7_TO_10,
@@ -610,6 +615,19 @@ class TestOptionTable:
 
     def test_every_option_is_read_by_some_kind(self):
         assert set().union(*cli._READS.values()) == set(cli._OPTIONS)
+
+    def test_readme_table_is_the_reads_table(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        _, table = readme.split("| Kind | Options it reads |\n|---|---|\n")
+        rows = {}
+        for line in table.split("\n\n")[0].splitlines():
+            kinds, options = (cell.strip() for cell in line.strip("|").split("|"))
+            flags = [] if options == "none" else [
+                option.strip(" `").removeprefix("--") for option in options.split(",")]
+            for kind in kinds.split(","):
+                rows[tuple(kind.strip(" `").split())] = flags
+        assert rows.pop(("every", "other", "kind")) == []
+        assert rows == {key: list(reads) for key, reads in cli._READS.items()}
 
     def test_every_row_names_a_kind(self):
         parsers = _verb_parsers()

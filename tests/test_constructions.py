@@ -120,6 +120,17 @@ class TestCompleteJoin:
         with pytest.raises(FactorJoinMismatch):
             complete_join(S, [S])
 
+    def test_one_choice_for_two_factors_rejected(self):
+        factors = [from_facets(S0_12), from_facets(S0_34)]
+        with pytest.raises(FactorJoinMismatch,
+                           match="^one chosen vertex per factor is required$"):
+            complete_join(join(*factors), factors, v_choices=[1])
+
+    def test_trust_skips_factor_certification(self):
+        factors = [from_facets(S0_12), from_facets(S0_34)]
+        result = complete_join(join(*factors), factors, trust=True)
+        assert result.trace[1] == "factor certification skipped (trusted)"
+
     def test_ball_factor_rejected(self):
         ball = from_facets([(1, 2)])
         s0 = from_facets([(3,), (4,)])
@@ -216,6 +227,11 @@ class TestCompleteFlag:
         with pytest.raises(NotFlag):
             complete_flag(S)
 
+    def test_apex_must_be_a_neighbour(self):
+        # 1 and 2 are antipodal in cp4
+        with pytest.raises(VertexNotPresent, match="^vertex 2 is not adjacent to 1$"):
+            complete_flag(get("cross_polytope(4)").complex, v=1, u=2)
+
     def test_non_sphere_rejected(self):
         with pytest.raises(NotSphere):
             complete_flag(moebius_torus())
@@ -276,6 +292,10 @@ class TestCompleteStackedSphere:
     def test_non_stacked_rejected(self):
         with pytest.raises(NotStacked):
             complete_stacked_sphere(get("octahedron").complex)
+
+    def test_minimal_sphere_too_small(self):
+        with pytest.raises(TooFewVertices, match="^need at least 5 vertices, have 4$"):
+            complete_stacked_sphere(get("standard_sphere(2)").complex)
 
 
 class TestSphereChain:

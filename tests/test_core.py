@@ -124,6 +124,7 @@ class TestComplexConstruction:
         assert X.has_face((2, 3)) and X.has_face((4,))
         assert not X.has_face((1, 4))
         assert not X.is_empty
+        assert X.faces_of_size(-1) == X.faces_of_size(X.dim + 2) == frozenset()
 
 
 class TestLink:
@@ -175,6 +176,12 @@ class TestJoin:
     def test_overlapping_vertices_rejected(self):
         with pytest.raises(VertexSetsOverlap):
             join(from_facets([(1, 2)]), from_facets([(2, 3)]))
+
+    def test_empty_factor_rejected(self):
+        empty, cycle = boundary(get("octahedron").complex), get("cycle(4)").complex
+        for factors in ((empty, cycle), (cycle, empty)):
+            with pytest.raises(EmptyInput, match="^join factors must be nonempty$"):
+                join(*factors)
 
     def test_face_polynomial_is_multiplicative_sampled(self):
         rng = random.Random(7)

@@ -1,7 +1,10 @@
+import ast
 import itertools
 import random
+import re
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 import pytest
 from hypothesis import assume, given, settings
@@ -39,6 +42,7 @@ from combisphere.polytopal import (
     _realizes,
 )
 from helpers import (
+    _reference_affine_basis,
     _reference_primitive,
     cube_points,
     gale_evenness_facets,
@@ -87,6 +91,10 @@ class TestPointConfiguration:
     def test_drop_missing_label(self):
         with pytest.raises(VertexNotPresent):
             _tetra_points().drop(9)
+
+    def test_coords_of_a_missing_label(self):
+        with pytest.raises(VertexNotPresent, match="^no point labeled 9$"):
+            _tetra_points().coords(9)
 
 
 class TestGeneralPosition:
@@ -235,6 +243,11 @@ class TestPerturbation:
         a = perturb_to_general_position(octahedron_points(), octa, seed=3)
         b = perturb_to_general_position(octahedron_points(), octa, seed=3)
         assert a == b
+
+    def test_needs_enough_points(self):
+        pts = PointConfiguration.from_dict(3, {1: (0, 0, 0), 2: (1, 0, 0), 3: (0, 1, 0)})
+        with pytest.raises(TooFewPoints, match="^need at least 4 points, have 3$"):
+            perturb_to_general_position(pts, get("octahedron").complex)
 
     def test_generic_input_is_untouched(self):
         pts = get("cyclic_polytope_points(6,3)").points
@@ -425,8 +438,8 @@ class TestIntegerKernelMatchesReference:
     @given(pc=configurations(plants=0), data=st.data())
     def test_point_on_a_facet_hyperplane(self, pc, data):
         # A point on the affine hull of part of a hull facet lies on that
-        # facet's hyperplane (and, for part of a ridge, on two), so the tie
-        # that NotSimplicial names depends on the order of the facet list.
+        # facet's hyperplane (and, for part of a ridge, on two or more), so
+        # NotSimplicial must pick one tie: the smallest facet.
         status, hull = _outcome(reference_convex_hull, pc)
         assume(status == "ok")
         facet = data.draw(st.sampled_from(hull.facets)).vertices
@@ -442,6 +455,36 @@ class TestIntegerKernelMatchesReference:
         assert _outcome(general_position_check, planted) == _outcome(
             reference_general_position_check, planted
         )
+
+    @settings(max_examples=120, deadline=None)
+    @given(pc=configurations(min_dim=2, plants=0), data=st.data())
+    def test_a_tie_names_the_smallest_facet_holding_the_point(self, pc, data):
+        # points planted on sub-faces of hull facets tie with every facet
+        # through the sub-face; the named facet is the smallest of those on
+        # the hull of the points inserted before the tied one
+        status, hull = _outcome(reference_convex_hull, pc)
+        assume(status == "ok")
+        coords = pc.as_dict()
+        for label in data.draw(st.lists(st.integers(1, 45), min_size=1,
+                                        max_size=3, unique=True)):
+            facet = data.draw(st.sampled_from(hull.facets)).vertices
+            part = data.draw(st.lists(st.sampled_from(facet), min_size=1,
+                                      max_size=len(facet) - 1, unique=True))
+            coords[label] = _affine_combination(
+                data.draw, [pc.coords(v) for v in part])
+        planted = PointConfiguration.from_dict(pc.dim, coords)
+        status, message = _outcome(convex_hull, planted)
+        assume(status is NotSimplicial)
+        match = re.fullmatch(r"point (\d+) lies on the hyperplane of facet "
+                             r"(\(.*\)); not in general position", message)
+        point, named = int(match[1]), ast.literal_eval(match[2])
+        basis = _reference_affine_basis(planted)
+        before = {l: c for l, c in coords.items() if l < point or l in basis}
+        inserted = reference_convex_hull(PointConfiguration.from_dict(pc.dim, before))
+        x = coords[point]
+        holding = [tuple(f.vertices) for f in inserted.facets
+                   if sum(map(mul, f.normal, x)) == f.offset]
+        assert named == min(holding)
 
     @settings(max_examples=25, deadline=None)
     @given(pc=configurations(min_dim=2, plants=0, more=20), data=st.data())

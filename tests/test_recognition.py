@@ -67,6 +67,15 @@ class TestIsStandard:
         r = is_standard(get("octahedron").complex)
         assert not r.ball and not r.sphere
 
+    def test_empty_complex(self):
+        empty = boundary(get("cross_polytope(3)").complex)
+        assert tuple(is_standard(empty)) == (False, False)
+        assert not is_flag(empty)
+        sphere, ball = certify_sphere(empty), certify_ball(empty)
+        assert (sphere.status, sphere.reason) == (
+            "refuted", "the empty complex is not a sphere")
+        assert (ball.status, ball.reason) == ("refuted", "the empty complex is not a ball")
+
 
 class TestDegree:
     def test_neighbourly_sphere(self):
@@ -816,6 +825,10 @@ class TestCollapseStackedSphere:
     def test_gs_sphere_rejected(self):
         with pytest.raises(NotStacked):
             collapse_stacked_sphere_to_ball(get("gs_m38").complex)
+
+    def test_ball_rejected(self):
+        with pytest.raises(NotStacked):
+            collapse_stacked_sphere_to_ball(get("standard_ball(2)").complex)
 
 
 class TestIsFlag:
