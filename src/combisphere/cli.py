@@ -245,7 +245,7 @@ def _emit(text: str, args: argparse.Namespace) -> None:
 
 def _do_info(args: argparse.Namespace) -> tuple[str, int]:
     X = _load_complex(args)
-    # counted once, and before the ridge map and facet graph are built and kept
+    # counted once; the count builds the ridge map that the check then reads
     f_vector = X.f_vector
     report = pseudomanifold_check(X)
     obj: dict[str, Any] = {

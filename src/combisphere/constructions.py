@@ -49,6 +49,7 @@ from .errors import (
 from .recognition import (
     DEFAULT_BUDGET,
     DEFAULT_SEED,
+    _check_budget,
     certify_ball,
     certify_sphere,
     collapse_stacked_sphere_to_ball,
@@ -137,6 +138,7 @@ def _certify_input(
     X: Complex, kind: str, trust: bool, budget: int, seed: int, trace: list[str]
 ) -> int:
     """Certify X unless trusted, and return the moves left of budget."""
+    _check_budget(budget)
     if trust:
         trace.append("input: certification skipped (trusted)")
         return budget
@@ -206,6 +208,7 @@ def complete_join(
     the two resulting balls is a sphere one dimension up, on the same
     vertices, containing the join.
     """
+    _check_budget(budget)
     if len(factors) < 2:
         raise FactorJoinMismatch("need at least two join factors")
     trace: list[str] = []
@@ -257,7 +260,7 @@ def complete_degree_d(
     d = S.dim + 1
     _vertex_floor(S.n_vertices, d)
     v = _degree_d_vertex(S, v, d)
-    sigma = Simplex._raw(tuple(sorted(link(S, v).vertex_set)))
+    sigma = Simplex._raw(sorted(link(S, v).vertex_set))
     try:
         collapsed = bistellar_move(S, v, sigma)
     except SigmaAlreadyFace as exc:

@@ -14,6 +14,7 @@ operation returns one.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import defaultdict
 from typing import Collection, Iterable, Mapping, NamedTuple
@@ -43,6 +44,11 @@ class Simplex(tuple):
 
     def __new__(cls, vertices: Iterable[int]) -> "Simplex":
         vs = list(vertices)
+        # plain positive distinct ints pass on C-level calls; the loop checks the rest
+        if _INT.issuperset(map(type, vs)):
+            ordered = sorted(vs)
+            if ordered and ordered[0] > 0 and len(set(ordered)) == len(ordered):
+                return tuple.__new__(cls, ordered)
         for v in vs:
             if not isinstance(v, int) or isinstance(v, bool) or v < 1:
                 raise InvalidVertexLabel(
@@ -54,17 +60,17 @@ class Simplex(tuple):
                 raise DuplicateVertexInFacet(f"duplicate vertex {a} in facet {vs}")
         return tuple.__new__(cls, vs)
 
-    @classmethod
-    def _raw(cls, sorted_vertices: tuple[int, ...]) -> "Simplex":
-        # caller guarantees a strictly increasing tuple of valid labels
-        return tuple.__new__(cls, sorted_vertices)
-
     @property
     def dim(self) -> int:
         return len(self) - 1
 
     def __repr__(self) -> str:
         return f"Simplex({tuple(self)})"
+
+
+_INT = frozenset((int,))
+# a Simplex of a strictly increasing sequence of valid labels, unchecked
+Simplex._raw = functools.partial(tuple.__new__, Simplex)
 
 
 class Complex:
@@ -98,15 +104,13 @@ class Complex:
     @classmethod
     def _from_simplices(cls, simplices: Iterable[Simplex]) -> "Complex":
         facets = tuple(sorted(set(simplices)))
-        if facets and any(len(f) != len(facets[0]) for f in facets):
+        if len(set(map(len, facets))) > 1:
             raise NonPure("facets of differing dimension")
         return cls(facets, _canonical=True)
 
     @classmethod
     def _from_vertex_sets(cls, vertex_sets: Iterable[Iterable[int]]) -> "Complex":
-        return cls._from_simplices(
-            Simplex._raw(tuple(sorted(vs))) for vs in vertex_sets
-        )
+        return cls._from_simplices(map(Simplex._raw, map(sorted, vertex_sets)))
 
     # -- basic queries ----------------------------------------------------------
 
@@ -156,8 +160,13 @@ class Complex:
 
     @property
     def f_vector(self) -> tuple[int, ...]:
-        """The number of faces with 1..dim + 1 vertices."""
-        return tuple(len(self._face_tuples(k)) for k in range(1, self.dim + 2))
+        """Face counts by size 1..dim + 1: the vertices, sizes 2..dim - 1 from
+        the facets, from dimension 2 the ridge map (built and kept), the facets."""
+        d = self.dim
+        if d < 2:
+            return (self.n_vertices, self.n_facets)[: d + 1]
+        middle = (len(self._face_tuples(k)) for k in range(2, d))
+        return (self.n_vertices, *middle, len(self._ridge_map()), self.n_facets)
 
     def has_face(self, face: Iterable[int]) -> bool:
         return bool(self._facets_containing(face))
@@ -269,7 +278,7 @@ def from_facets(facet_list: Iterable[Iterable[int]]) -> Complex:
     no facet is empty, and purity; duplicate facets collapse.  The facet
     order of the input is irrelevant: the result is canonical.
     """
-    facets = [Simplex(f) for f in facet_list]
+    facets = list(map(Simplex, facet_list))
     if not facets:
         raise EmptyInput("a complex needs at least one facet")
     X = Complex._from_simplices(facets)
@@ -285,9 +294,7 @@ def link(X: Complex, v: int) -> Complex:
         raise VertexNotPresent(f"vertex {v} not in the complex")
     if X.dim == 0:
         raise NonPureResult("link of a vertex in a 0-complex is empty")
-    return Complex._from_simplices(
-        Simplex._raw(tuple(u for u in f if u != v)) for f in star
-    )
+    return Complex._from_simplices(Simplex._raw([u for u in f if u != v]) for f in star)
 
 
 def anti_star(X: Complex, v: int) -> Complex:
@@ -375,7 +382,7 @@ def _flip(X: Complex, A: tuple[int, ...], B: tuple[int, ...]) -> Complex:
     gone = X._facets_containing(A)
     keep = [f for f in X.facets if f not in gone]
     keep.extend(
-        Simplex._raw(tuple(sorted(A[:i] + A[i + 1 :] + B))) for i in range(len(A))
+        Simplex._raw(sorted(A[:i] + A[i + 1 :] + B)) for i in range(len(A))
     )
     return Complex._from_simplices(keep)
 
@@ -459,8 +466,7 @@ def one_point_suspension(X: Complex, u: int, v: int) -> Complex:
         )
     if u not in X.vertex_set:
         raise VertexNotPresent(f"vertex {u} not in the complex")
-    if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-        raise InvalidVertexLabel(f"vertex labels must be positive integers, got {v!r}")
+    Simplex((v,))  # refuses a label that is not a positive int
     if v in X.vertex_set:
         raise FreshVertexCollision(f"vertex {v} is already present")
     ast = anti_star(X, u)

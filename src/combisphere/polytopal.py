@@ -331,7 +331,7 @@ def convex_hull(pc: PointConfiguration) -> HullResult:
     for f in sorted(facets, key=lambda f: tuple(sorted(f.vertices))):
         normal, offset = _primitive(f.functional)
         hull_facets.append(
-            HullFacet(Simplex._raw(tuple(sorted(f.vertices))), normal, offset)
+            HullFacet(Simplex._raw(sorted(f.vertices)), normal, offset)
         )
     complex_ = Complex._from_vertex_sets(f.vertices for f in facets)
     return HullResult(tuple(hull_facets), complex_)

@@ -385,6 +385,11 @@ class _Screens:
         return None
 
 
+def _check_budget(budget: int) -> None:
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
+
+
 def certify_sphere(
     X: Complex, budget: int = DEFAULT_BUDGET, seed: int = DEFAULT_SEED
 ) -> Verdict:
@@ -412,8 +417,7 @@ def certify_sphere(
     chi(X) + sum(c_v - 1) <= 2, so chi(X) = 2 forces every c_v = 1, and the
     faces with d - 1 vertices, whose links are such cycles, need no check.
     """
-    if budget < 0:
-        raise ValueError(f"budget must be >= 0, got {budget}")
+    _check_budget(budget)
     if X.is_empty:
         return Verdict(REFUTED, "the empty complex is not a sphere")
     d = X.dim
@@ -462,8 +466,7 @@ def certify_ball(
     certified, so is the apex's link, the boundary.  Otherwise the boundary
     is certified with budget 0, which refutes it as any budget would.
     """
-    if budget < 0:
-        raise ValueError(f"budget must be >= 0, got {budget}")
+    _check_budget(budget)
     if X.is_empty:
         return Verdict(REFUTED, "the empty complex is not a ball")
     if X.n_facets == 1:

@@ -62,7 +62,7 @@ def complex_from_text(text: str) -> Complex:
         if not line:
             continue
         try:
-            facets.append(tuple(int(tok) for tok in line.split()))
+            facets.append(tuple(map(int, line.split())))
         except ValueError:
             raise ValueError(f"line {lineno}: expected integers, got {raw!r}") from None
     return from_facets(facets)
@@ -155,6 +155,8 @@ def _coordinate(value: Any, key: str) -> Fraction:
         return Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"point {key}: {text!r} has a zero denominator") from None
+    except ValueError as exc:
+        raise ValueError(f"point {key}: {exc}") from None
 
 
 def points_to_json(pc: PointConfiguration) -> str:

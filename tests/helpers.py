@@ -41,7 +41,9 @@ from combisphere.core import (
 )
 from combisphere.errors import (
     DegenerateSpan,
+    DuplicateVertexInFacet,
     IntermediateClaimFailed,
+    InvalidVertexLabel,
     LinkNotStandardSphere,
     MovePreconditionFailed,
     NonPure,
@@ -104,6 +106,22 @@ def face_polynomial(facets: list[tuple[int, ...]]) -> dict[int, int]:
             faces.update(itertools.combinations(sorted(f), k))
     counts = Counter(len(f) for f in faces)
     return {0: 1, **counts}
+
+
+def reference_simplex(vertices: Iterable) -> Simplex:
+    """Simplex validation in two passes: every label is checked in input
+    order, then the sorted labels are checked for a repeat."""
+    vs = list(vertices)
+    for v in vs:
+        if not isinstance(v, int) or isinstance(v, bool) or v < 1:
+            raise InvalidVertexLabel(
+                f"vertex labels must be positive integers, got {v!r}"
+            )
+    vs.sort()
+    for a, b in zip(vs, vs[1:]):
+        if a == b:
+            raise DuplicateVertexInFacet(f"duplicate vertex {a} in facet {vs}")
+    return Simplex._raw(vs)
 
 
 def poly_mul(p: dict[int, int], q: dict[int, int]) -> dict[int, int]:

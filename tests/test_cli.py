@@ -520,7 +520,7 @@ class TestHostileInput:
     def test_coordinate_with_an_empty_exponent(self, capsys, monkeypatch, tmp_path):
         text = '{"dim": 1, "points": {"1": ["0"], "2": ["1e"]}}'
         err = self._run(capsys, monkeypatch, tmp_path, text, "points")
-        assert err == "combisphere: Invalid literal for Fraction: '1e'\n"
+        assert err == "combisphere: point 2: Invalid literal for Fraction: '1e'\n"
 
     def test_target_vertex_without_a_point(self, capsys, monkeypatch, tmp_path):
         # the boundary of a tetrahedron on labels that no point carries
@@ -676,7 +676,8 @@ class TestPlumbing:
         (["--budget=-7"], "must not be negative, got -7"),
         (["--budget", "ten"], "invalid int value: 'ten'"),
     ])
-    @pytest.mark.parametrize("verb", [["verify", "sphere"], ["complete", "degree"]])
+    @pytest.mark.parametrize("verb", [["verify", "sphere"], ["complete", "degree"],
+                                      ["complete", "degree", "--trust"]])
     def test_bad_budget_is_64(self, capsys, verb, budget, message):
         with pytest.raises(SystemExit) as exc:
             main([*verb, "--catalog", "gs_m38", *budget])

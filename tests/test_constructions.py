@@ -540,7 +540,8 @@ def _shifted(X, by):
 
 
 def _completions():
-    """Completions that certify, by name, each a call that takes the budget."""
+    """Completions that certify, by name, each a call that takes the budget
+    and trust keywords."""
     cp4, cp5, cp6 = (get(f"cross_polytope({k})").complex for k in (4, 5, 6))
     flag2 = random_flag_2sphere(random.Random(12), 9)
     cp4_far = _shifted(cp4, 20)
@@ -550,21 +551,17 @@ def _completions():
     ball = get("example43_ball").complex
     disc = random_disc(random.Random(2), 9)
     return {
-        "flag cp4": lambda budget: complete_flag(cp4, budget=budget),
-        "flag cp5": lambda budget: complete_flag(cp5, budget=budget),
-        "flag cp6": lambda budget: complete_flag(cp6, budget=budget),
-        "flag 2-sphere": lambda budget: complete_flag(flag2, budget=budget),
-        "join cp4*cp4": lambda budget: complete_join(
-            join(cp4, cp4_far), [cp4, cp4_far], budget=budget
+        "flag cp4": functools.partial(complete_flag, cp4),
+        "flag cp5": functools.partial(complete_flag, cp5),
+        "flag cp6": functools.partial(complete_flag, cp6),
+        "flag 2-sphere": functools.partial(complete_flag, flag2),
+        "join cp4*cp4": functools.partial(
+            complete_join, join(cp4, cp4_far), [cp4, cp4_far]
         ),
-        "join C4*C5": lambda budget: complete_join(
-            join(c4, c5), [c4, c5], budget=budget
-        ),
-        "degree stacked": lambda budget: complete_degree_d(stacked, budget=budget),
-        "ball-degree example43": lambda budget: complete_ball_degree_d(
-            ball, budget=budget
-        ),
-        "disc": lambda budget: complete_disc(disc, budget=budget),
+        "join C4*C5": functools.partial(complete_join, join(c4, c5), [c4, c5]),
+        "degree stacked": functools.partial(complete_degree_d, stacked),
+        "ball-degree example43": functools.partial(complete_ball_degree_d, ball),
+        "disc": functools.partial(complete_disc, disc),
     }
 
 
@@ -576,8 +573,20 @@ class TestCompletionsShareOneBudget:
     def test_spends_at_most_the_budget(self, budget):
         for name, complete in _completions().items():
             with _counted_flips() as flips:
-                complete(budget)
+                complete(budget=budget)
             assert flips[0] <= budget, name
+
+    @pytest.mark.parametrize("trust", [False, True])
+    def test_a_negative_budget_is_refused_first(self, monkeypatch, trust):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("certified with a negative budget")
+
+        monkeypatch.setattr(constructions, "certify_sphere", unreachable)
+        monkeypatch.setattr(constructions, "certify_ball", unreachable)
+        for name, complete in _completions().items():
+            with pytest.raises(ValueError) as exc:
+                complete(budget=-1, trust=trust)
+            assert str(exc.value) == "budget must be >= 0, got -1", name
 
     @settings(max_examples=300, deadline=None)
     @given(kind=st.sampled_from(["stacked sphere", "pseudomanifold", "stacked ball",

@@ -1,7 +1,8 @@
+import enum
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from combisphere import (
@@ -49,6 +50,7 @@ from helpers import (
     random_disc,
     random_stacked_ball,
     random_stacked_sphere,
+    record_ridge_map_builds,
     reference_anti_star,
     reference_bistellar_move,
     reference_boundary,
@@ -62,10 +64,53 @@ from helpers import (
     reference_link,
     reference_pm_failure_reason,
     reference_pseudomanifold_check,
+    reference_simplex,
 )
 
 
+class _Label(enum.IntEnum):
+    ZERO = 0
+    ONE = 1
+    TWO = 2
+    NINE = 9
+
+
+# label soups: plain ints (zero, negative and past 64 bits included), and
+# labels that are not plain ints, some equal to one
+_INTS = st.one_of(st.integers(-2, 9), st.integers(2**64, 2**64 + 3),
+                  st.integers(max_value=-(2**64)))
+_NOT_INTS = st.one_of(
+    st.booleans(), st.integers(0, 9).map(float), st.sampled_from(["1", "x", ""]),
+    st.none(), st.sampled_from(list(_Label)),
+)
+_SOUPS = st.one_of(st.lists(_INTS, max_size=7),
+                   st.lists(st.one_of(_INTS, _NOT_INTS), max_size=7))
+
+
+def _outcome(call, *args):
+    """(type, value, element types) of the result, or (class, message)."""
+    try:
+        result = call(*args)
+    except Exception as exc:  # compared in full below
+        return type(exc), str(exc)
+    return type(result), tuple(result), tuple(map(type, result))
+
+
 class TestSimplex:
+    @settings(max_examples=600, deadline=None)
+    @given(labels=_SOUPS, as_generator=st.booleans())
+    @example(labels=[0, -1], as_generator=False)
+    @example(labels=[3, 0, 3], as_generator=False)
+    @example(labels=[5, 3, 5, 1], as_generator=True)
+    @example(labels=[_Label.TWO, 1], as_generator=False)
+    @example(labels=[1, _Label.ZERO], as_generator=False)
+    @example(labels=[2, 2.0], as_generator=False)
+    @example(labels=[True, 2], as_generator=False)
+    @example(labels=[], as_generator=True)
+    def test_matches_the_two_pass_reference(self, labels, as_generator):
+        source = (lambda: iter(labels)) if as_generator else (lambda: list(labels))
+        assert _outcome(Simplex, source()) == _outcome(reference_simplex, source())
+
     def test_sorts_vertices(self):
         assert Simplex((3, 1, 2)) == (1, 2, 3)
         assert Simplex((3, 1, 2)).dim == 2
@@ -97,6 +142,19 @@ class TestComplexConstruction:
     def test_mixed_dimensions_rejected(self):
         with pytest.raises(NonPure):
             from_facets([(1, 2, 3), (4, 5)])
+
+    @pytest.mark.parametrize("facets, error, message", [
+        ([(1, 2), (0, 3), (4, 4), (5, "6")], InvalidVertexLabel,
+         "vertex labels must be positive integers, got 0"),
+        ([(1, 2), (4, 3, 4), (0, 3), (1, 1)], DuplicateVertexInFacet,
+         "duplicate vertex 4 in facet [3, 4, 4]"),
+        ([(2, 1), (3, 2.0), (True,)], InvalidVertexLabel,
+         "vertex labels must be positive integers, got 2.0"),
+    ])
+    def test_the_first_bad_facet_is_named(self, facets, error, message):
+        with pytest.raises(error) as exc:
+            from_facets(facets)
+        assert str(exc.value) == message
 
     def test_duplicates_collapse(self):
         X = from_facets([(2, 1), (1, 2)])
@@ -280,7 +338,58 @@ class TestDualGraph:
         assert g.ridge_index[Simplex((1, 2))] == (Simplex((1, 2, 3)),)
 
 
+def _random_pure_complex(rng: random.Random) -> Complex:
+    """Random facets of one size on a few labels: usually not a
+    pseudomanifold, with ridges in three or more facets."""
+    size = rng.randint(1, 6)
+    labels = range(1, size + rng.randint(1, 3) + 1)
+    return from_facets(rng.sample(labels, size) for _ in range(rng.randint(1, 12)))
+
+
+def _shifted_cycle(n: int, shift: int) -> Complex:
+    return from_facets((i + shift, i % n + 1 + shift) for i in range(1, n + 1))
+
+
 class TestEulerCharacteristic:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**16),
+           kind=st.sampled_from(["stacked sphere", "pseudomanifold", "join", "pure"]),
+           ridges_first=st.booleans())
+    def test_f_vector_counts_every_face(self, seed, kind, ridges_first):
+        rng = random.Random(seed)
+        if kind == "stacked sphere":
+            d = rng.randint(0, 5)
+            facets = random_stacked_sphere(rng, d, rng.randint(d + 3, d + 9)).facets
+        elif kind == "pseudomanifold":
+            facets = random_closed_pseudomanifold(rng).facets
+        elif kind == "join":
+            a = random_stacked_sphere(rng, rng.randint(0, 2), rng.randint(4, 7))
+            facets = join(a, _shifted_cycle(rng.randint(3, 5), 20)).facets
+        else:
+            facets = _random_pure_complex(rng).facets
+        X = from_facets(facets)
+        if ridges_first:
+            X._ridge_map()
+        poly = face_polynomial(list(facets))
+        expected = tuple(poly[k] for k in range(1, X.dim + 2))
+        assert X.f_vector == expected
+        assert euler_characteristic(X) == sum(
+            (-1) ** (k - 1) * c for k, c in poly.items() if k
+        )
+
+    def test_the_empty_complex_has_no_faces(self):
+        X = boundary(get("cross_polytope(3)").complex)
+        assert X.is_empty
+        assert X.f_vector == ()
+        assert euler_characteristic(X) == 0
+
+    def test_the_count_keeps_the_ridge_map(self, monkeypatch):
+        X = random_stacked_sphere(random.Random(4), 3, 12)
+        built = record_ridge_map_builds(monkeypatch)
+        assert X.f_vector == (12, 38, 52, 26)
+        assert pseudomanifold_check(X).closed
+        assert len(built) == 1
+
     def test_known_values(self):
         assert euler_characteristic(get("gs_m38").complex) == 0
         assert euler_characteristic(get("octahedron").complex) == 2

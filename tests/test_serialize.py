@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -40,6 +41,14 @@ class TestTextFormat:
     def test_bad_token_reports_line(self):
         with pytest.raises(ValueError, match="line 2"):
             complex_from_text("1 2\n2 x\n")
+
+    @pytest.mark.parametrize("line", [
+        "2 x", "1 2.0", "3 ++4", "1 " + "9" * (sys.get_int_max_str_digits() + 1),
+    ], ids=["word", "float", "sign", "past-digit-limit"])
+    def test_bad_token_message(self, line):
+        with pytest.raises(ValueError) as exc:
+            complex_from_text(f"# header\n1 2\n{line}  # note\n")
+        assert str(exc.value) == f"line 3: expected integers, got {line + '  # note'!r}"
 
     def test_empty_text_rejected(self):
         with pytest.raises(EmptyInput):
