@@ -30,6 +30,7 @@ from .core import (
     join,
     link,
     one_point_suspension,
+    pseudomanifold_check,
 )
 from .errors import (
     DimensionTooLow,
@@ -79,10 +80,6 @@ def _union(X: Complex, Y: Complex) -> Complex:
 
 def _cone(apex: int, X: Complex) -> Complex:
     return Complex._from_vertex_sets(f + (apex,) for f in X.facets)
-
-
-def _closure(vertices: Sequence[int]) -> Complex:
-    return Complex._from_simplices([Simplex(vertices)])
 
 
 def _finish(
@@ -183,7 +180,7 @@ def _meet_inside(P: Complex, Q: Complex, R: Complex) -> bool:
     return all(
         R.has_face([u for u in q if u in p])
         for p in P.facets
-        for q in set().union(*map(Q._star, p))
+        for q in set().union(*(Q._star_map().get(u, ()) for u in p))
     )
 
 
@@ -344,7 +341,7 @@ def complete_stacked_ball(B: Complex) -> CompletionResult:
         f"stacking witness with {len(witness.facets)} facets; "
         f"last facet {tuple(last)} has fresh apex {apex}"
     ]
-    rest = complement(B, _closure(last))
+    rest = complement(B, Complex._from_simplices([last]))
     coned = _cone(apex, rest)
     inner = is_stacked_ball(coned)
     if not inner.stacked:
@@ -358,8 +355,8 @@ def complete_stacked_ball(B: Complex) -> CompletionResult:
 
 def complete_stacked_sphere(S: Complex) -> CompletionResult:
     """Collapse the stacked sphere to a ball it bounds, then complete the ball."""
-    _vertex_floor(S.n_vertices, S.dim + 1)
     ball = collapse_stacked_sphere_to_ball(S)
+    _vertex_floor(S.n_vertices, S.dim + 1)
     trace = [
         f"collapsed to a stacked {ball.dim}-ball with {ball.n_facets} facets"
     ]
@@ -372,16 +369,13 @@ def sphere_chain(X: Complex) -> list[Complex]:
     """Iterate complete_stacked_sphere up to the standard sphere on all vertices.
 
     Returns the chain starting at X itself; each element contains the previous
-    one and the last has dimension n - 2.
+    one and the last has dimension n - 2.  The loop ends: each step raises
+    the dimension by one on the same n vertices, and a closed pseudomanifold
+    of dimension n - 2 on n vertices is the boundary of the simplex.
     """
     chain: list[Complex] = [X]
-    cur = X
-    n = X.n_vertices
-    while cur.dim < n - 2:
-        cur = complete_stacked_sphere(cur).sphere
-        chain.append(cur)
-    if not is_standard(cur).sphere:
-        raise IntermediateClaimFailed("chain did not end at the standard sphere")
+    while not is_standard(chain[-1]).sphere:
+        chain.append(complete_stacked_sphere(chain[-1]).sphere)
     return chain
 
 
@@ -486,20 +480,13 @@ def _rooted(cycle: list[int]) -> list[int]:
 def _boundary_cycle(D: Complex) -> list[int]:
     """Boundary of a disc as a vertex cycle, canonically rooted and oriented."""
     bd = boundary(D)
-    adjacency: dict[int, list[int]] = {}
-    for a, b in bd.facets:
-        adjacency.setdefault(a, []).append(b)
-        adjacency.setdefault(b, []).append(a)
-    if not adjacency or any(len(nbrs) != 2 for nbrs in adjacency.values()):
+    # a closed connected 1-pseudomanifold is one cycle
+    if not pseudomanifold_check(bd).closed:
         raise IntermediateClaimFailed("boundary is not a single cycle")
-    start = min(adjacency)
-    cycle = [start, adjacency[start][0]]
+    start = bd.vertices[0]
+    cycle = [start, min(set().union(*bd._star(start)) - {start})]
     while True:
-        a, b = cycle[-2], cycle[-1]
-        nxt = adjacency[b][0] if adjacency[b][0] != a else adjacency[b][1]
+        (nxt,) = set().union(*bd._star(cycle[-1])) - {cycle[-2], cycle[-1]}
         if nxt == start:
-            break
+            return cycle
         cycle.append(nxt)
-    if len(cycle) != len(adjacency):
-        raise IntermediateClaimFailed("boundary is not a single cycle")
-    return _rooted(cycle)

@@ -181,8 +181,11 @@ class Complex:
         return self._stars
 
     def _star(self, v: int) -> set[Simplex]:
-        """The facets through v; an empty set for a non-vertex."""
-        return self._star_map().get(v) or set()
+        """The facets through v; VertexNotPresent for a non-vertex."""
+        star = self._star_map().get(v)
+        if star is None:
+            raise VertexNotPresent(f"vertex {v} not in the complex")
+        return star
 
     def _facets_containing(self, face: Iterable[int]) -> set[Simplex]:
         """The facets containing face: the intersection of its vertex stars,
@@ -290,8 +293,6 @@ def from_facets(facet_list: Iterable[Iterable[int]]) -> Complex:
 def link(X: Complex, v: int) -> Complex:
     """The link of vertex v: facets are sigma minus v over facets containing v."""
     star = X._star(v)
-    if not star:
-        raise VertexNotPresent(f"vertex {v} not in the complex")
     if X.dim == 0:
         raise NonPureResult("link of a vertex in a 0-complex is empty")
     return Complex._from_simplices(Simplex._raw([u for u in f if u != v]) for f in star)
@@ -301,8 +302,6 @@ def anti_star(X: Complex, v: int) -> Complex:
     """All faces avoiding v.  Must be pure of full dimension to be a Complex:
     no face f - v of a facet f through v may lie only in facets through v."""
     star = X._star(v)
-    if not star:
-        raise VertexNotPresent(f"vertex {v} not in the complex")
     if len(star) == X.n_facets:
         raise NonPureResult(
             f"every facet contains {v}; the anti-star drops a dimension"
@@ -464,8 +463,7 @@ def one_point_suspension(X: Complex, u: int, v: int) -> Complex:
         raise NotClosedPseudomanifold(
             "one-point suspension needs a pseudomanifold without boundary"
         )
-    if u not in X.vertex_set:
-        raise VertexNotPresent(f"vertex {u} not in the complex")
+    X._star(u)  # refuses a non-vertex
     Simplex((v,))  # refuses a label that is not a positive int
     if v in X.vertex_set:
         raise FreshVertexCollision(f"vertex {v} is already present")
@@ -484,8 +482,6 @@ def bistellar_move(X: Complex, v: int, sigma: Iterable[int]) -> Complex:
     sig = Simplex(sigma)
     if not pseudomanifold_check(X).closed:
         raise NotClosedPseudomanifold("bistellar moves need a closed pseudomanifold")
-    if v not in X.vertex_set:
-        raise VertexNotPresent(f"vertex {v} not in the complex")
     star = X._star(v)
     # in dimension 0 the link {()} of v bounds every single vertex
     if not (X.dim == 0 and len(sig) == 1) and _link_shape(star, (v,), X.dim) != sig:

@@ -26,6 +26,7 @@ from .constructions import CompletionResult, _suspend_and_finish, _vertex_floor
 from .core import Complex, Simplex, anti_star, is_subcomplex
 from .errors import (
     DegenerateSpan,
+    EmptyInput,
     GeometryError,
     IntermediateClaimFailed,
     NotGeneralPosition,
@@ -210,12 +211,15 @@ def _primitive(a: Row) -> tuple[Vector, Fraction]:
 # ---------------------------------------------------------------------------
 
 
+def _point_floor(pc: PointConfiguration) -> None:
+    if len(pc) < pc.dim + 1:
+        raise TooFewPoints(f"need at least {pc.dim + 1} points, have {len(pc)}")
+
+
 def general_position_check(pc: PointConfiguration) -> bool:
     """No d + 1 points on a common hyperplane."""
-    d = pc.dim
-    if len(pc) < d + 1:
-        raise TooFewPoints(f"need at least {d + 1} points, have {len(pc)}")
-    return _all_independent(list(pc._rows.values()), d + 1, [])
+    _point_floor(pc)
+    return _all_independent(list(pc._rows.values()), pc.dim + 1, [])
 
 
 def _affine_basis(pc: PointConfiguration) -> list[int]:
@@ -259,8 +263,7 @@ def convex_hull(pc: PointConfiguration) -> HullResult:
             "points in dimension 0 have no hull boundary; "
             "convex_hull needs dimension >= 1"
         )
-    if len(pc) < d + 1:
-        raise TooFewPoints(f"need at least {d + 1} points, have {len(pc)}")
+    _point_floor(pc)
     rows = pc._rows
     basis = _affine_basis(pc)
     # the basis centroid, as a positive multiple of its homogeneous row
@@ -379,8 +382,9 @@ def perturb_to_general_position(
     exactly the target's vertices.
     """
     d = pc.dim
-    if len(pc) < d + 1:
-        raise TooFewPoints(f"need at least {d + 1} points, have {len(pc)}")
+    _point_floor(pc)
+    if combinatorial_type.is_empty:
+        raise EmptyInput("the target complex is empty")
     anchor = combinatorial_type.facets[0]
     coords = dict(pc.as_dict())
     rows = dict(pc._rows)

@@ -26,7 +26,7 @@ from .core import (
     boundary,
     pseudomanifold_check,
 )
-from .errors import NotStacked, VertexNotPresent
+from .errors import NotStacked
 
 CERTIFIED = "certified"
 REFUTED = "refuted"
@@ -99,10 +99,7 @@ def is_standard(X: Complex) -> StandardReport:
 
 def degree(X: Complex, v: int) -> int:
     """Number of edges through v."""
-    star = X._star(v)
-    if not star:
-        raise VertexNotPresent(f"vertex {v} not in the complex")
-    return len(set().union(*star)) - 1
+    return len(set().union(*X._star(v))) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -386,6 +383,8 @@ class _Screens:
 
 
 def _check_budget(budget: int) -> None:
+    if not isinstance(budget, int) or isinstance(budget, bool):
+        raise TypeError(f"budget must be an int, got {budget!r}")
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
 

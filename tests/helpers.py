@@ -42,6 +42,7 @@ from combisphere.core import (
 from combisphere.errors import (
     DegenerateSpan,
     DuplicateVertexInFacet,
+    EmptyInput,
     IntermediateClaimFailed,
     InvalidVertexLabel,
     LinkNotStandardSphere,
@@ -1230,6 +1231,8 @@ def reference_perturb_to_general_position(
     d = pc.dim
     if len(pc) < d + 1:
         raise TooFewPoints(f"need at least {d + 1} points, have {len(pc)}")
+    if combinatorial_type.is_empty:
+        raise EmptyInput("the target complex is empty")
     anchor = combinatorial_type.facets[0]
     coords = dict(pc.as_dict())
     if len(anchor) != d:

@@ -409,6 +409,22 @@ class TestChain:
         assert codej == 0
         assert [step["dim"] for step in obj["chain"]] == [1, 2, 3]
 
+    @pytest.mark.parametrize("verb", [["chain"], ["complete", "stacked-sphere"]])
+    @pytest.mark.parametrize("facets", [
+        "1 2 3\n1 3 4\n",
+        "1 2 3\n1 3 4\n1 4 5\n",
+        "1 2 3\n",
+        "1 2 3 4\n",
+        "1 2 3\n4 5 6\n",
+    ], ids=["4-vertex disc", "5-vertex disc", "triangle", "standard 3-ball",
+            "two triangles"])
+    def test_not_closed_is_refuted(self, capsys, monkeypatch, verb, facets):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(facets))
+        code, out, err = run(capsys, *verb, "--in", "-")
+        assert (code, out) == (1, "")
+        assert err == ("combisphere: input is not a closed pseudomanifold "
+                       "of dimension >= 1\n")
+
 
 DEEP = 100_000
 DEEP_COMPLEX = '{"facets": ' + "[" * DEEP + "]" * DEEP + "}"

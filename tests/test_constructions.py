@@ -274,6 +274,18 @@ class TestCompleteStackedBall:
             complete_stacked_ball(from_facets([(1, 2, 3)]))
 
 
+# inputs that are not closed pseudomanifolds, none of which a chain completes
+NOT_CLOSED = [
+    from_facets([(1, 2, 3), (1, 3, 4)]),
+    from_facets([(1, 2, 3), (1, 3, 4), (1, 4, 5)]),
+    from_facets([(1, 2, 3)]),
+    get("standard_ball(3)").complex,
+    from_facets([(1, 2, 3), (4, 5, 6)]),
+]
+NOT_CLOSED_IDS = ["4-vertex disc", "5-vertex disc", "triangle", "standard 3-ball",
+                  "two triangles"]
+
+
 class TestCompleteStackedSphere:
     def test_bipyramid_frozen(self):
         S = boundary(from_facets([(1, 2, 3, 4), (2, 3, 4, 5)]))
@@ -297,6 +309,18 @@ class TestCompleteStackedSphere:
         with pytest.raises(TooFewVertices, match="^need at least 5 vertices, have 4$"):
             complete_stacked_sphere(get("standard_sphere(2)").complex)
 
+    def test_zero_sphere_is_refused_before_the_vertex_count(self):
+        message = "^input is not a closed pseudomanifold of dimension >= 1$"
+        with pytest.raises(NotStacked, match=message):
+            complete_stacked_sphere(get("standard_sphere(0)").complex)
+
+    @pytest.mark.parametrize("complete", [complete_stacked_sphere, sphere_chain])
+    @pytest.mark.parametrize("X", NOT_CLOSED, ids=NOT_CLOSED_IDS)
+    def test_not_closed_is_not_stacked(self, complete, X):
+        message = "^input is not a closed pseudomanifold of dimension >= 1$"
+        with pytest.raises(NotStacked, match=message):
+            complete(X)
+
 
 class TestSphereChain:
     def test_five_cycle_reaches_standard(self):
@@ -309,8 +333,9 @@ class TestSphereChain:
             assert small.vertex_set == big.vertex_set
 
     def test_standard_input_is_a_singleton_chain(self):
-        S = get("standard_sphere(2)").complex
-        assert sphere_chain(S) == [S]
+        for d in (0, 2):
+            S = get(f"standard_sphere({d})").complex
+            assert sphere_chain(S) == [S]
 
     def test_random_chains(self):
         rng = random.Random(20)
@@ -481,6 +506,15 @@ class TestCompleteDisc:
         with pytest.raises(IntermediateClaimFailed, match=message):
             complete_disc(get("octahedron").complex, trust=True)
 
+    @pytest.mark.parametrize("facets", [
+        [(1, 2, 4), (2, 4, 5), (2, 3, 5), (3, 5, 6), (1, 3, 6), (1, 4, 6)],
+        [(1, 2, 3), (4, 5, 6)],
+    ], ids=["annulus", "two triangles"])
+    def test_trusted_boundary_of_two_cycles(self, facets):
+        message = "^boundary is not a single cycle$"
+        with pytest.raises(IntermediateClaimFailed, match=message):
+            complete_disc(from_facets(facets), trust=True)
+
 
 def _disc_outcome(complete, B, trust):
     try:
@@ -579,14 +613,18 @@ class TestCompletionsShareOneBudget:
     @pytest.mark.parametrize("trust", [False, True])
     def test_a_negative_budget_is_refused_first(self, monkeypatch, trust):
         def unreachable(*args, **kwargs):
-            raise AssertionError("certified with a negative budget")
+            raise AssertionError("certified with a refused budget")
 
         monkeypatch.setattr(constructions, "certify_sphere", unreachable)
         monkeypatch.setattr(constructions, "certify_ball", unreachable)
+        refusals = [(-1, ValueError, "budget must be >= 0, got -1")]
+        refusals += [(b, TypeError, f"budget must be an int, got {b}")
+                     for b in (2.5, True, 10000.0)]
         for name, complete in _completions().items():
-            with pytest.raises(ValueError) as exc:
-                complete(budget=-1, trust=trust)
-            assert str(exc.value) == "budget must be >= 0, got -1", name
+            for budget, error, message in refusals:
+                with pytest.raises(error) as exc:
+                    complete(budget=budget, trust=trust)
+                assert str(exc.value) == message, name
 
     @settings(max_examples=300, deadline=None)
     @given(kind=st.sampled_from(["stacked sphere", "pseudomanifold", "stacked ball",

@@ -195,7 +195,7 @@ class TestLink:
         assert link(m38, 8) == expected
 
     def test_vertex_absent(self):
-        with pytest.raises(VertexNotPresent):
+        with pytest.raises(VertexNotPresent, match="^vertex 9 not in the complex$"):
             link(from_facets([(1, 2)]), 9)
 
     def test_link_in_points_is_degenerate(self):
@@ -221,7 +221,7 @@ class TestAntiStar:
             anti_star(from_facets([(1, 2, 3)]), 1)
 
     def test_vertex_absent(self):
-        with pytest.raises(VertexNotPresent):
+        with pytest.raises(VertexNotPresent, match="^vertex 7 not in the complex$"):
             anti_star(get("octahedron").complex, 7)
 
 
@@ -429,12 +429,14 @@ class TestOnePointSuspension:
             assert S.vertex_set == X.vertex_set | {v}
 
     def test_requires_closed_pseudomanifold(self):
-        with pytest.raises(NotClosedPseudomanifold):
-            one_point_suspension(from_facets([(1, 2, 3), (2, 3, 4)]), 1, 9)
+        for u in (1, 9):  # checked before the pivot
+            with pytest.raises(NotClosedPseudomanifold):
+                one_point_suspension(from_facets([(1, 2, 3), (2, 3, 4)]), u, 9)
 
     def test_pivot_must_be_present(self):
-        with pytest.raises(VertexNotPresent):
-            one_point_suspension(get("octahedron").complex, 9, 10)
+        for v in (10, 1):  # checked before the fresh vertex
+            with pytest.raises(VertexNotPresent, match="^vertex 9 not in the complex$"):
+                one_point_suspension(get("octahedron").complex, 9, v)
 
     def test_fresh_vertex_must_be_fresh(self):
         with pytest.raises(FreshVertexCollision):
@@ -463,8 +465,13 @@ class TestBistellarMove:
             bistellar_move(S4, 4, (1, 2, 3))
 
     def test_requires_closed_pseudomanifold(self):
-        with pytest.raises(NotClosedPseudomanifold):
-            bistellar_move(from_facets([(1, 2, 3), (2, 3, 4)]), 1, (2, 3))
+        for v in (1, 9):  # checked before the vertex
+            with pytest.raises(NotClosedPseudomanifold):
+                bistellar_move(from_facets([(1, 2, 3), (2, 3, 4)]), v, (2, 3))
+
+    def test_vertex_absent(self):
+        with pytest.raises(VertexNotPresent, match="^vertex 9 not in the complex$"):
+            bistellar_move(get("octahedron").complex, 9, (1, 2, 3))
 
 
 class TestGeneralizedBistellarMove:
@@ -817,3 +824,4 @@ class TestStarQueriesMatchReference:
         assert is_subcomplex(empty, X) and reference_is_subcomplex(empty, X)
         assert not is_subcomplex(X, empty) and not reference_is_subcomplex(X, empty)
         assert _outcome(complement, X, empty) == _outcome(reference_complement, X, empty)
+

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from combisphere import (
     anti_star,
+    boundary,
     certify_sphere,
     convex_hull,
     from_facets,
@@ -25,6 +26,7 @@ from combisphere import (
 )
 from combisphere.errors import (
     DegenerateSpan,
+    EmptyInput,
     GeometryError,
     NotGeneralPosition,
     NotSimplicial,
@@ -110,7 +112,7 @@ class TestGeneralPosition:
 
     def test_needs_enough_points(self):
         pc = PointConfiguration.from_dict(3, {1: (0, 0, 0), 2: (1, 0, 0)})
-        with pytest.raises(TooFewPoints):
+        with pytest.raises(TooFewPoints, match="^need at least 4 points, have 2$"):
             general_position_check(pc)
 
 
@@ -147,7 +149,7 @@ class TestConvexHull:
             convex_hull(pc)
 
     def test_needs_enough_points(self):
-        with pytest.raises(TooFewPoints):
+        with pytest.raises(TooFewPoints, match="^need at least 4 points, have 1$"):
             convex_hull(PointConfiguration.from_dict(3, {1: (0, 0, 0)}))
 
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -248,6 +250,14 @@ class TestPerturbation:
         pts = PointConfiguration.from_dict(3, {1: (0, 0, 0), 2: (1, 0, 0), 3: (0, 1, 0)})
         with pytest.raises(TooFewPoints, match="^need at least 4 points, have 3$"):
             perturb_to_general_position(pts, get("octahedron").complex)
+
+    @pytest.mark.parametrize("perturb", [
+        perturb_to_general_position, reference_perturb_to_general_position,
+    ], ids=["library", "reference"])
+    def test_empty_target(self, perturb):
+        target = boundary(get("standard_sphere(2)").complex)
+        with pytest.raises(EmptyInput, match="^the target complex is empty$"):
+            perturb(get("cyclic_polytope_points(6,3)").points, target)
 
     def test_generic_input_is_untouched(self):
         pts = get("cyclic_polytope_points(6,3)").points

@@ -25,7 +25,7 @@ from combisphere import (
 )
 from combisphere import Complex, recognition
 from combisphere.recognition import CERTIFIED, DEFAULT_BUDGET, REFUTED, UNKNOWN, Verdict
-from combisphere.errors import NotStacked
+from combisphere.errors import NotStacked, VertexNotPresent
 from helpers import (
     _counted_flips,
     _reference_ordered_ridge_map,
@@ -88,6 +88,10 @@ class TestDegree:
     def test_octahedron(self):
         octa = get("octahedron").complex
         assert [degree(octa, v) for v in octa.vertices] == [4] * 6
+
+    def test_vertex_absent(self):
+        with pytest.raises(VertexNotPresent, match="^vertex 9 not in the complex$"):
+            degree(get("octahedron").complex, 9)
 
 
 class TestCertifySphere:
@@ -178,6 +182,9 @@ class TestCertifySphere:
         for certify, X in ((certify_sphere, boundary(ball)), (certify_ball, ball)):
             with pytest.raises(ValueError, match="budget must be >= 0, got -1"):
                 certify(X, budget=-1)
+            for budget in (2.5, True, 10000.0):
+                with pytest.raises(TypeError, match=f"^budget must be an int, got {budget}$"):
+                    certify(X, budget=budget)
             assert certify(X, budget=0).is_unknown
 
     def test_budget_monotone(self):
