@@ -106,6 +106,23 @@ def degree(X: Complex, v: int) -> int:
 # sphere certification
 # ---------------------------------------------------------------------------
 
+# the walk re-chooses from the (_REVISITS + 1)-th revisit of a facet set on
+_REVISITS = 8
+
+
+def _born(A: tuple[int, ...], B: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The facets of dA * B, which the move (A, B) adds."""
+    return [tuple(sorted(A[:i] + A[i + 1 :] + B)) for i in range(len(A))]
+
+
+def _zobrist(facets: Iterable[tuple[int, ...]]) -> int:
+    """The XOR of the 64-bit facet hashes.  A tuple of ints hashes the same
+    in every process, so keys, and the walks they steer, replay."""
+    key = 0
+    for facet in facets:
+        key ^= hash(facet)
+    return key & 0xFFFFFFFFFFFFFFFF
+
 
 class _MoveIndex:
     """The facets of a closed pseudomanifold, with the cofacets of the faces
@@ -257,7 +274,7 @@ class _MoveIndex:
     def flip(self, A: tuple[int, ...], B: tuple[int, ...]) -> None:
         """Replace the |B| facets of A * dB by the |A| facets of dA * B."""
         gone = tuple(self._cofacets[len(A)][A])
-        born = [tuple(sorted(A[:i] + A[i + 1 :] + B)) for i in range(len(A))]
+        born = _born(A, B)
         self.facets.difference_update(gone)
         self.facets.update(born)
         for f in born:
@@ -300,12 +317,24 @@ class _Walk:
     is the only legal move.  The pool is the remaining legal moves with the
     smallest |A| (the largest drop in facet count, vertex collapses first),
     sorted by A; the RNG picks from it when it holds more than one, and
-    without an RNG the first move is taken.  The same seed and a larger
+    without an RNG the first move is taken.
+
+    Revisits: from its first run without max_a on, the walk keys its facet
+    set by _zobrist and keeps the keys it has seen.  A move's key is known
+    before the flip: the current key XOR the facets of A * dB and dA * B.
+    A pick that leads to a seen key is a revisit, and from the
+    (_REVISITS + 1)-th on the step re-chooses: for |A| = 1, 2, ..., the
+    legal moves whose key is unseen, the undo included, sorted by A, and
+    the RNG's pick among those of the first size that has any.  If no size
+    has one, the walk stops.  A collapse-only run keeps no key: a vertex
+    collapse lowers the vertex count and no move raises it, so no earlier
+    facet set comes back.  A walk with at most _REVISITS revisits makes the
+    choices and RNG calls of the plain rule.  The same seed and a larger
     budget replay the identical prefix, so Certified verdicts are
     budget-monotone.
     """
 
-    __slots__ = ("index", "rng", "budget", "trace", "undo")
+    __slots__ = ("index", "rng", "budget", "trace", "undo", "key", "seen", "revisits")
 
     def __init__(self, X: Complex, budget: int, rng: random.Random | None):
         self.index = _MoveIndex(X)
@@ -313,21 +342,62 @@ class _Walk:
         self.budget = budget
         self.trace: list[MovePair] = []
         self.undo: MovePair | None = None
+        self.key: int | None = None  # None until a run without max_a
+        self.seen: set[int] = set()
+        self.revisits = 0
 
     def run(self, max_a: int = 0) -> bool:
         """Flip until the standard sphere (True), or until no legal move with
-        |A| <= max_a (any |A| if max_a is 0) is left within the budget."""
+        |A| <= max_a (any |A| if max_a is 0) is left within the budget, or,
+        once the walk re-chooses, none to an unseen facet set."""
         index = self.index
+        if not max_a and self.key is None:
+            self.key = _zobrist(index.facets)
+            self.seen.add(self.key)
         while not index.is_standard_sphere():
             pool = index.pool(self.undo, max_a) if len(self.trace) < self.budget else []
             if not pool:
                 return False
-            pick = self.rng.randrange(len(pool)) if self.rng and len(pool) > 1 else 0
-            choice = pool[pick]
+            choice = self._pick(pool)
+            if self.key is not None:
+                key = self._key_after(choice)
+                if key in self.seen:
+                    self.revisits += 1
+                    if self.revisits > _REVISITS:
+                        unseen = self._unseen()
+                        if unseen is None:
+                            return False
+                        choice, key = unseen
+                self.key = key
+                self.seen.add(key)
             index.flip(*choice)
             self.trace.append(choice)
             self.undo = (choice[1], choice[0])
         return True
+
+    def _pick(self, pool: list[Any]) -> Any:
+        rng = self.rng
+        return pool[rng.randrange(len(pool))] if rng and len(pool) > 1 else pool[0]
+
+    def _key_after(self, move: MovePair) -> int:
+        A, B = move
+        gone = self.index._cofacets[len(A)][A]
+        return self.key ^ _zobrist(gone) ^ _zobrist(_born(A, B))
+
+    def _unseen(self) -> tuple[MovePair, int] | None:
+        """The re-choice: a legal move to an unseen facet set, with its key."""
+        index = self.index
+        for k in range(1, index.dim + 1):
+            index.settle(k)
+            keyed = []
+            for A in sorted(index._legal[k]):
+                move = (A, index._shape[A])
+                key = self._key_after(move)
+                if key not in self.seen:
+                    keyed.append((move, key))
+            if keyed:
+                return self._pick(keyed)
+        return None
 
 
 @dataclass
@@ -439,9 +509,14 @@ def certify_sphere(
             return refutation
         if not walk.run():
             # the vertex links were screened when collapses stalled
-            return screens.links(range(2, d - 1)) or Verdict(
-                UNKNOWN, f"bistellar reduction budget exhausted ({budget} moves)"
+            moves = len(walk.trace)
+            reason = (
+                f"bistellar reduction budget exhausted ({budget} moves)"
+                if moves >= budget
+                else f"bistellar reduction stopped after {moves} moves: "
+                "no legal move to an unseen facet set"
             )
+            return screens.links(range(2, d - 1)) or Verdict(UNKNOWN, reason)
     trace = tuple(walk.trace)
     return Verdict(
         CERTIFIED,

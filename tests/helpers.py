@@ -244,22 +244,29 @@ def reference_is_stacked_ball(X: Complex) -> StackedBallReport:
 
 
 def _reference_reduction_moves(X: Complex) -> list[tuple[Simplex, Simplex]]:
-    """Legal moves (A, B) that do not introduce a vertex, in canonical order."""
+    """Legal moves (A, B) that do not introduce a vertex, in canonical order.
+    The cofacets of each face are gathered from the subsets of every facet."""
     d = X.dim
+    facets = set(map(frozenset, X.facets))
+    cofacets: dict[frozenset[int], list[frozenset[int]]] = {}
+    for fs in facets:
+        for size_a in range(1, d + 1):
+            for a in itertools.combinations(fs, size_a):
+                cofacets.setdefault(frozenset(a), []).append(fs)
     moves: list[tuple[Simplex, Simplex]] = []
     for size_a in range(1, d + 1):
         size_b = d + 2 - size_a
-        for a_set in sorted(X.faces_of_size(size_a), key=sorted):
-            cofacets = [fs for fs in map(frozenset, X.facets) if a_set <= fs]
-            if len(cofacets) != size_b:
+        faces = (a for a in cofacets if len(a) == size_a)
+        for a_set in sorted(faces, key=sorted):
+            if len(cofacets[a_set]) != size_b:
                 continue
-            link_facets = {fs - a_set for fs in cofacets}
+            link_facets = {fs - a_set for fs in cofacets[a_set]}
             union: frozenset[int] = frozenset().union(*link_facets)
             if len(union) != size_b:
                 continue
             if {union - {b} for b in union} != link_facets:
                 continue
-            if X.has_face(union):
+            if union in cofacets or union in facets:
                 continue
             moves.append(
                 (Simplex._raw(tuple(sorted(a_set))), Simplex._raw(tuple(sorted(union))))
@@ -274,19 +281,43 @@ def _reference_apply_move(X: Complex, A: Simplex, B: Simplex) -> Complex:
     return Complex._from_vertex_sets(new_facets)
 
 
+def _reference_flip(facets: frozenset, A: Simplex, B: Simplex) -> frozenset:
+    """The facet set after the move (A, B), as a frozenset of frozensets."""
+    a_set, b_set = frozenset(A), frozenset(B)
+    kept = (fs for fs in facets if not a_set <= fs)
+    return frozenset(kept).union((a_set - {a}) | b_set for a in A)
+
+
+# the walk re-chooses from the ninth revisit of a facet set on
+_REFERENCE_REVISITS = 8
+
+
 def reference_greedy_reduce(X: Complex, budget: int, rng: random.Random):
     """The bistellar walk as it was before the incremental move index: every
     step rescans every face against every facet and rebuilds the complex.
     Returns (reached the standard sphere, trace): the result of
-    ``recognition._Walk(X, budget, rng).run()`` and its trace."""
+    ``recognition._Walk(X, budget, rng).run()`` and its trace.
+
+    Facet sets are kept as they are, frozensets of frozensets, with no
+    hashing into keys.  A pick that leads to a facet set seen before is a
+    revisit; from the ninth revisit on, the step picks again among the legal
+    moves, the undo included, that lead to an unseen facet set and have the
+    smallest |A| among those, and the walk stops when there is none."""
+    def pick(pool):
+        return pool[rng.randrange(len(pool))] if len(pool) > 1 else pool[0]
+
     cur = X
     trace = []
     prev = None
+    state = frozenset(map(frozenset, X.facets))
+    seen = {state}
+    revisits = 0
     while len(trace) < budget:
         std = is_standard(cur)
         if std.sphere:
             return True, tuple(trace)
-        moves = _reference_reduction_moves(cur)
+        legal = _reference_reduction_moves(cur)
+        moves = legal
         if prev is not None and len(moves) > 1:
             undo = (prev[1], prev[0])
             moves = [m for m in moves if m != undo] or [undo]
@@ -301,7 +332,17 @@ def reference_greedy_reduce(X: Complex, budget: int, rng: random.Random):
                 pool = [(A, B)]
             elif key == best_key:
                 pool.append((A, B))
-        choice = pool[rng.randrange(len(pool))] if len(pool) > 1 else pool[0]
+        choice = pick(pool)
+        if _reference_flip(state, *choice) in seen:
+            revisits += 1
+            if revisits > _REFERENCE_REVISITS:
+                fresh = [m for m in legal if _reference_flip(state, *m) not in seen]
+                if not fresh:
+                    return False, tuple(trace)
+                smallest = min(len(A) for A, _ in fresh)
+                choice = pick([m for m in fresh if len(m[0]) == smallest])
+        state = _reference_flip(state, *choice)
+        seen.add(state)
         cur = _reference_apply_move(cur, *choice)
         trace.append((tuple(choice[0]), tuple(choice[1])))
         prev = choice
@@ -394,7 +435,8 @@ def reference_certify_sphere(X: Complex, budget: int, seed: int) -> Verdict:
     """``certify_sphere`` on complexes of dimension 2 and up, as it was when
     a failed walk certified every vertex link again, with the full budget
     and recursively: the gates, the screens, the rescanning walk, then each
-    link, built by ``reference_link``."""
+    link, built by ``reference_link``.  An Unknown reason says whether the
+    walk spent its budget or stopped with moves left."""
     refutation = reference_sphere_gates(X) or reference_screens(X)
     if refutation is not None:
         return refutation
@@ -419,6 +461,12 @@ def reference_certify_sphere(X: Complex, budget: int, seed: int) -> Verdict:
         if sub.is_unknown:
             unknown_links.append(v)
     detail = f"; links unresolved at {unknown_links}" if unknown_links else ""
+    if len(trace) < budget:
+        return Verdict(
+            UNKNOWN,
+            f"bistellar reduction stopped after {len(trace)} moves: "
+            f"no legal move to an unseen facet set{detail}",
+        )
     return Verdict(
         UNKNOWN, f"bistellar reduction budget exhausted ({budget} moves){detail}"
     )
@@ -1416,6 +1464,23 @@ def cube_points() -> PointConfiguration:
     for i, signs in enumerate(itertools.product((1, -1), repeat=3), start=1):
         coords[i] = signs
     return PointConfiguration.from_dict(3, coords)
+
+
+def replays_to_standard_sphere(X: Complex, trace) -> bool:
+    """Whether each move (A, B) of trace is legal on X's facets as the walk
+    has left them, by the definition of a bistellar move (the facets through
+    A are exactly A * dB, and B is not a face), and the last leaves the
+    boundary of a simplex.  Facets are frozensets; no library code runs."""
+    facets = frozenset(map(frozenset, X.facets))
+    for A, B in trace:
+        a_set, b_set = frozenset(A), frozenset(B)
+        star = {fs for fs in facets if a_set <= fs}
+        if a_set & b_set or star != {a_set | (b_set - {b}) for b in b_set}:
+            return False
+        if any(b_set <= fs for fs in facets):
+            return False
+        facets = _reference_flip(facets, A, B)
+    return len(facets) == len(frozenset().union(*facets)) == X.dim + 2
 
 
 def apply_trace(X: Complex, trace) -> Complex:

@@ -222,6 +222,19 @@ class TestCompleteFlag:
         assert result.sphere.n_facets == 704
         assert result.trace[2] == "glued sphere without 1: certification certified"
 
+    @pytest.mark.parametrize("name", ["cross_polytope(6)", "C4*C4*C4"])
+    def test_hard_flag_spheres_are_certified_before_and_after_gluing(self, name):
+        # the bistellar walk cycled on both until it re-chose after revisits
+        if name == "C4*C4*C4":
+            c4 = from_facets([(1, 2), (2, 3), (3, 4), (1, 4)])
+            S = join(join(c4, _shifted(c4, 4)), _shifted(c4, 8))
+        else:
+            S = get(name).complex
+        result = complete_flag(S)
+        _check_contract(S, result, S.dim + 1)
+        assert result.trace[0] == "input: certification certified"
+        assert result.trace[2] == "glued sphere without 1: certification certified"
+
     def test_non_flag_rejected(self):
         S = random_stacked_sphere(random.Random(2), 2, 7)
         with pytest.raises(NotFlag):
@@ -628,7 +641,7 @@ class TestCompletionsShareOneBudget:
 
     @settings(max_examples=300, deadline=None)
     @given(kind=st.sampled_from(["stacked sphere", "pseudomanifold", "stacked ball",
-                                 "flag", "join"]),
+                                 "flag", "join", "cross_polytope(6)"]),
            budget=st.integers(0, 40), seed=st.integers(0, 2**16))
     def test_random_inputs_spend_at_most_the_budget(self, kind, budget, seed):
         rng = random.Random(seed)
@@ -640,6 +653,9 @@ class TestCompletionsShareOneBudget:
             call = functools.partial(certify_sphere, random_closed_pseudomanifold(rng))
         elif kind == "stacked ball":
             call = functools.partial(certify_ball, random_stacked_ball(rng, d, n))
+        elif kind == "cross_polytope(6)":
+            # the walk re-chooses from move 34 on
+            call = functools.partial(certify_sphere, get(kind).complex)
         elif kind == "flag":
             call = functools.partial(
                 complete_flag, get(f"cross_polytope({rng.randint(4, 6)})").complex

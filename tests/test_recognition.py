@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -50,6 +51,7 @@ from helpers import (
     reference_screens,
     reference_sphere_gates,
     reference_surface_link_loop,
+    replays_to_standard_sphere,
     staircase_product,
 )
 
@@ -580,6 +582,52 @@ class TestManifoldsThatAreNotSpheres:
             assert not certify_sphere(X, budget=200, seed=seed).is_certified
 
 
+class TestRevisitsAreReChosen:
+    """From its ninth revisit of a facet set on, the walk re-chooses among
+    the moves to unseen facet sets: the spheres on which it used to cycle
+    certify at the default budget, and closed manifolds that are not spheres
+    still do not."""
+
+    @pytest.mark.parametrize("name", [
+        "cross_polytope(6)", "C5*C5*C6", "C5*C6*C7", "cross_polytope(7)",
+    ])
+    def test_hard_spheres_certify_in_under_a_second(self, name):
+        if name.startswith("C"):
+            X = _join_of_cycles(int(name[1]), int(name[4]), int(name[7]))
+        else:
+            X = get(name).complex
+        for seed in range(3):
+            start = time.perf_counter()
+            verdict = certify_sphere(X, DEFAULT_BUDGET, seed)
+            elapsed = time.perf_counter() - start
+            assert verdict.is_certified, seed
+            assert replays_to_standard_sphere(X, verdict.trace), seed
+            assert elapsed < 1.0, seed
+
+    @pytest.mark.parametrize("name, seeds", [("S2xC4", 3), ("T3", 3), ("S2xC4*C3", 1)])
+    def test_non_spheres_are_never_certified(self, name, seeds):
+        X = _not_a_sphere(name)
+        verdicts = [certify_sphere(X, DEFAULT_BUDGET, seed) for seed in range(seeds)]
+        assert not any(v.is_certified for v in verdicts)
+        if name == "T3":
+            # moves are left in the budget when every legal move leads to
+            # a facet set the walk has seen
+            assert verdicts[0] == Verdict(
+                UNKNOWN,
+                "bistellar reduction stopped after 6358 moves: "
+                "no legal move to an unseen facet set",
+            )
+
+    def test_a_larger_budget_replays_the_prefix(self):
+        X = get("cross_polytope(6)").complex
+        full = certify_sphere(X, DEFAULT_BUDGET, 0).trace
+        for budget in (30, 34, 35, 50, 78):
+            walk = recognition._Walk(X, budget, random.Random(0))
+            assert not (walk.run(max_a=1) or walk.run())
+            assert tuple(walk.trace) == full[:budget]
+        assert certify_sphere(X, 79, 0).trace == full
+
+
 class TestSurfaceLinksNeedNoCheck:
     """certify_sphere no longer checks vertex links in dimension 2: a closed
     connected 2-pseudomanifold with chi = 2 has only cycle links."""
@@ -916,7 +964,7 @@ class TestScreensOnlyWhenCollapsesStall:
 
     @pytest.mark.parametrize(
         "name, budget",
-        [("cross_polytope(6)", 100), ("gs_s48", DEFAULT_BUDGET),
+        [("cross_polytope(6)", 50), ("gs_s48", DEFAULT_BUDGET),
          ("cross_polytope(5)", DEFAULT_BUDGET)],
     )
     def test_stalled_collapses_screen_once_unflipped(self, screened, name, budget):
@@ -942,7 +990,8 @@ class TestScreensOnlyWhenCollapsesStall:
 def _reference_walk():
     """Replace certify_sphere's walk, _Walk, by the order it replaced: the
     screens of the complex first, then the rescanning walk of
-    tests/helpers.py.  Yields the list of complexes it is called on."""
+    tests/helpers.py.  Yields the list of the walks it makes, each with its
+    X and its trace."""
     calls = []
     stalled = recognition._Screens.stalled
 
@@ -950,7 +999,7 @@ def _reference_walk():
         # its vertex collapses stall at once, so the screens always come
         # first; then the reference walks the unflipped X
         def __init__(self, X, budget, rng):
-            calls.append(X)
+            calls.append(self)
             self.X, self.budget, self.rng, self.trace = X, budget, rng, ()
 
         def run(self, max_a=0):
@@ -1018,10 +1067,11 @@ class TestWalkMatchesReference:
         self._assert_same(on_reference, certify_sphere, get(name).complex, (0, 1, 7))
 
     def test_cross_polytope_6_cycles_undoes_and_stays_unknown(self, on_reference):
+        # the walk re-chooses from move 34 on and certifies in 79 moves
         X = get("cross_polytope(6)").complex
-        v = certify_sphere(X, 100, 0)
+        v = certify_sphere(X, 50, 0)
         assert v.is_unknown
-        assert v == on_reference(certify_sphere, X, 100, 0)
+        assert v == on_reference(certify_sphere, X, 50, 0)
 
     @pytest.mark.parametrize("lengths", [(3, 4), (4, 5), (5, 6), (3, 3, 4)])
     def test_joins_of_cycles(self, on_reference, lengths):
@@ -1059,6 +1109,35 @@ class TestWalkMatchesReference:
         with _reference_walk():
             expected = certify_sphere(X, budget, seed)
         assert certify_sphere(X, budget, seed) == expected
+
+    def _assert_walks_match(self, X, budget, seed):
+        # Unknown verdicts carry no trace, so the walks' traces are compared too
+        with _reference_walk() as walks:
+            expected = certify_sphere(X, budget, seed)
+        verdict = certify_sphere(X, budget, seed)
+        assert verdict == expected
+        walk = recognition._Walk(X, budget, random.Random(seed))
+        assert (walk.run(max_a=1) or walk.run()) == verdict.is_certified
+        assert tuple(walk.trace) == walks[0].trace
+        if verdict.is_certified:
+            assert replays_to_standard_sphere(X, verdict.trace)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        name=st.sampled_from(["cross_polytope(5)", "cross_polytope(6)"]),
+        budget=st.integers(0, 150),
+        seed=st.integers(0, 2),
+    )
+    # cross_polytope(6) at seed 1 certifies in 103 moves after 31 revisits
+    @example(name="cross_polytope(6)", budget=150, seed=1)
+    def test_revisiting_walks_match(self, name, budget, seed):
+        self._assert_walks_match(get(name).complex, budget, seed)
+
+    # these certify after 1, 2 and 5 to 8 revisits, so they never re-choose
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("name", ["C4*C5*S0", "C5*C6*S0", "sd(cross_polytope(4))"])
+    def test_pinned_walks_match(self, name, seed):
+        self._assert_walks_match(_pinned_input(name), DEFAULT_BUDGET, seed)
 
     def test_collapse_matches_reference(self):
         rng = random.Random(67)
@@ -1150,7 +1229,8 @@ class TestCertifiedBytesArePinned:
     """The sha256 of (status, reason, trace) of certify_sphere and
     certify_ball, recorded before the move index kept only the face sizes
     its readers use (the sd rows before the walk took its RNG from its
-    caller).  Any change to a verdict, a reason or a trace shows."""
+    caller, the cross_polytope(6) rows once it re-chose after repeated
+    revisits).  Any change to a verdict, a reason or a trace shows."""
 
     @pytest.mark.parametrize(
         "name, budget, seed, digest",
@@ -1163,8 +1243,11 @@ class TestCertifiedBytesArePinned:
              "786ec8ef56604058682686fff61a14b7d1b08967f1425f029f1bae6432d6bfde"),
             ("cross_polytope(5)", DEFAULT_BUDGET, 7,
              "5eee3083506d53a20c17bd3fe77f470a03e5c10f94f5a5cd082076b4fe18f2b0"),
+            # 79 moves, re-choosing after the ninth revisit
             ("cross_polytope(6)", 100, 0,
-             "31e44e6cd01a7a40b4bbf53298742794272810da765e05e40886936f9fc0459d"),
+             "e1b10a758ef8d36be20f3d5f0ae9d9e6aa1d861534a9656b18f98b1ce84a590a"),
+            ("cross_polytope(6)", 50, 0,
+             "a2bf27f05bbe3f0088757010f6d292f2834e87cad0a592f06a301d39b843fde3"),
             ("C4*C5*S0", DEFAULT_BUDGET, 0,
              "64c55d5495fdb9884ade6227952ce9c04158bf254c51c88381e02fe14502624d"),
             ("C4*C5*S0", DEFAULT_BUDGET, 7,
