@@ -271,10 +271,15 @@ class _MoveIndex:
                 return [(A, self._shape[A]) for A in sorted(legal)]
         return [undo] if undone else []
 
-    def flip(self, A: tuple[int, ...], B: tuple[int, ...]) -> None:
-        """Replace the |B| facets of A * dB by the |A| facets of dA * B."""
+    def flip(
+        self, A: tuple[int, ...], B: tuple[int, ...],
+        born: list[tuple[int, ...]] | None = None,
+    ) -> None:
+        """Replace the |B| facets of A * dB by the |A| facets of dA * B,
+        born, which a keyed walk has listed already."""
         gone = tuple(self._cofacets[len(A)][A])
-        born = _born(A, B)
+        if born is None:
+            born = _born(A, B)
         self.facets.difference_update(gone)
         self.facets.update(born)
         for f in born:
@@ -359,18 +364,19 @@ class _Walk:
             if not pool:
                 return False
             choice = self._pick(pool)
+            born = None
             if self.key is not None:
-                key = self._key_after(choice)
+                key, born = self._after(choice)
                 if key in self.seen:
                     self.revisits += 1
                     if self.revisits > _REVISITS:
                         unseen = self._unseen()
                         if unseen is None:
                             return False
-                        choice, key = unseen
+                        choice, (key, born) = unseen
                 self.key = key
                 self.seen.add(key)
-            index.flip(*choice)
+            index.flip(*choice, born)
             self.trace.append(choice)
             self.undo = (choice[1], choice[0])
         return True
@@ -379,22 +385,24 @@ class _Walk:
         rng = self.rng
         return pool[rng.randrange(len(pool))] if rng and len(pool) > 1 else pool[0]
 
-    def _key_after(self, move: MovePair) -> int:
+    def _after(self, move: MovePair) -> tuple[int, list[tuple[int, ...]]]:
+        """The key after move, and the facets it adds."""
         A, B = move
-        gone = self.index._cofacets[len(A)][A]
-        return self.key ^ _zobrist(gone) ^ _zobrist(_born(A, B))
+        gone, born = self.index._cofacets[len(A)][A], _born(A, B)
+        return self.key ^ _zobrist(gone) ^ _zobrist(born), born
 
-    def _unseen(self) -> tuple[MovePair, int] | None:
-        """The re-choice: a legal move to an unseen facet set, with its key."""
+    def _unseen(self) -> tuple[MovePair, tuple[int, list[tuple[int, ...]]]] | None:
+        """The re-choice: a legal move to an unseen facet set, with what
+        _after gives for it."""
         index = self.index
         for k in range(1, index.dim + 1):
             index.settle(k)
             keyed = []
             for A in sorted(index._legal[k]):
                 move = (A, index._shape[A])
-                key = self._key_after(move)
-                if key not in self.seen:
-                    keyed.append((move, key))
+                after = self._after(move)
+                if after[0] not in self.seen:
+                    keyed.append((move, after))
             if keyed:
                 return self._pick(keyed)
         return None

@@ -1360,9 +1360,9 @@ def _counted_flips():
     count = [0]
     flip = recognition._MoveIndex.flip
 
-    def counted(index, A, B):
+    def counted(index, *move):
         count[0] += 1
-        flip(index, A, B)
+        flip(index, *move)
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(recognition._MoveIndex, "flip", counted)

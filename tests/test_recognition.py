@@ -369,9 +369,9 @@ class TestSphereGatesMatchReference:
                 events.append(("settle", k))
             settle(self, k)
 
-        def recorded_flip(self, A, B):
+        def recorded_flip(self, *move):
             events.append("flip")
-            flip(self, A, B)
+            flip(self, *move)
 
         for name, wrapper in (("__init__", recorded_init), ("index", recorded_index),
                               ("settle", recorded_settle), ("flip", recorded_flip)):
