@@ -325,21 +325,28 @@ class _Walk:
     without an RNG the first move is taken.
 
     Revisits: from its first run without max_a on, the walk keys its facet
-    set by _zobrist and keeps the keys it has seen.  A move's key is known
-    before the flip: the current key XOR the facets of A * dB and dA * B.
-    A pick that leads to a seen key is a revisit, and from the
-    (_REVISITS + 1)-th on the step re-chooses: for |A| = 1, 2, ..., the
-    legal moves whose key is unseen, the undo included, sorted by A, and
-    the RNG's pick among those of the first size that has any.  If no size
-    has one, the walk stops.  A collapse-only run keeps no key: a vertex
-    collapse lowers the vertex count and no move raises it, so no earlier
-    facet set comes back.  A walk with at most _REVISITS revisits makes the
-    choices and RNG calls of the plain rule.  The same seed and a larger
-    budget replay the identical prefix, so Certified verdicts are
+    sets by _zobrist and keeps the keys it has seen.  A move (A, B) changes
+    the key by the facets of A * dB and dA * B, so a move's key is known
+    before the flip.  A pick that leads to a seen key is a revisit, and
+    from the (_REVISITS + 1)-th on the step re-chooses: for |A| = 1, 2, ...,
+    the legal moves whose key is unseen, the undo included, sorted by A,
+    and the RNG's pick among those of the first size that has any.  If no
+    size has one, the walk stops.  A walk with at most _REVISITS revisits
+    makes the choices and RNG calls of the plain rule.  The same seed and a
+    larger budget replay the identical prefix, so Certified verdicts are
     budget-monotone.
+
+    The first move leaves the one facet set seen, so after n moves at most
+    n - 1 were revisits, and no step re-chooses before _REVISITS + 1 moves
+    are made.  Only then are the keys so far worked out, back from the last
+    facet set through the trace; walks that end sooner key nothing.  A
+    collapse-only run keeps no key: a vertex collapse lowers the vertex
+    count and no move raises it, so no earlier facet set comes back.
     """
 
-    __slots__ = ("index", "rng", "budget", "trace", "undo", "key", "seen", "revisits")
+    __slots__ = (
+        "index", "rng", "budget", "trace", "undo", "start", "key", "seen", "revisits",
+    )
 
     def __init__(self, X: Complex, budget: int, rng: random.Random | None):
         self.index = _MoveIndex(X)
@@ -347,7 +354,8 @@ class _Walk:
         self.budget = budget
         self.trace: list[MovePair] = []
         self.undo: MovePair | None = None
-        self.key: int | None = None  # None until a run without max_a
+        self.start: int | None = None  # the moves made before keying began
+        self.key: int | None = None  # None until the keys are worked out
         self.seen: set[int] = set()
         self.revisits = 0
 
@@ -356,16 +364,17 @@ class _Walk:
         |A| <= max_a (any |A| if max_a is 0) is left within the budget, or,
         once the walk re-chooses, none to an unseen facet set."""
         index = self.index
-        if not max_a and self.key is None:
-            self.key = _zobrist(index.facets)
-            self.seen.add(self.key)
+        if not max_a and self.start is None:
+            self.start = len(self.trace)
         while not index.is_standard_sphere():
             pool = index.pool(self.undo, max_a) if len(self.trace) < self.budget else []
             if not pool:
                 return False
             choice = self._pick(pool)
             born = None
-            if self.key is not None:
+            if self.start is not None and len(self.trace) - self.start > _REVISITS:
+                if self.key is None:
+                    self._key_the_walk()
                 key, born = self._after(choice)
                 if key in self.seen:
                     self.revisits += 1
@@ -384,6 +393,18 @@ class _Walk:
     def _pick(self, pool: list[Any]) -> Any:
         rng = self.rng
         return pool[rng.randrange(len(pool))] if rng and len(pool) > 1 else pool[0]
+
+    def _key_the_walk(self) -> None:
+        """Key the facet sets since start, and count their revisits."""
+        key = _zobrist(self.index.facets)
+        keys = [key]
+        for A, B in reversed(self.trace[self.start :]):
+            key ^= _zobrist(_born(B, A)) ^ _zobrist(_born(A, B))
+            keys.append(key)
+        for key in reversed(keys):
+            self.revisits += key in self.seen
+            self.seen.add(key)
+        self.key = keys[0]
 
     def _after(self, move: MovePair) -> tuple[int, list[tuple[int, ...]]]:
         """The key after move, and the facets it adds."""

@@ -1067,7 +1067,8 @@ class TestWalkMatchesReference:
         self._assert_same(on_reference, certify_sphere, get(name).complex, (0, 1, 7))
 
     def test_cross_polytope_6_cycles_undoes_and_stays_unknown(self, on_reference):
-        # the walk re-chooses from move 34 on and certifies in 79 moves
+        # from move 34 on the walk re-chooses; it is still Unknown at budget
+        # 50 and certifies in 79 moves
         X = get("cross_polytope(6)").complex
         v = certify_sphere(X, 50, 0)
         assert v.is_unknown
@@ -1133,7 +1134,8 @@ class TestWalkMatchesReference:
     def test_revisiting_walks_match(self, name, budget, seed):
         self._assert_walks_match(get(name).complex, budget, seed)
 
-    # these certify after 1, 2 and 5 to 8 revisits, so they never re-choose
+    # these certify after 0 to 4, 0 to 2 and 5 to 8 revisits at seeds 0-2,
+    # so they never re-choose
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("name", ["C4*C5*S0", "C5*C6*S0", "sd(cross_polytope(4))"])
     def test_pinned_walks_match(self, name, seed):
