@@ -125,9 +125,10 @@ def _zobrist(facets: Iterable[tuple[int, ...]]) -> int:
 
 
 class _MoveIndex:
-    """The facets of a closed pseudomanifold, with the cofacets of the faces
-    its moves need and the legal bistellar moves.  It finds and applies
-    moves only; the sphere screens read the complex itself.
+    """The facets of a pure complex, with the cofacets of the faces its moves
+    need and the legal bistellar moves; moves with |A| > 1 are sought only on
+    a closed pseudomanifold.  It finds and applies moves only; the sphere
+    screens read the complex itself.
 
     Built once per certification and updated in place by each flip.  A flip
     changes only the star of the face it acts on, so only the subfaces of the
@@ -498,14 +499,16 @@ def certify_sphere(
     bistellar reduction proves spheres, and when it fails the face links
     are screened for a refutation.
 
-    The gates read X's ridge map and facet graph, and a _MoveIndex is built
-    only once they pass.  They name a ridge in three or more facets
-    (_pm_failure), then a disconnected facet graph, then the smallest ridge
-    in one facet (in dimension 0, the empty face).  _Screens then checks
-    chi(X) in dimension 2; from dimension 3 on, chi(X) and the vertex links
-    only if vertex collapses stall, and the faces with 2..d - 2 vertices
-    only after a failed walk, which alone spends moves.  Verdicts do not
-    depend on this order: a complex the walk reduces is a PL sphere.
+    From dimension 3 on, vertex collapses run first, on any pure X: each
+    swaps a star v * dB for B, a ball for a ball with the same boundary, so
+    a complex they reduce to the boundary of a simplex is a PL sphere, which
+    no check refutes, and X's ridge map and facet graph are never built.  If
+    they stall, the gates name a ridge in three or more facets (_pm_failure),
+    then a disconnected facet graph, then the smallest ridge in one facet (in
+    dimension 0, the empty face).  _Screens then checks chi(X) in dimension
+    2; from dimension 3 on, chi(X) and the vertex links, and the faces with
+    2..d - 2 vertices only after a failed walk.  So a refused input keeps
+    its first failing gate, at a cost of at most one pass of collapses.
 
     The face screen refutes what certifying each vertex link, recursively,
     would: a link that certifies is a PL sphere, whose links are spheres,
@@ -519,20 +522,20 @@ def certify_sphere(
     if X.is_empty:
         return Verdict(REFUTED, "the empty complex is not a sphere")
     d = X.dim
-    failure = _pm_failure(X)
-    if failure is not None:
-        return Verdict(REFUTED, failure)
-    open_ridges = [r for r, owners in X._ridge_map().items() if len(owners) == 1]
-    if open_ridges:
-        ridge = min(open_ridges)
-        return Verdict(REFUTED, f"has boundary: ridge {ridge} lies in exactly one facet")
-    screens = _Screens(X)
-    if d <= 2:
-        # past the gates, two points and a cycle are spheres: chi checks surfaces
-        return (d == 2 and screens.stalled()) or Verdict(CERTIFIED, _EXACT[d])
-    # d >= 3: vertex collapses first, the screens only if they stall
-    walk = _Walk(X, budget, random.Random(seed))
-    if not walk.run(max_a=1):
+    # d >= 3: vertex collapses first, the gates and screens only if they stall
+    walk = _Walk(X, budget, random.Random(seed)) if d >= 3 else None
+    if walk is None or not walk.run(max_a=1):
+        failure = _pm_failure(X)
+        if failure is not None:
+            return Verdict(REFUTED, failure)
+        open_ridges = [r for r, owners in X._ridge_map().items() if len(owners) == 1]
+        if open_ridges:
+            why = f"has boundary: ridge {min(open_ridges)} lies in exactly one facet"
+            return Verdict(REFUTED, why)
+        screens = _Screens(X)
+        if walk is None:
+            # past the gates, two points and a cycle are spheres: chi checks surfaces
+            return (d == 2 and screens.stalled()) or Verdict(CERTIFIED, _EXACT[d])
         refutation = screens.stalled()
         if refutation is not None:
             return refutation
@@ -669,14 +672,18 @@ def collapse_stacked_sphere_to_ball(S: Complex) -> Complex:
     Repeatedly collapses a vertex whose link is the boundary of a missing
     simplex, the first legal one, through a _Walk without an RNG; reversing
     the collapses glues the ball back together.  Raises NotStacked when no
-    collapsible vertex exists and S is not standard.
+    collapsible vertex exists and S is not standard.  The collapses run
+    before S is checked to be a closed pseudomanifold: if they reach the
+    standard sphere, S is one, and otherwise the check picks the message.
     """
-    if not pseudomanifold_check(S).closed or S.dim < 1:
-        raise NotStacked("input is not a closed pseudomanifold of dimension >= 1")
+    not_closed = "input is not a closed pseudomanifold of dimension >= 1"
+    if S.dim < 1:
+        raise NotStacked(not_closed)
     walk = _Walk(S, S.n_vertices, None)  # each collapse removes a vertex
     if not walk.run(max_a=1):
         raise NotStacked(
             "no vertex link is the boundary of a missing simplex; not stacked"
+            if pseudomanifold_check(S).closed else not_closed
         )
     ball_facets = [frozenset().union(*walk.index.facets)]
     for (v,), sigma in reversed(walk.trace):

@@ -1336,20 +1336,21 @@ def _reference_prefix_general_position(coords, processed, label, d) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def record_ridge_map_builds(monkeypatch) -> dict:
-    """Wrap ``Complex._ridge_map`` and record each build of a ridge map: a
-    call on a complex that returns a map it had not returned before.  The
-    returned dict maps (id(X), id(map)) to (X, map), in order of build, and
-    keeps both alive so that no id is reused while it is read."""
+def record_ridge_map_builds(monkeypatch, name: str = "_ridge_map") -> dict:
+    """Wrap ``Complex._ridge_map``, or the cached map ``name`` such as
+    ``_facet_graph``, and record each build of the map: a call on a complex
+    that returns a map it had not returned before.  The returned dict maps
+    (id(X), id(map)) to (X, map), in order of build, and keeps both alive so
+    that no id is reused while it is read."""
     built: dict = {}
-    ridge_map = Complex._ridge_map
+    build = getattr(Complex, name)
 
     def recorded(X):
-        ridges = ridge_map(X)
-        built.setdefault((id(X), id(ridges)), (X, ridges))
-        return ridges
+        found = build(X)
+        built.setdefault((id(X), id(found)), (X, found))
+        return found
 
-    monkeypatch.setattr(Complex, "_ridge_map", recorded)
+    monkeypatch.setattr(Complex, name, recorded)
     return built
 
 

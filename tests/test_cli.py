@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -15,11 +16,13 @@ from combisphere import (
     cli,
     complete_ball_degree_d,
     complete_flag,
+    complete_stacked_sphere,
     from_facets,
     get,
     perturb_to_general_position,
 )
 from combisphere.cli import main
+from combisphere.errors import NotStacked
 from combisphere.serialize import (
     complex_to_text,
     completion_to_json_obj,
@@ -29,7 +32,7 @@ from combisphere.serialize import (
     points_to_json,
     verdict_to_json_obj,
 )
-from helpers import moebius_torus, octahedron_points
+from helpers import moebius_torus, octahedron_points, random_stacked_sphere
 
 
 def run(capsys, *argv):
@@ -424,6 +427,28 @@ class TestChain:
         assert (code, out) == (1, "")
         assert err == ("combisphere: input is not a closed pseudomanifold "
                        "of dimension >= 1\n")
+
+    @pytest.mark.parametrize("change", ["planted facet", "removed facet"])
+    def test_broken_stacked_sphere_is_refuted(self, capsys, monkeypatch, change):
+        # the vertex collapses run first and stall; the closedness check then
+        # names the refusal, alike in the library and both verbs
+        S = random_stacked_sphere(random.Random(4), 3, 12)
+        facets = [tuple(f) for f in S.facets]
+        if change == "planted facet":  # its ridge lies in three facets
+            facets.append(facets[0][:3] + (max(S.vertices) + 1,))
+        else:
+            facets.pop(len(facets) // 2)
+        X = from_facets(facets)
+        message = "input is not a closed pseudomanifold of dimension >= 1"
+        with pytest.raises(NotStacked) as refused:
+            complete_stacked_sphere(X)
+        assert str(refused.value) == message
+        for verb, expected in (
+            (["verify", "stacked-sphere"], (1, f"no: {message}\n", "")),
+            (["complete", "stacked-sphere"], (1, "", f"combisphere: {message}\n")),
+        ):
+            monkeypatch.setattr(sys, "stdin", io.StringIO(complex_to_text(X)))
+            assert run(capsys, *verb, "--in", "-") == expected
 
 
 DEEP = 100_000

@@ -299,20 +299,23 @@ def _planted_complex(kind, dim, union, removed, planted, rng):
     return from_facets([relabel[v] for v in f] for f in facets)
 
 
+_PLANTED = dict(
+    kind=st.sampled_from(["stacked", "cross", "torus", "pinched"]),
+    dim=st.sampled_from([3, 4]),
+    union=st.sampled_from([None] * 6 + ["disjoint", "wedge", "edge"]),
+    removed=st.sampled_from([0] * 4 + [1, 2, 3]),
+    planted=st.sampled_from([0] * 4 + [1, 2, 3, 5]),
+    seed=st.integers(0, 2**16),
+)
+
+
 class TestSphereGatesMatchReference:
     """certify_sphere reads its pseudomanifold and closedness gates off the
     ridge map and facet graph of X.  Their verdicts, down to the ridge each
     reason names, are those of the gates it ran before."""
 
     @settings(max_examples=150, deadline=None)
-    @given(
-        kind=st.sampled_from(["stacked", "cross", "torus", "pinched"]),
-        dim=st.sampled_from([3, 4]),
-        union=st.sampled_from([None] * 6 + ["disjoint", "wedge", "edge"]),
-        removed=st.sampled_from([0] * 4 + [1, 2, 3]),
-        planted=st.sampled_from([0] * 4 + [1, 2, 3, 5]),
-        seed=st.integers(0, 2**16),
-    )
+    @given(**_PLANTED)
     def test_planted_features(self, kind, dim, union, removed, planted, seed):
         X = _planted_complex(kind, dim, union, removed, planted, random.Random(seed))
         verdict = certify_sphere(X, budget=20)
@@ -323,6 +326,22 @@ class TestSphereGatesMatchReference:
             assert not verdict.reason.startswith(
                 ("not a pseudomanifold", "has boundary")
             )
+
+    @settings(max_examples=150, deadline=None)
+    @given(**_PLANTED)
+    def test_collapses_before_the_gates_are_sound(
+        self, kind, dim, union, removed, planted, seed
+    ):
+        # the vertex collapses run before the gates, at the default budget
+        # too: a complex they reduce is a PL sphere, which no gate refutes,
+        # and one they do not reduce keeps its first failing gate
+        X = _planted_complex(kind, dim, union, removed, planted, random.Random(seed))
+        verdict = certify_sphere(X)
+        expected = reference_sphere_gates(X)
+        if expected is not None:
+            assert verdict == expected
+        if verdict.is_certified:
+            assert replays_to_standard_sphere(X, verdict.trace)
 
     @settings(max_examples=150, deadline=None)
     @given(dim=st.sampled_from([1, 2]), data=st.data())
@@ -376,10 +395,12 @@ class TestSphereGatesMatchReference:
         for name, wrapper in (("__init__", recorded_init), ("index", recorded_index),
                               ("settle", recorded_settle), ("flip", recorded_flip)):
             monkeypatch.setattr(recognition._MoveIndex, name, wrapper)
-        # the gates read X's ridge map: a refused input builds no move index
+        # the vertex collapses come before the gates: a refused input indexes
+        # and settles only the vertices, and collapses what it can, first
         X = _planted_complex("stacked", 4, "wedge", 0, 0, random.Random(3))
         assert certify_sphere(X).is_refuted
-        assert events == []
+        assert [e for e in events if e != "flip"] == ["init", 1, ("settle", 1)]
+        assert "flip" in events
         # a stacked sphere is reduced by vertex collapses alone, and only the
         # vertices are indexed
         rng = random.Random(5)
@@ -402,6 +423,35 @@ class TestSphereGatesMatchReference:
             assert certify_sphere(X).is_certified
             assert [e for e in events if e != "flip"] == expected
             assert events.index("flip") == before_first_flip
+
+    def test_collapsed_inputs_build_no_map(self, monkeypatch):
+        # certify_sphere and collapse_stacked_sphere_to_ball read neither map
+        # of an input the vertex collapses reduce; certify_ball reads its
+        # input's, for the gate and the boundary, and none of the capped sphere
+        rng = random.Random(6)
+        spheres = [random_stacked_sphere(rng, d, d + 12) for d in (3, 4, 5)]
+        B = random_stacked_ball(rng, 3, 15)
+        cross = [get(f"cross_polytope({n})").complex for n in (4, 5)]
+        built = [record_ridge_map_builds(monkeypatch, name)
+                 for name in ("_ridge_map", "_facet_graph")]
+
+        def owners():
+            found = [[Y for Y, _ in maps.values()] for maps in built]
+            for maps in built:
+                maps.clear()
+            return found
+
+        for S in spheres:
+            assert certify_sphere(S).is_certified
+            assert collapse_stacked_sphere_to_ball(S).dim == S.dim + 1
+            assert owners() == [[], []]
+        assert certify_ball(B).is_certified
+        assert owners() == [[B], [B]]
+        # collapses stall on a cross-polytope: the gates and screens build
+        # each map once
+        for X in cross:
+            assert certify_sphere(X).is_certified
+            assert owners() == [[X], [X]]
 
     def test_named_ridge_follows_ridge_map_order(self):
         # the ridges (1, 2, 3) and (1, 2, 4) each lie in three facets; the
