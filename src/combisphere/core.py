@@ -78,11 +78,13 @@ class Complex:
 
     The vertices and three maps are derived on first use: the star map
     (vertex -> the facets through it), the ridge map (ridge -> the facets
-    owning it) and the facet graph (facet -> the facets across its ridges in
-    exactly two facets).  All three name a facet by the same Simplex.  Queries
-    for the facets containing a vertex or a face intersect vertex stars; the
-    boundary, the pseudomanifold checks and the sphere screens read the ridge
-    map and the facet graph.  Readers must not mutate them.
+    owning it, keyed facet by facet in ``itertools.combinations`` order) and
+    the facet graph (facet -> the facets across its ridges in exactly two
+    facets).  All three name a facet by the same Simplex.  Queries for the
+    facets containing a vertex or a face intersect vertex stars; the boundary,
+    the pseudomanifold checks and the sphere screens read the ridge map and
+    the facet graph, and ``_crowded_ridge`` names their bad ridge in the
+    older order, by dropped vertex.  Readers must not mutate them.
     """
 
     __slots__ = (
@@ -103,7 +105,8 @@ class Complex:
 
     @classmethod
     def _from_simplices(cls, simplices: Iterable[Simplex]) -> "Complex":
-        facets = tuple(sorted(set(simplices)))
+        # sorted, then deduplicated: sorted input then sorts in linear time
+        facets = tuple(dict.fromkeys(sorted(simplices)))
         if len(set(map(len, facets))) > 1:
             raise NonPure("facets of differing dimension")
         return cls(facets, _canonical=True)
@@ -149,7 +152,7 @@ class Complex:
     def _face_tuples(self, k: int) -> set[tuple[int, ...]]:
         """The faces with k >= 0 vertices as sorted tuples, in a fresh set.
         Facets are sorted, so distinct vertex combinations are distinct faces."""
-        combos = (itertools.combinations(f, k) for f in self._facets)
+        combos = map(itertools.combinations, self._facets, itertools.repeat(k))
         return set(itertools.chain.from_iterable(combos))
 
     def faces_of_size(self, k: int) -> frozenset[frozenset[int]]:
@@ -199,13 +202,14 @@ class Complex:
 
     def _ridge_map(self) -> dict[tuple[int, ...], list[Simplex]]:
         """Ridge -> owning facets, in facet order.  Ridges are sorted tuples,
-        first met with the facets in canonical order, each facet's ridges by
-        dropped position."""
+        first met with the facets in canonical order, each facet's ridges in
+        ``itertools.combinations`` order (``_crowded_ridge`` names one)."""
         if self._ridges is None:
             self._ridges = {}
+            d = self.dim
             for f in self._facets:
-                for i in range(len(f)):
-                    self._ridges.setdefault(f[:i] + f[i + 1 :], []).append(f)
+                for r in itertools.combinations(f, d):
+                    self._ridges.setdefault(r, []).append(f)
         return self._ridges
 
     def _facet_graph(self) -> dict[Simplex, list[Simplex]]:
@@ -279,9 +283,23 @@ def from_facets(facet_list: Iterable[Iterable[int]]) -> Complex:
 
     Validates labels (positive integers, no duplicates inside a facet), that
     no facet is empty, and purity; duplicate facets collapse.  The facet
-    order of the input is irrelevant: the result is canonical.
+    order of the input is irrelevant: the result is canonical.  The first bad
+    facet in input order is named, even before a later one that cannot be read.
     """
-    facets = list(map(Simplex, facet_list))
+    rows: list[list] = []
+    try:
+        rows.extend(map(list, facet_list))
+    except Exception:  # re-raised once the facets read before it are checked
+        list(map(Simplex, rows))
+        raise
+    labels = list(itertools.chain.from_iterable(rows))
+    # plain positive ints, distinct in each facet, pass in whole-list passes;
+    # Simplex checks anything else one facet at a time, naming the first
+    plain = _INT.issuperset(map(type, labels)) and min(labels, default=1) > 0
+    if plain and sum(map(len, map(set, rows))) == len(labels):
+        facets = list(map(Simplex._raw, map(sorted, rows)))
+    else:
+        facets = list(map(Simplex, rows))
     if not facets:
         raise EmptyInput("a complex needs at least one facet")
     X = Complex._from_simplices(facets)
@@ -390,10 +408,10 @@ def boundary(X: Complex) -> Complex:
     """Ridges lying in exactly one facet.  May be empty (closed input)."""
     if X.dim < 1:
         raise NonPure("boundary requires dimension >= 1")
+    crowded = _crowded_ridge(X)
+    if crowded is not None:
+        raise RidgeInThreeFacets(crowded)
     ridges = X._ridge_map()
-    for r, owners in ridges.items():
-        if len(owners) > 2:
-            raise RidgeInThreeFacets(f"ridge {r} lies in {len(owners)} facets")
     out = [Simplex._raw(r) for r, owners in ridges.items() if len(owners) == 1]
     return Complex._from_simplices(out)
 
@@ -424,20 +442,29 @@ def pseudomanifold_check(X: Complex) -> PseudomanifoldReport:
     when every ridge is in exactly two."""
     if X.is_empty or _pm_failure(X) is not None:
         return PseudomanifoldReport(False, False)
-    return PseudomanifoldReport(
-        True, all(len(o) == 2 for o in X._ridge_map().values())
-    )
+    # no ridge has three owners, so closed when none has one
+    return PseudomanifoldReport(True, min(map(len, X._ridge_map().values())) == 2)
+
+
+def _crowded_ridge(X: Complex) -> str | None:
+    """"ridge R lies in N facets" for the first ridge of the nonempty X in
+    three or more facets, or None.  First by its first facet in canonical
+    order, then by the earliest dropped vertex, which leaves the largest ridge."""
+    ridges = X._ridge_map()
+    if max(map(len, ridges.values())) < 3:
+        return None
+    crowded = [r for r, owners in ridges.items() if len(owners) > 2]
+    first = min(ridges[r][0] for r in crowded)
+    ridge = max(r for r in crowded if ridges[r][0] == first)
+    return f"ridge {ridge} lies in {len(ridges[ridge])} facets"
 
 
 def _pm_failure(X: Complex) -> str | None:
-    """Why the nonempty X is not a pseudomanifold, or None.
-
-    The ridge named is the first with three or more owners in ridge map
-    order.  With none, the facet graph is disconnected.
-    """
-    for ridge, owners in X._ridge_map().items():
-        if len(owners) > 2:
-            return f"not a pseudomanifold: ridge {ridge} lies in {len(owners)} facets"
+    """Why the nonempty X is not a pseudomanifold, or None: the ridge named
+    by ``_crowded_ridge`` or, with none, a disconnected facet graph."""
+    crowded = _crowded_ridge(X)
+    if crowded is not None:
+        return f"not a pseudomanifold: {crowded}"
     if not _is_connected(X._facet_graph(), set(X.facets)):
         return "not a pseudomanifold: the facet-adjacency graph is disconnected"
     return None

@@ -14,6 +14,8 @@ from __future__ import annotations
 import json
 import sys
 from fractions import Fraction
+from itertools import chain, islice, repeat
+from operator import itemgetter
 from typing import TYPE_CHECKING, Any
 
 from .core import Complex, from_facets
@@ -56,16 +58,22 @@ def complex_to_text(X: Complex) -> str:
 
 
 def complex_from_text(text: str) -> Complex:
-    facets: list[tuple[int, ...]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        try:
-            facets.append(tuple(map(int, line.split())))
-        except ValueError:
-            raise ValueError(f"line {lineno}: expected integers, got {raw!r}") from None
-    return from_facets(facets)
+    lines = text.splitlines()
+    uncommented = map(itemgetter(0), map(str.partition, lines, repeat("#")))
+    rows = list(filter(None, map(str.split, uncommented)))
+    try:
+        tokens = iter(list(map(int, chain.from_iterable(rows))))
+    except ValueError:
+        for lineno, raw in enumerate(lines, start=1):  # name the first bad line
+            try:
+                list(map(int, raw.partition("#")[0].split()))
+            except ValueError:
+                raise ValueError(f"line {lineno}: expected integers, got {raw!r}") from None
+        raise
+    widths = list(map(len, rows))
+    if len(set(widths)) == 1:  # the usual pure file: zip regroups fastest
+        return from_facets(zip(*[tokens] * widths[0]))
+    return from_facets(map(islice, repeat(tokens), widths))
 
 
 def complex_to_json_obj(X: Complex) -> dict[str, Any]:
@@ -89,7 +97,10 @@ def complex_from_json_obj(obj: Any) -> Complex:
     if not isinstance(obj, dict) or "facets" not in obj:
         raise ValueError("complex JSON must be an object with a 'facets' key")
     facets = _list(obj["facets"], "'facets'")
-    X = from_facets(tuple(_list(f, "a facet")) for f in facets)
+    if not {list}.issuperset(map(type, facets)):
+        # a label in an earlier facet is refused before a later non-list
+        facets = (tuple(_list(f, "a facet")) for f in facets)
+    X = from_facets(facets)
     if "dim" in obj and _dim(obj) != X.dim:
         raise ValueError(f"stated dim {obj['dim']} but facets have dim {X.dim}")
     return X

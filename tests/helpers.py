@@ -17,7 +17,7 @@ from typing import Iterable
 
 import pytest
 
-from combisphere import Complex, from_facets, recognition
+from combisphere import Complex, from_facets, recognition, serialize
 from combisphere.constructions import (
     _certify_input,
     _cone,
@@ -123,6 +123,54 @@ def reference_simplex(vertices: Iterable) -> Simplex:
         if a == b:
             raise DuplicateVertexInFacet(f"duplicate vertex {a} in facet {vs}")
     return Simplex._raw(vs)
+
+
+def reference_from_facets(facet_list: Iterable[Iterable]) -> Complex:
+    """``from_facets`` one facet at a time: each facet validated by
+    ``reference_simplex`` as it is read, then the facets sorted from a set."""
+    facets = list(map(reference_simplex, facet_list))
+    if not facets:
+        raise EmptyInput("a complex needs at least one facet")
+    canonical = tuple(sorted(set(facets)))
+    if len(set(map(len, canonical))) > 1:
+        raise NonPure("facets of differing dimension")
+    if not canonical[0]:
+        raise EmptyInput("a facet needs at least one vertex")
+    return Complex(canonical, _canonical=True)
+
+
+def reference_parse_complex(text: str) -> Complex:
+    """``parse_complex`` reading the text format one line at a time and a
+    JSON facet list one facet at a time, on ``reference_from_facets``."""
+    if not text.lstrip().startswith("{"):
+        facets: list[tuple[int, ...]] = []
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            try:
+                facets.append(tuple(map(int, line.split())))
+            except ValueError:
+                raise ValueError(f"line {lineno}: expected integers, got {raw!r}") from None
+        return reference_from_facets(facets)
+    obj = serialize._loads(text)
+    if not isinstance(obj, dict) or "facets" not in obj:
+        raise ValueError("complex JSON must be an object with a 'facets' key")
+
+    def listed(value, what):
+        if not isinstance(value, list):
+            raise ValueError(f"{what} must be a list, got {value!r}")
+        return value
+
+    facets = listed(obj["facets"], "'facets'")
+    X = reference_from_facets(tuple(listed(f, "a facet")) for f in facets)
+    if "dim" in obj:
+        dim = obj["dim"]
+        if not isinstance(dim, int) or isinstance(dim, bool):
+            raise ValueError(f"bad dimension {dim!r}")
+        if dim != X.dim:
+            raise ValueError(f"stated dim {obj['dim']} but facets have dim {X.dim}")
+    return X
 
 
 def poly_mul(p: dict[int, int], q: dict[int, int]) -> dict[int, int]:

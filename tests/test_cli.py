@@ -149,6 +149,17 @@ class TestVerify:
                            torus_file)
         assert code == 0 and "closed" in out
 
+    def test_crowded_ridge_is_named(self, capsys, tmp_path):
+        # (2, 3) and (1, 2) of the facet (1, 2, 3) each lie in three facets;
+        # (2, 3), by the earliest dropped vertex, is named
+        path = tmp_path / "crowded.txt"
+        path.write_text("1 2 3\n1 2 4\n1 2 5\n2 3 6\n2 3 7\n")
+        code, out, err = run(capsys, "verify", "pseudomanifold", "--in", str(path))
+        assert (code, out, err) == (1, "no: not a pseudomanifold\n", "")
+        code, out, err = run(capsys, "verify", "sphere", "--in", str(path))
+        assert (code, err) == (1, "")
+        assert out == "refuted: not a pseudomanifold: ridge (2, 3) lies in 3 facets\n"
+
 
 class TestComplete:
     def test_ball_degree_reproduces_gs_sphere(self, capsys):

@@ -58,6 +58,7 @@ from helpers import (
     reference_degree,
     reference_dual_graph,
     reference_dual_graph_is_connected,
+    reference_from_facets,
     reference_generalized_bistellar_move,
     reference_has_face,
     reference_is_subcomplex,
@@ -87,13 +88,54 @@ _SOUPS = st.one_of(st.lists(_INTS, max_size=7),
                    st.lists(st.one_of(_INTS, _NOT_INTS), max_size=7))
 
 
-def _outcome(call, *args):
-    """(type, value, element types) of the result, or (class, message)."""
+def _typed_outcome(call, *args):
+    """(type, value, element types) of the result, or (class, message).  The
+    value of a Complex is its facets, and their labels' types are compared."""
     try:
         result = call(*args)
     except Exception as exc:  # compared in full below
         return type(exc), str(exc)
+    if isinstance(result, Complex):
+        facets = result.facets
+        return type(result), facets, tuple(tuple(map(type, f)) for f in facets)
     return type(result), tuple(result), tuple(map(type, result))
+
+
+def _readings(case):
+    """The facet list of a drawn case, read fresh: its facets as lists,
+    tuples or generators, inside a list or a generator."""
+    facets, kinds, outer = case
+    read = [f if kind is None else kind(f) for f, kind in zip(facets, kinds)]
+    return iter(read) if outer is iter else read
+
+
+@st.composite
+def facet_cases(draw):
+    """Facet lists that mix valid facets of one width with ragged, repeating,
+    empty and badly labelled ones, in drawn, canonical, reversed or shuffled
+    order, maybe with a facet that cannot be read."""
+    width = draw(st.integers(0, 4))
+    valid = st.lists(st.integers(1, 8), min_size=width, max_size=width, unique=True)
+    facets = draw(st.lists(valid, max_size=8))
+    for _ in range(draw(st.integers(0, 2))):  # ragged or badly labelled ones
+        spoiled = draw(st.one_of(st.lists(st.integers(1, 8), max_size=5), _SOUPS))
+        facets.insert(draw(st.integers(0, len(facets))), spoiled)
+    order = draw(st.sampled_from(["drawn", "canonical", "reversed", "shuffled"]))
+    if order == "canonical" and all(type(v) is int for f in facets for v in f):
+        facets = sorted(map(sorted, facets))
+    elif order == "reversed":
+        facets = facets[::-1]
+    elif order == "shuffled":
+        facets = draw(st.permutations(facets))
+    facets = list(facets)
+    facets += draw(st.lists(st.sampled_from(facets), max_size=2)) if facets else []
+    kinds = draw(st.lists(st.sampled_from([list, tuple, iter]),
+                          min_size=len(facets), max_size=len(facets)))
+    if draw(st.integers(0, 3)) == 0:  # a facet that cannot be read, read as is
+        at = draw(st.integers(0, len(facets)))
+        facets.insert(at, draw(st.sampled_from([5, None, 1.5])))
+        kinds.insert(at, None)
+    return facets, kinds, draw(st.sampled_from([list, iter]))
 
 
 class TestSimplex:
@@ -109,7 +151,9 @@ class TestSimplex:
     @example(labels=[], as_generator=True)
     def test_matches_the_two_pass_reference(self, labels, as_generator):
         source = (lambda: iter(labels)) if as_generator else (lambda: list(labels))
-        assert _outcome(Simplex, source()) == _outcome(reference_simplex, source())
+        assert _typed_outcome(Simplex, source()) == _typed_outcome(
+            reference_simplex, source()
+        )
 
     def test_sorts_vertices(self):
         assert Simplex((3, 1, 2)) == (1, 2, 3)
@@ -155,6 +199,25 @@ class TestComplexConstruction:
         with pytest.raises(error) as exc:
             from_facets(facets)
         assert str(exc.value) == message
+
+    @settings(max_examples=600, deadline=None)
+    @given(case=facet_cases())
+    # generator facets, the second with label 0, before one that is not iterable
+    @example(case=([[2, 1], [1, 0], 5], [iter, iter, None], iter))
+    @example(case=([[1, 0], 5, [True]], [list, None, list], list))
+    # IntEnum labels equal to plain ones: the first facet read is kept
+    @example(case=([[_Label.TWO, 1], [1, 2], [_Label.NINE, 3]], [list] * 3, list))
+    @example(case=([[1, 2], [_Label.ONE, _Label.TWO]], [iter, tuple], iter))
+    @example(case=([[True, 2], [0, 2], [-1, 2]], [list] * 3, list))
+    @example(case=([[3, 1, 3], [2, 2]], [tuple, list], list))
+    @example(case=([[], [1, 2], []], [list] * 3, list))
+    @example(case=([[], []], [iter, list], iter))
+    @example(case=([[2, 3], [1, 2], [2, 3], [1, 3]], [list] * 4, list))
+    @example(case=([], [], iter))
+    def test_matches_the_one_facet_at_a_time_reference(self, case):
+        assert _typed_outcome(from_facets, _readings(case)) == _typed_outcome(
+            reference_from_facets, _readings(case)
+        )
 
     def test_duplicates_collapse(self):
         X = from_facets([(2, 1), (1, 2)])
@@ -663,6 +726,16 @@ class TestSharedChecksMatchReference:
 
     @settings(max_examples=150, deadline=None)
     @given(X=complexes())
+    # (1, 2, 3) holds two crowded ridges: (2, 3), its first by dropped vertex,
+    # and (1, 2), its first in itertools.combinations order
+    @example(X=from_facets([(1, 2, 3), (1, 2, 4), (1, 2, 5), (2, 3, 6), (2, 3, 7)]))
+    # crowded ridges first met in different facets: (1, 2) in (1, 2, 5),
+    # the larger (3, 4) only later, in (1, 3, 4)
+    @example(X=from_facets([(1, 2, 5), (1, 2, 6), (1, 2, 7), (1, 3, 4), (2, 3, 4),
+                            (3, 4, 5)]))
+    # the same in dimension 3, with the first crowded ridge met last of its facet's
+    @example(X=from_facets([(1, 2, 3, 4), (1, 2, 3, 5), (1, 2, 3, 6), (1, 2, 4, 7),
+                            (1, 2, 4, 8), (2, 3, 4, 9), (2, 3, 4, 10)]))
     def test_ridge_map_users(self, X):
         report = reference_pseudomanifold_check(X)
         expected = None if report.is_pseudomanifold else reference_pm_failure_reason(X)

@@ -455,8 +455,9 @@ class TestSphereGatesMatchReference:
 
     def test_named_ridge_follows_ridge_map_order(self):
         # the ridges (1, 2, 3) and (1, 2, 4) each lie in three facets; the
-        # ridge map reaches (1, 2, 4) first, by dropped position in the facet
-        # (1, 2, 3, 4), where itertools.combinations gives (1, 2, 3) first
+        # name is (1, 2, 4), first by dropped position in the facet
+        # (1, 2, 3, 4), though the ridge map, keyed in itertools.combinations
+        # order, meets (1, 2, 3) first
         X = from_facets([(1, 2, 3, 4), (1, 2, 3, 5), (1, 2, 3, 6), (1, 2, 4, 7),
                          (1, 2, 4, 8)])
         expected = Verdict(

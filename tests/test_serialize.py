@@ -2,6 +2,8 @@ import json
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from combisphere import (
     certify_sphere,
@@ -10,7 +12,7 @@ from combisphere import (
     get,
     polytopal_complete,
 )
-from combisphere.errors import EmptyInput
+from combisphere.errors import EmptyInput, InvalidVertexLabel
 from combisphere.serialize import (
     complex_from_json_obj,
     complex_from_text,
@@ -22,7 +24,7 @@ from combisphere.serialize import (
     points_to_json,
     verdict_to_json_obj,
 )
-from helpers import octahedron_points
+from helpers import octahedron_points, reference_parse_complex
 
 
 class TestTextFormat:
@@ -86,6 +88,90 @@ class TestJsonFormat:
         X = get("octahedron").complex
         assert parse_complex(complex_to_json(X)) == X
         assert parse_complex(complex_to_text(X)) == X
+
+
+def _parsed(parse, text):
+    """The facets parse reads from text, or (class, message)."""
+    try:
+        return parse(text).facets
+    except Exception as exc:  # compared in full
+        return type(exc), str(exc)
+
+
+# tokens int() reads, and some it reads as labels from_facets refuses or
+# does not read at all: a sign, digit groups, Unicode digits, a word, a
+# float and a string past the int string-digit limit
+_TOKENS = st.one_of(
+    st.integers(1, 9).map(str), st.integers(1, 9).map(str),
+    st.sampled_from(["+3", "1_0", "\u0663", "\uff15", "0", "-2", "x", "2.0",
+                     "9" * (sys.get_int_max_str_digits() + 1)]),
+)
+_SPACES = st.sampled_from([" ", "  ", "\t", " \x0c "])
+_ENDS = st.sampled_from(["\n", "\r\n", "\x0c", "\n\n"])
+
+
+@st.composite
+def complex_texts(draw):
+    """Facet files with comments, blank lines, assorted line ends and
+    separators, rows of one width or ragged, and now and then a bad token."""
+    width = draw(st.integers(1, 4))
+    row = st.lists(st.integers(1, 9), min_size=width, max_size=width, unique=True)
+    rows = draw(st.lists(st.one_of(row.map(lambda r: list(map(str, r))),
+                                   st.lists(_TOKENS, max_size=5)), max_size=8))
+    lines = []
+    for tokens in rows:
+        line = draw(_SPACES).join(tokens)
+        if draw(st.booleans()):
+            line += draw(st.sampled_from(["", " # note", "# 1 x"]))
+        lines.append(line)
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), "# a comment")
+    ends = draw(st.lists(_ENDS, min_size=len(lines), max_size=len(lines)))
+    return "".join(map("".join, zip(lines, ends)))
+
+
+_JSON_LABELS = st.one_of(st.integers(1, 9), st.integers(1, 9),
+                         st.sampled_from([0, -1, True, 1.5, "2", None]))
+
+
+@st.composite
+def complex_jsons(draw):
+    """Facet lists as JSON: facets of one width or ragged, bad labels, and
+    facets that are not lists, with a right, wrong or bad stated dim."""
+    width = draw(st.integers(1, 4))
+    row = st.lists(st.integers(1, 9), min_size=width, max_size=width, unique=True)
+    facet = st.one_of(row, row, st.lists(_JSON_LABELS, max_size=5),
+                      st.sampled_from([5, "12", None, {"a": 1}]))
+    obj = {"facets": draw(st.lists(facet, max_size=8))}
+    if draw(st.booleans()):
+        obj["dim"] = draw(st.sampled_from([width - 1, width, True, "1"]))
+    return json.dumps(obj)
+
+
+class TestParsersMatchTheLineAtATimeReference:
+    @settings(max_examples=400, deadline=None)
+    @given(text=complex_texts())
+    @example(text="# header\r\n1 2\r\n\r\n2 3 # c\x0c1\t3\n")
+    @example(text="+3 1_0\n\u0663 10\n")
+    @example(text="1 2\n2 3\n3 x\n4 y\n")
+    @example(text="1 2 3\n1 2\n0 4\n")
+    @example(text="1 2\n1 " + "9" * (sys.get_int_max_str_digits() + 1) + "\n")
+    @example(text="\n# only a comment\n")
+    def test_text(self, text):
+        assert _parsed(parse_complex, text) == _parsed(reference_parse_complex, text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=complex_jsons())
+    @example(text='{"facets": [[1, 0], 5]}')
+    @example(text='{"facets": [[2, 1], [1, 2], [3, 1]], "dim": 1}')
+    @example(text='{"facets": [[1, 2], [3]]}')
+    def test_json(self, text):
+        assert _parsed(parse_complex, text) == _parsed(reference_parse_complex, text)
+
+    def test_a_bad_label_before_a_non_list_facet_is_named(self):
+        with pytest.raises(InvalidVertexLabel) as exc:
+            parse_complex('{"facets": [[1, 2], [1, 0], 5]}')
+        assert str(exc.value) == "vertex labels must be positive integers, got 0"
 
 
 class TestPointsFormat:
