@@ -126,8 +126,8 @@ def _zobrist(facets: Iterable[tuple[int, ...]]) -> int:
 
 class _MoveIndex:
     """The facets of a pure complex, with the cofacets of the faces its moves
-    need and the legal bistellar moves; moves with |A| > 1 are sought only on
-    a closed pseudomanifold.  It finds and applies moves only; the sphere
+    need and the link-shaped faces; moves with |A| > 1 are sought only on a
+    closed pseudomanifold.  It finds and applies moves only; the sphere
     screens read the complex itself.
 
     Built once per certification and updated in place by each flip.  A flip
@@ -141,35 +141,20 @@ class _MoveIndex:
     once: is_standard_sphere and the vertex moves read it.  The first
     settle(k) indexes size k and its partner size dim + 2 - k, the size of
     the B of its moves (the facets for k = 1), unless they are indexed
-    already.  On stacked spheres pool settles only size 1, so no size in
-    2..dim is ever indexed.
+    already, so that legal(k) can ask whether each B is a face.  On stacked
+    spheres pool settles only size 1, so no size in 2..dim is ever indexed.
 
-    The cofacets of an indexed size are exact after every flip; legality is
-    settled lazily, one size |A| at a time.  _shape maps each link-shaped
-    face A to its B, _pointing maps each B back to the faces A with that
-    shape, and _legal[k] holds the faces A with k vertices whose B is not a
-    face.  A flip of (A, B) adds the k-faces of A u B to _dirty[k] for each
-    settled size k: the facets it removes and adds are A u B less one
-    vertex, so these are exactly the k-faces whose cofacets change.
-    settle(k) reshapes the dirty faces (every k-face the first time); a face
-    with no stored shape is skipped unless it has dim + 2 - k cofacets, as
-    a link-shaped face must.
-
-    A settled size is exact.  The shape of A depends only on the cofacets of
-    A, which change only in a flip that puts A in _dirty[|A|] until the size
-    is settled, so settling reshapes A.  And _legal agrees with the presence
-    of B for every stored shape, stale or not, at all times, by this
-    invariant: while size k holds stored shapes, size dim + 2 - k is indexed.
-    So flip calls _toggle whenever a face B of a stored shape appears or
-    vanishes, and settle updates _legal whenever it changes a stored shape.
-    flip adds the born facets before it removes the gone ones, so a face of
-    dA * dB, which lies in both, is never emptied on the way.
+    The cofacets of an indexed size are exact after every flip; the shapes
+    are settled lazily, one size |A| at a time.  _shapes[k] maps each
+    link-shaped face A with k vertices to its B.  A flip of (A, B) adds the
+    k-faces of A u B to _dirty[k] for each settled size k: the facets it
+    removes and adds are A u B less one vertex, so these are exactly the
+    k-faces whose cofacets change.  settle(k) reshapes the dirty faces
+    (every k-face the first time).  The shape of A depends only on the
+    cofacets of A, so a settled size is exact.
     """
 
-    __slots__ = (
-        "dim", "facets", "_cofacets", "_shape", "_pointing", "_legal",
-        "_dirty",
-    )
+    __slots__ = ("dim", "facets", "_cofacets", "_shapes", "_dirty")
 
     def __init__(self, X: Complex):
         self.dim = X.dim
@@ -177,20 +162,17 @@ class _MoveIndex:
         # _cofacets[k], for each indexed size k: each face with k vertices ->
         # the facets containing it; a face that is gone has no key.
         self._cofacets: dict[int, dict[tuple[int, ...], set[tuple[int, ...]]]] = {}
-        # A -> B for each link-shaped face A: its cofacets are exactly A * dB.
-        self._shape: dict[tuple[int, ...], tuple[int, ...]] = {}
-        self._pointing: dict[tuple[int, ...], set[tuple[int, ...]]] = {}
-        self._legal: list[set[tuple[int, ...]]] = [set() for _ in range(X.dim + 1)]
+        # _shapes[k]: A -> B for each link-shaped face A with k vertices: its
+        # cofacets are exactly A * dB.
+        self._shapes: list[dict[tuple[int, ...], tuple[int, ...]]] = [
+            {} for _ in range(X.dim + 1)
+        ]
         # _dirty[k], for each settled size k: the k-faces that may have new shapes
         self._dirty: dict[int, set[tuple[int, ...]]] = {}
         self.index(1)
 
     def index(self, k: int) -> None:
-        """Fill the cofacets of the faces with k vertices.
-
-        No stored shape has a B with k vertices before size k is indexed, so
-        unlike flip this has no legality to toggle.
-        """
+        """Fill the cofacets of the faces with k vertices."""
         faces: dict[tuple[int, ...], set[tuple[int, ...]]] = {}
         for facet in self.facets:
             for face in itertools.combinations(facet, k):
@@ -201,18 +183,8 @@ class _MoveIndex:
                     owners.add(facet)
         self._cofacets[k] = faces
 
-    def _toggle(self, face: tuple[int, ...], present: bool) -> None:
-        # face just appeared or vanished: the moves onto it lose or regain legality
-        pointers = self._pointing.get(face)
-        if pointers:
-            legal = self._legal[self.dim + 2 - len(face)]
-            if present:
-                legal -= pointers
-            else:
-                legal |= pointers
-
     def settle(self, k: int) -> None:
-        """Bring the shapes and legal moves with |A| = k up to date."""
+        """Bring the shapes with |A| = k up to date."""
         n = self.dim + 2 - k
         faces: Iterable[tuple[int, ...]] | None = self._dirty.get(k)
         if faces is None:
@@ -221,28 +193,22 @@ class _MoveIndex:
                     self.index(j)
             faces = self._cofacets[k]
         self._dirty[k] = set()
-        cofacets, shapes, legal = self._cofacets[k], self._shape, self._legal[k]
+        cofacets, shapes = self._cofacets[k], self._shapes[k]
         for face in faces:
             owners = cofacets.get(face, ())
-            old = shapes.get(face)
-            if old is None and len(owners) != n:
-                continue
-            shape = _link_shape(owners, face, self.dim)
-            if shape == old:
-                continue
-            if old is not None:
-                pointers = self._pointing[old]
-                pointers.remove(face)
-                if not pointers:
-                    del self._pointing[old]
-                legal.discard(face)
+            # a link-shaped face has exactly n cofacets
+            shape = _link_shape(owners, face, self.dim) if len(owners) == n else None
             if shape is None:
-                del shapes[face]
-                continue
-            shapes[face] = shape
-            self._pointing.setdefault(shape, set()).add(face)
-            if not self.has_face(shape):
-                legal.add(face)
+                shapes.pop(face, None)
+            else:
+                shapes[face] = shape
+
+    def legal(self, k: int) -> list[tuple[int, ...]]:
+        """The faces A with k vertices, sorted, whose move (A, _shapes[k][A])
+        is legal: A is link-shaped and B is not a face.  Size k must be
+        settled."""
+        has_face = self.has_face
+        return sorted(A for A, B in self._shapes[k].items() if not has_face(B))
 
     def has_face(self, face: tuple[int, ...]) -> bool:
         if len(face) == self.dim + 1:
@@ -264,12 +230,12 @@ class _MoveIndex:
         undone = False
         for k in range(1, (max_a or self.dim) + 1):
             self.settle(k)
-            legal = self._legal[k]
-            if undo and undo[0] in legal and self._shape[undo[0]] == undo[1]:
-                legal = legal - {undo[0]}
+            shapes, legal = self._shapes[k], self.legal(k)
+            if undo and shapes.get(undo[0]) == undo[1] and undo[0] in legal:
+                legal.remove(undo[0])
                 undone = True
             if legal:
-                return [(A, self._shape[A]) for A in sorted(legal)]
+                return [(A, shapes[A]) for A in legal]
         return [undo] if undone else []
 
     def flip(
@@ -283,17 +249,12 @@ class _MoveIndex:
             born = _born(A, B)
         self.facets.difference_update(gone)
         self.facets.update(born)
-        for f in born:
-            self._toggle(f, True)
-        for f in gone:
-            self._toggle(f, False)
         for k, faces in self._cofacets.items():
             for f in born:
                 for face in itertools.combinations(f, k):
                     owners = faces.get(face)
                     if owners is None:
                         faces[face] = {f}
-                        self._toggle(face, True)
                     else:
                         owners.add(f)
             for f in gone:
@@ -302,7 +263,6 @@ class _MoveIndex:
                     owners.remove(f)
                     if not owners:
                         del faces[face]
-                        self._toggle(face, False)
         AB = tuple(sorted(A + B))
         for k, dirty in self._dirty.items():
             dirty.update(itertools.combinations(AB, k))
@@ -314,7 +274,8 @@ class _Walk:
 
     A step costs one pass over the subfaces of the facets the flip removes
     and adds, for each size indexed so far, then reshaping the faces of
-    A u B, for the sizes |A| that pool settles, plus sorting one pool.
+    A u B, for the sizes |A| that pool settles, plus filtering and sorting
+    the shapes of one size into the pool.
     While vertex collapses are legal that is |A| = 1 alone; a walk of vertex
     collapses indexes only the vertices, and no step rescans every face
     against every facet.
@@ -420,8 +381,8 @@ class _Walk:
         for k in range(1, index.dim + 1):
             index.settle(k)
             keyed = []
-            for A in sorted(index._legal[k]):
-                move = (A, index._shape[A])
+            for A in index.legal(k):
+                move = (A, index._shapes[k][A])
                 after = self._after(move)
                 if after[0] not in self.seen:
                     keyed.append((move, after))

@@ -926,17 +926,20 @@ def reference_pool(index, max_a, undo=None) -> list:
     only when some other move, of any of those sizes, is legal."""
     for k in range(1, max_a + 1):
         index.settle(k)
+    legal = [index.legal(k) for k in range(1, max_a + 1)]
     skip = None
     if (
         undo is not None
-        and index._shape.get(undo[0]) == undo[1]
-        and sum(map(len, index._legal)) > 1
+        # no size holds an A with dim + 1 vertices
+        and len(undo[0]) <= index.dim
+        and index._shapes[len(undo[0])].get(undo[0]) == undo[1]
+        and sum(map(len, legal)) > 1
     ):
         skip = undo[0]
-    for legal in index._legal:
-        faces = sorted(A for A in legal if A != skip)
+    for k, faces in enumerate(legal, 1):
+        faces = [A for A in faces if A != skip]
         if faces:
-            return [(A, index._shape[A]) for A in faces]
+            return [(A, index._shapes[k][A]) for A in faces]
     return []
 
 

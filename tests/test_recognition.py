@@ -30,6 +30,7 @@ from combisphere.errors import NotStacked, VertexNotPresent
 from helpers import (
     _counted_flips,
     _reference_ordered_ridge_map,
+    _reference_reduction_moves,
     apply_trace,
     barycentric_subdivision,
     face_polynomial,
@@ -1360,6 +1361,12 @@ def _settle_all(index, max_a):
         index.settle(k)
 
 
+def _legal_moves(index, max_a):
+    return [
+        (A, index._shapes[k][A]) for k in range(1, max_a + 1) for A in index.legal(k)
+    ]
+
+
 def _settled_fresh(index, max_a):
     fresh = recognition._MoveIndex(Complex._from_vertex_sets(index.facets))
     _settle_all(fresh, max_a)
@@ -1391,19 +1398,20 @@ class TestMoveIndexMatchesRebuild:
         flips = 0
         while True:
             fresh = _settled_fresh(index, max_a)
-            moves = sorted(
-                (A, fresh._shape[A]) for legal in fresh._legal for A in legal
-            )
+            moves = sorted(_legal_moves(fresh, max_a))
             if flips % settle_every == 0 or flips == steps or not moves:
                 _settle_all(index, max_a)
                 assert index.facets == fresh.facets
                 assert index._cofacets == fresh._cofacets
-                assert index._shape == fresh._shape
-                assert index._pointing == fresh._pointing
-                assert index._legal == fresh._legal
-                assert set().union(*index._legal) == {
-                    A for A, B in index._shape.items() if not index.has_face(B)
-                }
+                assert index._shapes == fresh._shapes
+                # the moves that legal(k) derives, against a rescan of
+                # every face that shares no code with the index
+                oracle = _reference_reduction_moves(
+                    Complex._from_vertex_sets(index.facets)
+                )
+                assert _legal_moves(index, max_a) == [
+                    (A, B) for A, B in oracle if len(A) <= max_a
+                ]
             if flips == steps or not moves:
                 break
             index.flip(*rng.choice(moves))
@@ -1480,8 +1488,7 @@ class TestMoveIndexMatchesRebuild:
         _settle_all(index, X.dim)
         fresh = _settled_fresh(index, X.dim)
         assert index._cofacets == fresh._cofacets
-        assert index._shape == fresh._shape
-        assert index._legal == fresh._legal
+        assert index._shapes == fresh._shapes
 
     @pytest.mark.parametrize("max_a", [1, 3])
     def test_only_the_undo_is_legal_at_the_smallest_size(self, max_a):
