@@ -4,8 +4,9 @@ Vertex labels are positive integers.  A complex is stored by its facet set in
 canonical order (each facet strictly increasing, facets sorted
 lexicographically), so equal complexes serialize to identical bytes.  All
 values are immutable; every operation returns a fresh ``Complex``.  What a
-``Complex`` derives from its facets, the ridge map and the facet graph
-across its 2-owner ridges among them, it builds once, on first use.
+``Complex`` derives from its facets, the star map, the ridge map and the
+facet graph across its 2-owner ridges among them, it builds once, on first
+use.
 
 The empty complex exists only as the boundary of a closed pseudomanifold.  No
 constructor accepts an empty facet list or an empty facet, and no other
@@ -44,11 +45,6 @@ class Simplex(tuple):
 
     def __new__(cls, vertices: Iterable[int]) -> "Simplex":
         vs = list(vertices)
-        # plain positive distinct ints pass on C-level calls; the loop checks the rest
-        if _INT.issuperset(map(type, vs)):
-            ordered = sorted(vs)
-            if ordered and ordered[0] > 0 and len(set(ordered)) == len(ordered):
-                return tuple.__new__(cls, ordered)
         for v in vs:
             if not isinstance(v, int) or isinstance(v, bool) or v < 1:
                 raise InvalidVertexLabel(
@@ -394,13 +390,16 @@ def _link_shape(
     return tuple(sorted(spanned.difference(face)))
 
 
+def _born(A: tuple[int, ...], B: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The facets of dA * B, which the move (A, B) adds."""
+    return [tuple(sorted(A[:i] + A[i + 1 :] + B)) for i in range(len(A))]
+
+
 def _flip(X: Complex, A: tuple[int, ...], B: tuple[int, ...]) -> Complex:
     """Replace the facets of A * dB by the facets of dA * B."""
     gone = X._facets_containing(A)
     keep = [f for f in X.facets if f not in gone]
-    keep.extend(
-        Simplex._raw(sorted(A[:i] + A[i + 1 :] + B)) for i in range(len(A))
-    )
+    keep.extend(map(Simplex._raw, _born(A, B)))
     return Complex._from_simplices(keep)
 
 

@@ -15,11 +15,13 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush
+from operator import itemgetter
 from typing import Any, Collection, Iterable, NamedTuple
 
 from .core import (
     Complex,
     Simplex,
+    _born,
     _is_connected,
     _link_shape,
     _pm_failure,
@@ -110,11 +112,6 @@ def degree(X: Complex, v: int) -> int:
 _REVISITS = 8
 
 
-def _born(A: tuple[int, ...], B: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """The facets of dA * B, which the move (A, B) adds."""
-    return [tuple(sorted(A[:i] + A[i + 1 :] + B)) for i in range(len(A))]
-
-
 def _zobrist(facets: Iterable[tuple[int, ...]]) -> int:
     """The XOR of the 64-bit facet hashes.  A tuple of ints hashes the same
     in every process, so keys, and the walks they steer, replay."""
@@ -203,12 +200,12 @@ class _MoveIndex:
             else:
                 shapes[face] = shape
 
-    def legal(self, k: int) -> list[tuple[int, ...]]:
-        """The faces A with k vertices, sorted, whose move (A, _shapes[k][A])
-        is legal: A is link-shaped and B is not a face.  Size k must be
-        settled."""
+    def legal(self, k: int) -> list[MovePair]:
+        """The legal moves (A, B) with |A| = k, sorted by A: A is link-shaped
+        and B is not a face.  Size k must be settled."""
         has_face = self.has_face
-        return sorted(A for A, B in self._shapes[k].items() if not has_face(B))
+        moves = [(A, B) for A, B in self._shapes[k].items() if not has_face(B)]
+        return sorted(moves, key=itemgetter(0))  # by A alone: pairs compare slower
 
     def has_face(self, face: tuple[int, ...]) -> bool:
         if len(face) == self.dim + 1:
@@ -230,12 +227,12 @@ class _MoveIndex:
         undone = False
         for k in range(1, (max_a or self.dim) + 1):
             self.settle(k)
-            shapes, legal = self._shapes[k], self.legal(k)
-            if undo and shapes.get(undo[0]) == undo[1] and undo[0] in legal:
-                legal.remove(undo[0])
+            legal = self.legal(k)
+            if undo in legal:
+                legal.remove(undo)
                 undone = True
             if legal:
-                return [(A, shapes[A]) for A in legal]
+                return legal
         return [undo] if undone else []
 
     def flip(
@@ -288,27 +285,20 @@ class _Walk:
 
     Revisits: from its first run without max_a on, the walk keys its facet
     sets by _zobrist and keeps the keys it has seen.  A move (A, B) changes
-    the key by the facets of A * dB and dA * B, so a move's key is known
-    before the flip.  A pick that leads to a seen key is a revisit, and
+    the key by the facets of A * dB and dA * B, so each move is keyed
+    before its flip.  A pick that leads to a seen key is a revisit, and
     from the (_REVISITS + 1)-th on the step re-chooses: for |A| = 1, 2, ...,
     the legal moves whose key is unseen, the undo included, sorted by A,
     and the RNG's pick among those of the first size that has any.  If no
     size has one, the walk stops.  A walk with at most _REVISITS revisits
     makes the choices and RNG calls of the plain rule.  The same seed and a
     larger budget replay the identical prefix, so Certified verdicts are
-    budget-monotone.
-
-    The first move leaves the one facet set seen, so after n moves at most
-    n - 1 were revisits, and no step re-chooses before _REVISITS + 1 moves
-    are made.  Only then are the keys so far worked out, back from the last
-    facet set through the trace; walks that end sooner key nothing.  A
-    collapse-only run keeps no key: a vertex collapse lowers the vertex
-    count and no move raises it, so no earlier facet set comes back.
+    budget-monotone.  A collapse-only run keeps no key: a vertex collapse
+    lowers the vertex count and no move raises it, so no earlier facet set
+    comes back.
     """
 
-    __slots__ = (
-        "index", "rng", "budget", "trace", "undo", "start", "key", "seen", "revisits",
-    )
+    __slots__ = ("index", "rng", "budget", "trace", "undo", "key", "seen", "revisits")
 
     def __init__(self, X: Complex, budget: int, rng: random.Random | None):
         self.index = _MoveIndex(X)
@@ -316,8 +306,7 @@ class _Walk:
         self.budget = budget
         self.trace: list[MovePair] = []
         self.undo: MovePair | None = None
-        self.start: int | None = None  # the moves made before keying began
-        self.key: int | None = None  # None until the keys are worked out
+        self.key: int | None = None  # None until the first run without max_a
         self.seen: set[int] = set()
         self.revisits = 0
 
@@ -326,17 +315,16 @@ class _Walk:
         |A| <= max_a (any |A| if max_a is 0) is left within the budget, or,
         once the walk re-chooses, none to an unseen facet set."""
         index = self.index
-        if not max_a and self.start is None:
-            self.start = len(self.trace)
+        if not max_a and self.key is None:
+            self.key = _zobrist(index.facets)
+            self.seen.add(self.key)
         while not index.is_standard_sphere():
             pool = index.pool(self.undo, max_a) if len(self.trace) < self.budget else []
             if not pool:
                 return False
             choice = self._pick(pool)
             born = None
-            if self.start is not None and len(self.trace) - self.start > _REVISITS:
-                if self.key is None:
-                    self._key_the_walk()
+            if self.key is not None:
                 key, born = self._after(choice)
                 if key in self.seen:
                     self.revisits += 1
@@ -356,18 +344,6 @@ class _Walk:
         rng = self.rng
         return pool[rng.randrange(len(pool))] if rng and len(pool) > 1 else pool[0]
 
-    def _key_the_walk(self) -> None:
-        """Key the facet sets since start, and count their revisits."""
-        key = _zobrist(self.index.facets)
-        keys = [key]
-        for A, B in reversed(self.trace[self.start :]):
-            key ^= _zobrist(_born(B, A)) ^ _zobrist(_born(A, B))
-            keys.append(key)
-        for key in reversed(keys):
-            self.revisits += key in self.seen
-            self.seen.add(key)
-        self.key = keys[0]
-
     def _after(self, move: MovePair) -> tuple[int, list[tuple[int, ...]]]:
         """The key after move, and the facets it adds."""
         A, B = move
@@ -381,8 +357,7 @@ class _Walk:
         for k in range(1, index.dim + 1):
             index.settle(k)
             keyed = []
-            for A in index.legal(k):
-                move = (A, index._shapes[k][A])
+            for move in index.legal(k):
                 after = self._after(move)
                 if after[0] not in self.seen:
                     keyed.append((move, after))

@@ -926,7 +926,7 @@ def reference_pool(index, max_a, undo=None) -> list:
     only when some other move, of any of those sizes, is legal."""
     for k in range(1, max_a + 1):
         index.settle(k)
-    legal = [index.legal(k) for k in range(1, max_a + 1)]
+    legal = [[A for A, B in index.legal(k)] for k in range(1, max_a + 1)]
     skip = None
     if (
         undo is not None

@@ -14,7 +14,6 @@ from combisphere import (
     from_facets,
     get,
     is_subcomplex,
-    join,
     link,
     one_point_suspension,
 )

@@ -1,12 +1,14 @@
 """Static checks on the package source, with the standard library's ast.
 
-No linter ships with the project, so six rules are checked here: every
+No linter ships with the project, so seven rules are checked here: every
 imported name is used, only core reads the storage of a Complex (the
 attributes named in Complex.__slots__), no code run at import keeps a
 reference to a function that perfbench's traced mode wraps, every private
 function, method or class is read somewhere in the package, only a
-function without parameters has an unbounded cache, and every import sits
-at module top level or in a top-level ``if TYPE_CHECKING:`` block.
+function without parameters has an unbounded cache, every import sits
+at module top level or in a top-level ``if TYPE_CHECKING:`` block, and no
+module or class body defines a function or class name twice.  The first
+and the last rule also cover the tests and perfbench.
 """
 
 from __future__ import annotations
@@ -22,6 +24,10 @@ from combisphere import Complex
 CHECKOUT = Path(__file__).resolve().parents[1]
 PACKAGE = CHECKOUT / "src" / "combisphere"
 MODULES = sorted(PACKAGE.glob("*.py"), key=lambda p: p.name)
+# the files of the tests and of the benchmark, linted like the package
+SCRIPTS = sorted((CHECKOUT / "tests").glob("*.py")) + sorted(
+    (CHECKOUT / "perfbench").glob("*.py")
+)
 
 
 def _traced_names() -> set[str]:
@@ -205,6 +211,25 @@ def nested_imports(tree: ast.Module) -> list[str]:
             for node in sorted(found, key=lambda node: node.lineno)]
 
 
+def redefinitions(tree: ast.Module) -> list[str]:
+    """Function and class names that a module or class body defines again,
+    so that the later definition hides the earlier one."""
+    found: list[str] = []
+
+    def visit(body: list[ast.stmt], prefix: str) -> None:
+        names: set[str] = set()
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if node.name in names:
+                    found.append(f"{prefix}{node.name} (line {node.lineno})")
+                names.add(node.name)
+                if isinstance(node, ast.ClassDef):
+                    visit(node.body, f"{prefix}{node.name}.")
+
+    visit(tree.body, "")
+    return found
+
+
 def test_the_checks_see_what_they_look_for():
     tree = ast.parse(
         "import os\n"
@@ -331,9 +356,49 @@ def test_the_tracer_check_sees_stored_references():
     ]
 
 
+def test_the_redefinition_check_sees_hidden_definitions():
+    tree = ast.parse(
+        "def _outcome(call):\n"
+        "    def inner():\n"
+        "        pass\n"
+        "    def inner():\n"
+        "        pass\n"
+        "class T:\n"
+        "    def test_a(self):\n"
+        "        pass\n"
+        "    def test_a(self):\n"
+        "        pass\n"
+        "    class Inner:\n"
+        "        pass\n"
+        "    class Inner:\n"
+        "        pass\n"
+        "def _outcome(call):\n"
+        "    pass\n"
+        "_outcome = None\n"
+    )
+    # a function's own body is not checked, and an assignment is no definition
+    assert redefinitions(tree) == [
+        "T.test_a (line 9)", "T.Inner (line 13)", "_outcome (line 15)",
+    ]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+@pytest.mark.parametrize(
+    "path", SCRIPTS, ids=lambda p: f"{p.parent.name}/{p.name}"
+)
+def test_no_unused_imports_in_tests_or_perfbench(path):
+    assert unused_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+@pytest.mark.parametrize(
+    "path", MODULES + SCRIPTS, ids=lambda p: f"{p.parent.name}/{p.name}"
+)
+def test_no_definition_is_hidden_by_another(path):
+    assert redefinitions(ast.parse(path.read_text(encoding="utf-8"))) == []
 
 
 @pytest.mark.parametrize(

@@ -679,6 +679,22 @@ class TestRevisitsAreReChosen:
             assert tuple(walk.trace) == full[:budget]
         assert certify_sphere(X, 79, 0).trace == full
 
+    def test_the_walk_stops_when_every_move_leads_to_a_seen_set(self):
+        # the walk's own stop, which no input in this suite reaches: moves
+        # are left, but after _REVISITS revisits each one leads back
+        walk = recognition._Walk(get("cross_polytope(5)").complex, 4, random.Random(0))
+        assert not (walk.run(max_a=1) or walk.run())
+        assert len(walk.trace) == 4 and walk.key is not None
+        index = walk.index
+        for k in range(1, index.dim + 1):
+            index.settle(k)
+            walk.seen.update(walk._after(move)[0] for move in index.legal(k))
+        assert index.pool(walk.undo)
+        walk.budget, walk.revisits = DEFAULT_BUDGET, recognition._REVISITS
+        assert not walk.run()
+        assert len(walk.trace) == 4
+        assert walk.revisits == recognition._REVISITS + 1
+
 
 class TestSurfaceLinksNeedNoCheck:
     """certify_sphere no longer checks vertex links in dimension 2: a closed
@@ -1362,9 +1378,7 @@ def _settle_all(index, max_a):
 
 
 def _legal_moves(index, max_a):
-    return [
-        (A, index._shapes[k][A]) for k in range(1, max_a + 1) for A in index.legal(k)
-    ]
+    return [move for k in range(1, max_a + 1) for move in index.legal(k)]
 
 
 def _settled_fresh(index, max_a):
