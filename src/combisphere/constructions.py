@@ -21,7 +21,6 @@ from typing import TYPE_CHECKING, Sequence
 
 from .core import (
     Complex,
-    Simplex,
     anti_star,
     bistellar_move,
     boundary,
@@ -75,11 +74,11 @@ class CompletionResult:
 
 
 def _union(X: Complex, Y: Complex) -> Complex:
-    return Complex._from_simplices(itertools.chain(X.facets, Y.facets))
+    return Complex._from_rows(itertools.chain(X._facet_tuples, Y._facet_tuples))
 
 
 def _cone(apex: int, X: Complex) -> Complex:
-    return Complex._from_vertex_sets(f + (apex,) for f in X.facets)
+    return Complex._from_vertex_sets(f + (apex,) for f in X._facet_tuples)
 
 
 def _finish(
@@ -179,7 +178,7 @@ def _meet_inside(P: Complex, Q: Complex, R: Complex) -> bool:
     """
     return all(
         R.has_face([u for u in q if u in p])
-        for p in P.facets
+        for p in P._facet_tuples
         for q in set().union(*(Q._star_map().get(u, ()) for u in p))
     )
 
@@ -257,14 +256,14 @@ def complete_degree_d(
     d = S.dim + 1
     _vertex_floor(S.n_vertices, d)
     v = _degree_d_vertex(S, v, d)
-    sigma = Simplex._raw(sorted(link(S, v).vertex_set))
+    sigma = tuple(sorted(link(S, v).vertex_set))
     try:
         collapsed = bistellar_move(S, v, sigma)
     except SigmaAlreadyFace as exc:
         raise IntermediateClaimFailed(
-            f"collapse target {tuple(sigma)} is already a face"
+            f"collapse target {sigma} is already a face"
         ) from exc
-    trace.append(f"collapsed vertex {v} onto {tuple(sigma)}")
+    trace.append(f"collapsed vertex {v} onto {sigma}")
     if u is None:
         u = min(collapsed.vertices)
     return _suspend_and_finish(S, collapsed, u, v, trace)
@@ -341,7 +340,7 @@ def complete_stacked_ball(B: Complex) -> CompletionResult:
         f"stacking witness with {len(witness.facets)} facets; "
         f"last facet {tuple(last)} has fresh apex {apex}"
     ]
-    rest = complement(B, Complex._from_simplices([last]))
+    rest = complement(B, Complex._from_rows([tuple(last)]))
     coned = _cone(apex, rest)
     inner = is_stacked_ball(coned)
     if not inner.stacked:
@@ -407,10 +406,10 @@ def complete_ball_degree_d(
     # u has exactly d neighbours and every facet through u holds d of them,
     # so u lies only in the facet u * tau.  Each ridge of it through u has
     # one owner, so u is on the boundary and its boundary link is dtau
-    (tau,) = link(B, u).facets
+    (tau,) = link(B, u)._facet_tuples
     M = boundary(B)
     trace.append(
-        f"vertex {u} has degree {d}; boundary link is the boundary of {tuple(tau)}"
+        f"vertex {u} has degree {d}; boundary link is the boundary of {tau}"
     )
     cap = _cone(u, anti_star(M, u))
     if not _meet_inside(cap, B, M):
@@ -462,7 +461,7 @@ def complete_disc(
     if B.has_face(cap):
         raise IntermediateClaimFailed(f"boundary triangle {cap} is already a face")
     trace.append(f"capped the final triangle {cap}")
-    sphere = Complex._from_vertex_sets([*B.facets, *filled, cap])
+    sphere = Complex._from_vertex_sets([*B._facet_tuples, *filled, cap])
     final = certify_sphere(sphere, 0, seed)  # exact in dimension 2, so no moves
     if not final.is_certified:
         raise IntermediateClaimFailed(f"filled disc is not a 2-sphere: {final.reason}")

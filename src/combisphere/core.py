@@ -8,6 +8,12 @@ values are immutable; every operation returns a fresh ``Complex``.  What a
 facet graph across its 2-owner ridges among them, it builds once, on first
 use.
 
+Inside the package a facet is a plain tuple of ints: the builders here store
+those, and the other modules read them through ``Complex._facet_tuples``.
+A ``Simplex`` is made only for a public value, such as ``Complex.facets``
+(built on first read and kept), a ``DualGraph`` or a stacking witness, by
+``_as_simplices``, which skips the checks that the stored facets have passed.
+
 The empty complex exists only as the boundary of a closed pseudomanifold.  No
 constructor accepts an empty facet list or an empty facet, and no other
 operation returns one.
@@ -15,7 +21,6 @@ operation returns one.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from collections import defaultdict
 from typing import Collection, Iterable, Mapping, NamedTuple
@@ -65,8 +70,12 @@ class Simplex(tuple):
 
 
 _INT = frozenset((int,))
-# a Simplex of a strictly increasing sequence of valid labels, unchecked
-Simplex._raw = functools.partial(tuple.__new__, Simplex)
+
+
+def _as_simplices(rows: Iterable[tuple[int, ...]]) -> tuple[Simplex, ...]:
+    """A Simplex for each row, a strictly increasing tuple of valid labels,
+    without checking it again."""
+    return tuple(map(tuple.__new__, itertools.repeat(Simplex), rows))
 
 
 class Complex:
@@ -76,7 +85,9 @@ class Complex:
     (vertex -> the facets through it), the ridge map (ridge -> the facets
     owning it, keyed facet by facet in ``itertools.combinations`` order) and
     the facet graph (facet -> the facets across its ridges in exactly two
-    facets).  All three name a facet by the same Simplex.  Queries for the
+    facets).  All three name a facet by the same plain tuple, the one stored
+    in ``_facets`` and read by other modules as ``_facet_tuples``; only
+    ``facets`` gives Simplex values, made on first read.  Queries for the
     facets containing a vertex or a face intersect vertex stars; the boundary,
     the pseudomanifold checks and the sphere screens read the ridge map and
     the facet graph, and ``_crowded_ridge`` names their bad ridge in the
@@ -84,37 +95,47 @@ class Complex:
     """
 
     __slots__ = (
-        "_facets", "_stars", "_ridges", "_graph", "_vertices", "_vertex_set",
+        "_facets", "_simplices", "_stars", "_ridges", "_graph", "_vertices",
+        "_vertex_set",
     )
 
-    def __init__(self, facets: tuple[Simplex, ...], *, _canonical: bool = False):
+    def __init__(self, facets: tuple[tuple[int, ...], ...], *, _canonical: bool = False):
         if not _canonical:
             raise TypeError("use from_facets() or the module operations")
         self._facets = facets
-        self._stars: dict[int, set[Simplex]] | None = None
-        self._ridges: dict[tuple[int, ...], list[Simplex]] | None = None
-        self._graph: dict[Simplex, list[Simplex]] | None = None
+        self._simplices: tuple[Simplex, ...] | None = None
+        self._stars: dict[int, set[tuple[int, ...]]] | None = None
+        self._ridges: dict[tuple[int, ...], list[tuple[int, ...]]] | None = None
+        self._graph: dict[tuple[int, ...], list[tuple[int, ...]]] | None = None
         self._vertices: tuple[int, ...] | None = None
         self._vertex_set: frozenset[int] | None = None
 
     # -- construction ---------------------------------------------------------
 
     @classmethod
-    def _from_simplices(cls, simplices: Iterable[Simplex]) -> "Complex":
+    def _from_rows(cls, rows: Iterable[tuple[int, ...]]) -> "Complex":
+        """The complex of rows, plain tuples of valid labels, each sorted."""
         # sorted, then deduplicated: sorted input then sorts in linear time
-        facets = tuple(dict.fromkeys(sorted(simplices)))
+        facets = tuple(dict.fromkeys(sorted(rows)))
         if len(set(map(len, facets))) > 1:
             raise NonPure("facets of differing dimension")
         return cls(facets, _canonical=True)
 
     @classmethod
     def _from_vertex_sets(cls, vertex_sets: Iterable[Iterable[int]]) -> "Complex":
-        return cls._from_simplices(map(Simplex._raw, map(sorted, vertex_sets)))
+        return cls._from_rows(map(tuple, map(sorted, vertex_sets)))
 
     # -- basic queries ----------------------------------------------------------
 
     @property
     def facets(self) -> tuple[Simplex, ...]:
+        if self._simplices is None:
+            self._simplices = _as_simplices(self._facets)
+        return self._simplices
+
+    @property
+    def _facet_tuples(self) -> tuple[tuple[int, ...], ...]:
+        """The facets as stored: plain sorted tuples, in canonical order."""
         return self._facets
 
     @property
@@ -170,7 +191,7 @@ class Complex:
     def has_face(self, face: Iterable[int]) -> bool:
         return bool(self._facets_containing(face))
 
-    def _star_map(self) -> dict[int, set[Simplex]]:
+    def _star_map(self) -> dict[int, set[tuple[int, ...]]]:
         """Vertex -> the facets through it."""
         if self._stars is None:
             self._stars = defaultdict(set)
@@ -179,14 +200,14 @@ class Complex:
                     self._stars[u].add(f)
         return self._stars
 
-    def _star(self, v: int) -> set[Simplex]:
+    def _star(self, v: int) -> set[tuple[int, ...]]:
         """The facets through v; VertexNotPresent for a non-vertex."""
         star = self._star_map().get(v)
         if star is None:
             raise VertexNotPresent(f"vertex {v} not in the complex")
         return star
 
-    def _facets_containing(self, face: Iterable[int]) -> set[Simplex]:
+    def _facets_containing(self, face: Iterable[int]) -> set[tuple[int, ...]]:
         """The facets containing face: the intersection of its vertex stars,
         each step walking the smaller set.  Every facet for the empty face.
         The set is fresh, never a star, so callers may consume it."""
@@ -196,7 +217,7 @@ class Complex:
             return set(self._facets)
         return stars[0].intersection(*stars[1:])
 
-    def _ridge_map(self) -> dict[tuple[int, ...], list[Simplex]]:
+    def _ridge_map(self) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
         """Ridge -> owning facets, in facet order.  Ridges are sorted tuples,
         first met with the facets in canonical order, each facet's ridges in
         ``itertools.combinations`` order (``_crowded_ridge`` names one)."""
@@ -208,7 +229,7 @@ class Complex:
                     self._ridges.setdefault(r, []).append(f)
         return self._ridges
 
-    def _facet_graph(self) -> dict[Simplex, list[Simplex]]:
+    def _facet_graph(self) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
         """Facet -> the facets across its ridges that lie in exactly two facets."""
         if self._graph is None:
             self._graph = {f: [] for f in self._facets}
@@ -282,24 +303,24 @@ def from_facets(facet_list: Iterable[Iterable[int]]) -> Complex:
     order of the input is irrelevant: the result is canonical.  The first bad
     facet in input order is named, even before a later one that cannot be read.
     """
-    rows: list[list] = []
+    rows: list[tuple] = []
     try:
-        rows.extend(map(list, facet_list))
+        rows.extend(map(tuple, facet_list))
     except Exception:  # re-raised once the facets read before it are checked
         list(map(Simplex, rows))
         raise
     labels = list(itertools.chain.from_iterable(rows))
     # plain positive ints, distinct in each facet, pass in whole-list passes;
     # Simplex checks anything else one facet at a time, naming the first
-    plain = _INT.issuperset(map(type, labels)) and min(labels, default=1) > 0
-    if plain and sum(map(len, map(set, rows))) == len(labels):
-        facets = list(map(Simplex._raw, map(sorted, rows)))
-    else:
-        facets = list(map(Simplex, rows))
+    plain = _INT.issuperset(map(type, labels)) and (not labels or min(labels) > 0)
+    facets = list(map(tuple, map(sorted, map(set, rows)))) if plain else []
+    # a set drops a repeated label; without plain labels, labels is not empty
+    if sum(map(len, facets)) != len(labels):
+        facets = list(map(tuple, map(Simplex, rows)))
     if not facets:
         raise EmptyInput("a complex needs at least one facet")
-    X = Complex._from_simplices(facets)
-    if not X.facets[0]:  # pure, so every facet is empty
+    X = Complex._from_rows(facets)
+    if not X._facets[0]:  # pure, so every facet is empty
         raise EmptyInput("a facet needs at least one vertex")
     return X
 
@@ -309,7 +330,7 @@ def link(X: Complex, v: int) -> Complex:
     star = X._star(v)
     if X.dim == 0:
         raise NonPureResult("link of a vertex in a 0-complex is empty")
-    return Complex._from_simplices(Simplex._raw([u for u in f if u != v]) for f in star)
+    return Complex._from_rows(tuple([u for u in f if u != v]) for f in star)
 
 
 def anti_star(X: Complex, v: int) -> Complex:
@@ -327,7 +348,7 @@ def anti_star(X: Complex, v: int) -> Complex:
                 f"face {rest} is maximal in the anti-star "
                 f"but has dimension {len(rest) - 1} < {X.dim}"
             )
-    return Complex._from_simplices(f for f in X.facets if v not in f)
+    return Complex._from_rows(f for f in X._facets if v not in f)
 
 
 def join(X: Complex, Y: Complex) -> Complex:
@@ -337,7 +358,7 @@ def join(X: Complex, Y: Complex) -> Complex:
     overlap = X.vertex_set & Y.vertex_set
     if overlap:
         raise VertexSetsOverlap(f"factors share vertices {sorted(overlap)}")
-    return Complex._from_vertex_sets(a + b for a in X.facets for b in Y.facets)
+    return Complex._from_vertex_sets(a + b for a in X._facets for b in Y._facets)
 
 
 def complement(X: Complex, Y: Complex) -> Complex:
@@ -348,12 +369,12 @@ def complement(X: Complex, Y: Complex) -> Complex:
         raise NotProperSubcomplex(
             f"dimension mismatch: {Y.dim} != {X.dim}"
         )
-    drop = set(Y.facets)
-    if not drop.issubset(X.facets):
+    drop = set(Y._facets)
+    if not drop.issubset(X._facets):
         raise NotProperSubcomplex("some facet of the second complex is not a facet of the first")
     if len(drop) == X.n_facets:
         raise NotProperSubcomplex("the complexes are equal; the complement is empty")
-    return Complex._from_simplices(f for f in X.facets if f not in drop)
+    return Complex._from_rows(f for f in X._facets if f not in drop)
 
 
 def _is_connected(
@@ -398,9 +419,9 @@ def _born(A: tuple[int, ...], B: tuple[int, ...]) -> list[tuple[int, ...]]:
 def _flip(X: Complex, A: tuple[int, ...], B: tuple[int, ...]) -> Complex:
     """Replace the facets of A * dB by the facets of dA * B."""
     gone = X._facets_containing(A)
-    keep = [f for f in X.facets if f not in gone]
-    keep.extend(map(Simplex._raw, _born(A, B)))
-    return Complex._from_simplices(keep)
+    keep = [f for f in X._facets if f not in gone]
+    keep.extend(_born(A, B))
+    return Complex._from_rows(keep)
 
 
 def boundary(X: Complex) -> Complex:
@@ -411,19 +432,20 @@ def boundary(X: Complex) -> Complex:
     if crowded is not None:
         raise RidgeInThreeFacets(crowded)
     ridges = X._ridge_map()
-    out = [Simplex._raw(r) for r, owners in ridges.items() if len(owners) == 1]
-    return Complex._from_simplices(out)
+    return Complex._from_rows(r for r, owners in ridges.items() if len(owners) == 1)
 
 
 def dual_graph(X: Complex) -> DualGraph:
     """Facet adjacency along shared ridges, with the ridge index."""
     ridges = X._ridge_map()
+    typed = dict(zip(X._facets, X.facets))  # each stored facet -> its Simplex
     adj: dict[Simplex, set[Simplex]] = {f: set() for f in X.facets}
     edges: set[tuple[Simplex, Simplex]] = set()
     ridge_index: dict[Simplex, tuple[Simplex, ...]] = {}
-    for r in sorted(ridges):
-        owner_facets = tuple(ridges[r])
-        ridge_index[Simplex._raw(r)] = owner_facets
+    order = sorted(ridges)
+    for r, ridge in zip(order, _as_simplices(order)):
+        owner_facets = tuple(map(typed.__getitem__, ridges[r]))
+        ridge_index[ridge] = owner_facets
         for a, b in itertools.combinations(owner_facets, 2):
             edges.add((a, b))
             adj[a].add(b)
@@ -464,7 +486,7 @@ def _pm_failure(X: Complex) -> str | None:
     crowded = _crowded_ridge(X)
     if crowded is not None:
         return f"not a pseudomanifold: {crowded}"
-    if not _is_connected(X._facet_graph(), set(X.facets)):
+    if not _is_connected(X._facet_graph(), set(X._facets)):
         return "not a pseudomanifold: the facet-adjacency graph is disconnected"
     return None
 
@@ -475,7 +497,7 @@ def euler_characteristic(X: Complex) -> int:
 
 def is_subcomplex(A: Complex, X: Complex) -> bool:
     """True when every facet of A is a face of X."""
-    return all(X._facets_containing(a) for a in A.facets)
+    return all(X._facets_containing(a) for a in A._facets)
 
 
 def one_point_suspension(X: Complex, u: int, v: int) -> Complex:
@@ -494,8 +516,8 @@ def one_point_suspension(X: Complex, u: int, v: int) -> Complex:
     if v in X.vertex_set:
         raise FreshVertexCollision(f"vertex {v} is already present")
     ast = anti_star(X, u)
-    new_facets = [f + (u,) for f in ast.facets]
-    new_facets.extend(f + (v,) for f in X.facets)
+    new_facets = [f + (u,) for f in ast._facets]
+    new_facets.extend(f + (v,) for f in X._facets)
     return Complex._from_vertex_sets(new_facets)
 
 

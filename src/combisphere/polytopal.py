@@ -23,7 +23,7 @@ from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 from .constructions import CompletionResult, _suspend_and_finish, _vertex_floor
-from .core import Complex, Simplex, anti_star, is_subcomplex
+from .core import Complex, Simplex, _as_simplices, anti_star, is_subcomplex
 from .errors import (
     DegenerateSpan,
     EmptyInput,
@@ -330,14 +330,13 @@ def convex_hull(pc: PointConfiguration) -> HullResult:
                     horizon.append((ridge, f, kept))
         facets = [f for f in facets if f not in beyond_set]
         facets += [rotated(r | {label}, gone, kept) for r, gone, kept in horizon]
-    hull_facets = []
-    for f in sorted(facets, key=lambda f: tuple(sorted(f.vertices))):
-        normal, offset = _primitive(f.functional)
-        hull_facets.append(
-            HullFacet(Simplex._raw(sorted(f.vertices)), normal, offset)
-        )
-    complex_ = Complex._from_vertex_sets(f.vertices for f in facets)
-    return HullResult(tuple(hull_facets), complex_)
+    facets.sort(key=lambda f: sorted(f.vertices))
+    rows = [tuple(sorted(f.vertices)) for f in facets]
+    hull_facets = tuple(
+        HullFacet(vertices, *_primitive(f.functional))
+        for f, vertices in zip(facets, _as_simplices(rows))
+    )
+    return HullResult(hull_facets, Complex._from_rows(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +355,7 @@ def _realizes(rows: Mapping[int, Row], target: Complex) -> bool:
     """
     if set(rows) != set(target.vertex_set):
         return False
-    for facet in target.facets:
+    for facet in target._facet_tuples:
         a = _functional([rows[v] for v in facet])
         if a is None:
             return False
@@ -385,7 +384,7 @@ def perturb_to_general_position(
     _point_floor(pc)
     if combinatorial_type.is_empty:
         raise EmptyInput("the target complex is empty")
-    anchor = combinatorial_type.facets[0]
+    anchor = combinatorial_type._facet_tuples[0]
     coords = dict(pc.as_dict())
     rows = dict(pc._rows)
     if len(anchor) != d:
@@ -400,7 +399,7 @@ def perturb_to_general_position(
         raise VertexNotPresent(f"point {min(stray)} is not a vertex of the target")
     if not _all_independent([rows[v] for v in anchor], d, []):
         raise DegenerateSpan(
-            f"anchor facet {tuple(anchor)} is affinely degenerate"
+            f"anchor facet {anchor} is affinely degenerate"
         )
     rng = random.Random(seed)
     processed: list[int] = list(anchor)

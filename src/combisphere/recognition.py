@@ -21,6 +21,7 @@ from typing import Any, Collection, Iterable, NamedTuple
 from .core import (
     Complex,
     Simplex,
+    _as_simplices,
     _born,
     _is_connected,
     _link_shape,
@@ -155,7 +156,7 @@ class _MoveIndex:
 
     def __init__(self, X: Complex):
         self.dim = X.dim
-        self.facets: set[tuple[int, ...]] = {tuple(f) for f in X.facets}
+        self.facets: set[tuple[int, ...]] = set(X._facet_tuples)
         # _cofacets[k], for each indexed size k: each face with k vertices ->
         # the facets containing it; a face that is gone has no key.
         self._cofacets: dict[int, dict[tuple[int, ...], set[tuple[int, ...]]]] = {}
@@ -383,7 +384,7 @@ class _Screens:
         X = self.X
         faces: list[Collection[Any]] = [(), X.vertices]
         faces.extend(X._face_tuples(k) for k in range(2, X.dim))
-        return faces + [X._ridge_map().keys(), X.facets]
+        return faces + [X._ridge_map().keys(), X._facet_tuples]
 
     def stalled(self) -> Verdict | None:
         """The refutation by chi(X) or, from dimension 3 on, a vertex link."""
@@ -523,7 +524,7 @@ def certify_ball(
         return Verdict(REFUTED, "no boundary: a closed pseudomanifold is not a ball")
     apex = max(X.vertices) + 1
     capped = Complex._from_vertex_sets(
-        list(X.facets) + [f + (apex,) for f in bd.facets]
+        [*X._facet_tuples, *(f + (apex,) for f in bd._facet_tuples)]
     )
     capped_verdict = certify_sphere(capped, budget, seed)
     if capped_verdict.is_certified:
@@ -559,27 +560,29 @@ def is_stacked_ball(X: Complex) -> StackedBallReport:
     gluing order covers that with at most m - 1 + dim vertices, and
     f_0 = m + dim forces the apex out.
     """
-    if X.is_empty or X.dim < 1:
+    facets = X._facet_tuples
+    if not facets or len(facets[0]) < 2:
         return StackedBallReport(False, reason="needs dimension >= 1")
     ridges = X._ridge_map()
     if max(map(len, ridges.values())) > 2:
         return StackedBallReport(False, reason="a ridge lies in three or more facets")
-    m = X.n_facets
+    m, d = len(facets), len(facets[0]) - 1
     # with no ridge in three facets, the m * (dim + 1) facet-ridge incidences
     # count each ridge once and each ridge in two facets, an edge, twice
-    n_edges = m * (X.dim + 1) - len(ridges)
-    if n_edges != m - 1 or not _is_connected(X._facet_graph(), set(X.facets)):
+    n_edges = m * (d + 1) - len(ridges)
+    if n_edges != m - 1 or not _is_connected(X._facet_graph(), set(facets)):
         return StackedBallReport(False, reason="facet-adjacency graph is not a tree")
-    if X.n_vertices != m + X.dim:
+    if X.n_vertices != m + d:
         return StackedBallReport(
-            False, reason=f"f_0 = {X.n_vertices} != f_top + dim = {m + X.dim}"
+            False, reason=f"f_0 = {X.n_vertices} != f_top + dim = {m + d}"
         )
     graph = X._facet_graph()
     degree = {f: len(neighbors) for f, neighbors in graph.items()}
-    leaves = [f for f in X.facets if degree[f] == 1]  # sorted, so a heap
-    neighbor = X.facets[0]  # in the end the one facet left, the witness's first
-    peeled: list[Simplex] = []
-    attachments: list[tuple[Simplex, int]] = []
+    leaves = [f for f in facets if degree[f] == 1]  # sorted, so a heap
+    neighbor = facets[0]  # in the end the one facet left, the witness's first
+    peeled: list[tuple[int, ...]] = []
+    glued: list[tuple[int, ...]] = []  # the ridge each leaf shares
+    apexes: list[int] = []
     for _ in range(m - 1):
         leaf = heappop(leaves)
         degree[leaf] = 0
@@ -590,16 +593,14 @@ def is_stacked_ball(X: Complex) -> StackedBallReport:
             if apex not in neighbor:
                 break
         peeled.append(leaf)
-        attachments.append((Simplex._raw(leaf[:i] + leaf[i + 1 :]), apex))
+        glued.append(leaf[:i] + leaf[i + 1 :])
+        apexes.append(apex)
         degree[neighbor] -= 1
         if degree[neighbor] == 1:
             heappush(leaves, neighbor)
-    return StackedBallReport(
-        True,
-        witness=StackingSequence(
-            (neighbor, *reversed(peeled)), tuple(reversed(attachments))
-        ),
-    )
+    typed = _as_simplices([neighbor, *reversed(peeled), *reversed(glued)])
+    attachments = tuple(zip(typed[m:], reversed(apexes)))
+    return StackedBallReport(True, witness=StackingSequence(typed[:m], attachments))
 
 
 def collapse_stacked_sphere_to_ball(S: Complex) -> Complex:

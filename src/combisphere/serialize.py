@@ -54,7 +54,7 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
 
 
 def complex_to_text(X: Complex) -> str:
-    return "".join(" ".join(str(v) for v in f) + "\n" for f in X.facets)
+    return "".join(" ".join(str(v) for v in f) + "\n" for f in X._facet_tuples)
 
 
 def complex_from_text(text: str) -> Complex:
@@ -64,12 +64,13 @@ def complex_from_text(text: str) -> Complex:
     try:
         tokens = iter(list(map(int, chain.from_iterable(rows))))
     except ValueError:
+        # the token that failed is on some line, so the search always breaks
         for lineno, raw in enumerate(lines, start=1):  # name the first bad line
             try:
                 list(map(int, raw.partition("#")[0].split()))
             except ValueError:
-                raise ValueError(f"line {lineno}: expected integers, got {raw!r}") from None
-        raise
+                break
+        raise ValueError(f"line {lineno}: expected integers, got {raw!r}") from None
     widths = list(map(len, rows))
     if len(set(widths)) == 1:  # the usual pure file: zip regroups fastest
         return from_facets(zip(*[tokens] * widths[0]))
@@ -77,7 +78,7 @@ def complex_from_text(text: str) -> Complex:
 
 
 def complex_to_json_obj(X: Complex) -> dict[str, Any]:
-    return {"dim": X.dim, "facets": [list(f) for f in X.facets]}
+    return {"dim": X.dim, "facets": [list(f) for f in X._facet_tuples]}
 
 
 def _dim(obj: dict[str, Any]) -> int:

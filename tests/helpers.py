@@ -109,6 +109,11 @@ def face_polynomial(facets: list[tuple[int, ...]]) -> dict[int, int]:
     return {0: 1, **counts}
 
 
+def _unchecked(vertices: Iterable[int]) -> Simplex:
+    """A Simplex of sorted valid labels, built without the checks under test."""
+    return tuple.__new__(Simplex, vertices)
+
+
 def reference_simplex(vertices: Iterable) -> Simplex:
     """Simplex validation in two passes: every label is checked in input
     order, then the sorted labels are checked for a repeat."""
@@ -122,7 +127,7 @@ def reference_simplex(vertices: Iterable) -> Simplex:
     for a, b in zip(vs, vs[1:]):
         if a == b:
             raise DuplicateVertexInFacet(f"duplicate vertex {a} in facet {vs}")
-    return Simplex._raw(vs)
+    return _unchecked(vs)
 
 
 def reference_from_facets(facet_list: Iterable[Iterable]) -> Complex:
@@ -136,7 +141,7 @@ def reference_from_facets(facet_list: Iterable[Iterable]) -> Complex:
         raise NonPure("facets of differing dimension")
     if not canonical[0]:
         raise EmptyInput("a facet needs at least one vertex")
-    return Complex(canonical, _canonical=True)
+    return Complex(tuple(map(tuple, canonical)), _canonical=True)
 
 
 def reference_parse_complex(text: str) -> Complex:
@@ -267,7 +272,7 @@ def reference_is_stacked_ball(X: Complex) -> StackedBallReport:
                 break
         assert pick is not None, "peel stalled on a tree with matching counts"
         f, apex = pick
-        ridge = Simplex._raw(tuple(v for v in f if v != apex))
+        ridge = _unchecked(v for v in f if v != apex)
         peeled.append((f, ridge, apex))
         remaining.remove(f)
         neighbor = adj[f].pop()
@@ -317,7 +322,7 @@ def _reference_reduction_moves(X: Complex) -> list[tuple[Simplex, Simplex]]:
             if union in cofacets or union in facets:
                 continue
             moves.append(
-                (Simplex._raw(tuple(sorted(a_set))), Simplex._raw(tuple(sorted(union))))
+                (_unchecked(sorted(a_set)), _unchecked(sorted(union)))
             )
     return moves
 
@@ -418,7 +423,7 @@ def reference_collapse_stacked_sphere_to_ball(S: Complex) -> Complex:
                 continue
             if cur.has_face(union):
                 continue
-            found = (v, Simplex._raw(tuple(sorted(union))))
+            found = (v, _unchecked(sorted(union)))
             break
         if found is None:
             raise NotStacked(
@@ -426,7 +431,7 @@ def reference_collapse_stacked_sphere_to_ball(S: Complex) -> Complex:
             )
         v, sigma = found
         steps.append((v, sigma))
-        cur = _reference_apply_move(cur, Simplex._raw((v,)), sigma)
+        cur = _reference_apply_move(cur, _unchecked((v,)), sigma)
     ball_facets = [frozenset(cur.vertices)]
     for v, sigma in reversed(steps):
         ball_facets.append(frozenset(sigma) | {v})
@@ -603,7 +608,7 @@ def reference_dual_graph(X: Complex) -> DualGraph:
     ridge_index: dict[Simplex, tuple[Simplex, ...]] = {}
     for r, owners in sorted(ridges.items(), key=lambda kv: tuple(sorted(kv[0]))):
         owner_facets = tuple(X.facets[i] for i in owners)
-        ridge_index[Simplex._raw(tuple(sorted(r)))] = owner_facets
+        ridge_index[_unchecked(sorted(r))] = owner_facets
         for a, b in itertools.combinations(owner_facets, 2):
             lo, hi = (a, b) if a <= b else (b, a)
             edges.add((lo, hi))
@@ -688,7 +693,7 @@ def reference_bistellar_move(X: Complex, v: int, sigma: Iterable[int]) -> Comple
         raise SigmaAlreadyFace(f"{tuple(sig)} is already a face")
     keep = [f for f, fs in zip(X.facets, map(frozenset, X.facets)) if v not in fs]
     keep.append(sig)
-    return Complex._from_simplices(keep)
+    return Complex._from_vertex_sets(keep)
 
 
 def reference_generalized_bistellar_move(
@@ -772,7 +777,7 @@ def reference_anti_star(X: Complex, v: int) -> Complex:
                     f"face {tuple(sorted(rest))} is maximal in the anti-star "
                     f"but has dimension {len(rest) - 1} < {X.dim}"
                 )
-    return Complex._from_simplices(keep)
+    return Complex._from_vertex_sets(keep)
 
 
 def reference_degree(X: Complex, v: int) -> int:
@@ -810,7 +815,7 @@ def reference_complement(X: Complex, Y: Complex) -> Complex:
         raise NotProperSubcomplex("some facet of the second complex is not a facet of the first")
     if y_family == x_family:
         raise NotProperSubcomplex("the complexes are equal; the complement is empty")
-    return Complex._from_simplices(
+    return Complex._from_vertex_sets(
         f for f, fs in zip(X.facets, map(frozenset, X.facets)) if fs not in y_family
     )
 
@@ -1276,7 +1281,7 @@ def reference_convex_hull(pc: PointConfiguration) -> HullResult:
     for f in sorted(facets, key=lambda f: tuple(sorted(f.vertices))):
         normal, offset = _reference_primitive(f.normal, f.offset)
         hull_facets.append(
-            HullFacet(Simplex._raw(tuple(sorted(f.vertices))), normal, offset)
+            HullFacet(_unchecked(sorted(f.vertices)), normal, offset)
         )
     complex_ = Complex._from_vertex_sets(f.vertices for f in facets)
     return HullResult(tuple(hull_facets), complex_)

@@ -168,6 +168,9 @@ class TestSimplex:
         with pytest.raises(InvalidVertexLabel):
             Simplex((1, bad) if bad != 1 else (bad,))
 
+    def test_repr_names_the_sorted_labels(self):
+        assert repr(Simplex((3, 1, 2))) == "Simplex((1, 2, 3))"
+
 
 class TestComplexConstruction:
     def test_empty_input_rejected(self):
@@ -235,6 +238,15 @@ class TestComplexConstruction:
         a = from_facets([(1, 2), (2, 3)])
         b = from_facets([(3, 2), (2, 1)])
         assert a == b and hash(a) == hash(b)
+
+    def test_a_complex_never_equals_its_facet_tuple(self):
+        X = from_facets([(1, 2), (2, 3)])
+        assert X.__eq__(X.facets) is NotImplemented
+        assert X != X.facets and X != ((1, 2), (2, 3))
+
+    def test_repr(self):
+        assert repr(from_facets([(1, 2, 3), (2, 3, 4)])) == "Complex(dim=2, facets=2)"
+        assert repr(boundary(get("octahedron").complex)) == "Complex(empty)"
 
     def test_basic_queries(self):
         X = from_facets([(1, 2, 3), (2, 3, 4)])
@@ -755,7 +767,7 @@ class TestSharedChecksMatchReference:
         # X has built and kept its ridge map and facet graph by now: its
         # answers are those of a fresh copy, which builds them for each reader
         def fresh():
-            return Complex._from_simplices(X.facets)
+            return Complex._from_rows(X._facet_tuples)
 
         assert pseudomanifold_check(X) == pseudomanifold_check(fresh()) == report
         assert _outcome(boundary, X) == _outcome(boundary, fresh()) == _outcome(
@@ -865,7 +877,7 @@ class TestStarQueriesMatchReference:
         found = X._facets_containing(face)
         assert found == {f for f in X.facets if set(face) <= set(f)}
         # the stars, ridge map and facet graph share one object per facet
-        assert {id(f) for f in found} <= {id(f) for f in X.facets}
+        assert {id(f) for f in found} <= {id(f) for f in X._facet_tuples}
         found.clear()  # a reader may consume the set; no star loses a facet
         assert {v: X._star(v) for v in X.vertices} == stars
 

@@ -1,8 +1,9 @@
 """Static checks on the package source, with the standard library's ast.
 
-No linter ships with the project, so seven rules are checked here: every
+No linter ships with the project, so eight rules are checked here: every
 imported name is used, only core reads the storage of a Complex (the
-attributes named in Complex.__slots__), no code run at import keeps a
+attributes named in Complex.__slots__), only core makes a Simplex without
+its checks, no code run at import keeps a
 reference to a function that perfbench's traced mode wraps, every private
 function, method or class is read somewhere in the package, only a
 function without parameters has an unbounded cache, every import sits
@@ -92,6 +93,21 @@ def storage_reads(tree: ast.Module) -> list[str]:
         for node in ast.walk(tree)
         if isinstance(node, ast.Attribute) and node.attr in slots
     ]
+
+
+def unchecked_simplices(tree: ast.Module) -> list[str]:
+    """Ways round Simplex's checks: a read of any ``__new__``, such as
+    ``tuple.__new__``, or of an attribute of ``Simplex``.  Only core may
+    make a Simplex without validating it, from facets it has checked."""
+    found = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and (
+            node.attr == "__new__"
+            or isinstance(node.value, ast.Name) and node.value.id == "Simplex"
+        )
+    ]
+    return [f"{ast.unparse(node)} (line {node.lineno})"
+            for node in sorted(found, key=lambda node: (node.lineno, node.col_offset))]
 
 
 def import_time_references(tree: ast.Module, traced: set[str]) -> list[str]:
@@ -240,6 +256,23 @@ def test_the_checks_see_what_they_look_for():
     )
     assert unused_imports(tree) == ["os (line 1)", "Simplex (line 3)"]
     assert storage_reads(tree) == ["._facets (line 5)"]
+
+
+def test_the_simplex_check_sees_unchecked_construction():
+    tree = ast.parse(
+        "from itertools import repeat\n"
+        "from .core import Simplex\n"
+        "def f(rows):\n"
+        "    a = Simplex._raw(rows[0])\n"
+        "    b = tuple.__new__(Simplex, rows[1])\n"
+        "    return a, b, list(map(tuple.__new__, repeat(Simplex), rows))\n"
+        "def g(rows):\n"
+        "    return Simplex(rows[0]), Simplex.__name__\n"
+    )
+    assert unchecked_simplices(tree) == [
+        "Simplex._raw (line 4)", "tuple.__new__ (line 5)", "tuple.__new__ (line 6)",
+        "Simplex.__name__ (line 8)",
+    ]
 
 
 def test_the_import_check_sees_nested_imports():
@@ -406,6 +439,13 @@ def test_no_definition_is_hidden_by_another(path):
 )
 def test_only_core_reads_complex_storage(path):
     assert storage_reads(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "core.py"], ids=lambda p: p.name
+)
+def test_only_core_makes_unchecked_simplices(path):
+    assert unchecked_simplices(ast.parse(path.read_text(encoding="utf-8"))) == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -287,6 +287,26 @@ class TestPerturbation:
         with pytest.raises(VertexNotPresent, match=f"^no point labeled {label}$"):
             perturb_to_general_position(pts, from_facets(facets), seed=0)
 
+    def test_a_facet_spanning_no_plane_is_not_realized(self):
+        # the target's facet 123 lies on a line, so it has no hyperplane
+        pc = PointConfiguration.from_dict(3, {
+            1: (0, 0, 0), 2: (1, 0, 0), 3: (2, 0, 0), 4: (0, 0, 4),
+        })
+        target = from_facets(itertools.combinations(range(1, 5), 3))
+        assert _realizes(pc._rows, target) is False
+        assert reference_realizes(pc.as_dict(), target) is False
+
+    def test_a_degenerate_anchor_is_refused(self):
+        # the anchor, the target's first facet 123, lies on a line
+        pc = PointConfiguration.from_dict(3, {
+            1: (0, 0, 0), 2: (1, 0, 0), 3: (2, 0, 0), 4: (0, 0, 4),
+        })
+        target = from_facets(itertools.combinations(range(1, 5), 3))
+        with pytest.raises(
+            DegenerateSpan, match=r"^anchor facet \(1, 2, 3\) is affinely degenerate$"
+        ):
+            perturb_to_general_position(pc, target, seed=0)
+
     def test_point_that_is_not_a_target_vertex(self):
         # point 7 has no place on the hull of the six points before it
         pts = get("cyclic_polytope_points(7,3)").points

@@ -25,7 +25,9 @@ from combisphere import (
     link,
 )
 from combisphere import Complex, recognition
-from combisphere.recognition import CERTIFIED, DEFAULT_BUDGET, REFUTED, UNKNOWN, Verdict
+from combisphere.recognition import (
+    CERTIFIED, DEFAULT_BUDGET, REFUTED, UNKNOWN, StackedBallReport, Verdict,
+)
 from combisphere.errors import NotStacked, VertexNotPresent
 from helpers import (
     _counted_flips,
@@ -852,6 +854,14 @@ class TestIsStackedBall:
     def test_closed_sphere_rejected(self):
         report = is_stacked_ball(get("octahedron").complex)
         assert not report.stacked and report.witness is None
+
+    @pytest.mark.parametrize("X", [
+        from_facets([(1,), (2,)]), boundary(get("octahedron").complex),
+    ], ids=["points", "empty"])
+    def test_needs_dimension_one(self, X):
+        assert is_stacked_ball(X) == StackedBallReport(
+            False, reason="needs dimension >= 1"
+        )
 
     def test_cone_over_square_rejected(self):
         B = from_facets([(1, 2, 5), (2, 3, 5), (3, 4, 5), (1, 4, 5)])
