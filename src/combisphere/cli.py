@@ -467,7 +467,3 @@ def main(argv: list[str] | None = None) -> int:
         sys.stderr.write(f"combisphere: {exc}\n")
         return EX_CANTCREAT
     return code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -8,9 +8,10 @@ values are immutable; every operation returns a fresh ``Complex``.  What a
 facet graph across its 2-owner ridges among them, it builds once, on first
 use.
 
-Inside the package a facet is a plain tuple of ints: the builders here store
-those, and the other modules read them through ``Complex._facet_tuples``.
-A ``Simplex`` is made only for a public value, such as ``Complex.facets``
+Inside the package every face is a plain sorted tuple of ints: the builders
+here store facets so, and the other modules read them through
+``Complex._facet_tuples`` and keep the faces they build the same way.  A
+``Simplex`` is made only for a public value, such as ``Complex.facets``
 (built on first read and kept), a ``DualGraph`` or a stacking witness, by
 ``_as_simplices``, which skips the checks that the stored facets have passed.
 

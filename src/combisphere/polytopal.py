@@ -7,9 +7,10 @@ integer coordinates, and a Bareiss elimination over Python ints decides
 affine independence and yields the hyperplane functionals of the initial
 simplex.  Hull extraction is incremental beneath-beyond with exact sidedness
 predicates; each later facet's functional is rotated about its horizon ridge
-from the two facets that met there.  Boundary-complex extraction requires
-general position: any exact tie met during insertion raises NotSimplicial
-rather than guessing.
+from the two facets that met there.  Hull facets and their ridges are
+sorted label tuples, as a Complex stores its faces.  Boundary-complex
+extraction requires general position: any exact tie met during insertion
+raises NotSimplicial rather than guessing.
 """
 
 from __future__ import annotations
@@ -18,9 +19,10 @@ import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
 from math import gcd, lcm
-from operator import mul
-from typing import Iterable, Mapping, Sequence
+from operator import attrgetter, mul
+from typing import Mapping, Sequence
 
 from .constructions import CompletionResult, _suspend_and_finish, _vertex_floor
 from .core import Complex, Simplex, _as_simplices, anti_star, is_subcomplex
@@ -239,7 +241,7 @@ def _affine_basis(pc: PointConfiguration) -> list[int]:
 
 @dataclass(eq=False)
 class _Facet:
-    vertices: frozenset[int]
+    vertices: tuple[int, ...]  # sorted, as a Complex stores its facets
     functional: Row  # primitive, negative strictly beneath, at the interior reference
     side: int = 0  # functional at the point being inserted, set by the scan
 
@@ -271,24 +273,23 @@ def convex_hull(pc: PointConfiguration) -> HullResult:
     ref = tuple(
         map(sum, zip(*([c * (common // rows[b][0]) for c in rows[b]] for b in basis)))
     )
-    ridge_owner: dict[frozenset[int], list[_Facet]] = {}  # kept up to date
+    ridge_owner: dict[tuple[int, ...], list[_Facet]] = {}  # kept up to date
 
-    def added(labels: frozenset[int], a: Row) -> _Facet:
+    def added(labels: tuple[int, ...], a: Row) -> _Facet:
         facet = _Facet(labels, a)
-        for v in labels:
-            ridge_owner.setdefault(labels - {v}, []).append(facet)
+        for ridge in combinations(labels, d - 1):
+            ridge_owner.setdefault(ridge, []).append(facet)
         return facet
 
-    def oriented(vertex_labels: Iterable[int]) -> _Facet:
+    def oriented(labels: tuple[int, ...]) -> _Facet:
         # d of the affinely independent basis points, so a is never None, and
         # ref, their centroid, lies strictly beneath the hyperplane
-        labels = frozenset(vertex_labels)
-        a = _functional([rows[v] for v in sorted(labels)])
+        a = _functional([rows[v] for v in labels])
         if _side(a, ref) > 0:
             a = tuple(-c for c in a)
         return added(labels, a)
 
-    def rotated(labels: frozenset[int], gone: _Facet, kept: _Facet) -> _Facet:
+    def rotated(labels: tuple[int, ...], gone: _Facet, kept: _Facet) -> _Facet:
         # Both old functionals vanish on the ridge, and a also vanishes at x.
         # a < 0 at ref, since s_gone > 0 > s_kept and both old ones are < 0
         # there; so it is already outward, and it is never zero.
@@ -297,16 +298,14 @@ def convex_hull(pc: PointConfiguration) -> HullResult:
         g = gcd(*a)
         return added(labels, tuple(c // g for c in a))
 
-    facets: list[_Facet] = [
-        oriented(set(basis) - {skip}) for skip in basis
-    ]
+    facets = [oriented(labels) for labels in combinations(basis, d)]
     for label in pc.labels:
         if label in basis:
             continue
         x = rows[label]
         for f in facets:
             f.side = _side(f.functional, x)
-        ties = [tuple(sorted(f.vertices)) for f in facets if f.side == 0]
+        ties = [f.vertices for f in facets if f.side == 0]
         if ties:
             raise NotSimplicial(
                 f"point {label} lies on the hyperplane of facet "
@@ -316,10 +315,10 @@ def convex_hull(pc: PointConfiguration) -> HullResult:
         if not beyond:
             continue  # interior of the current hull, hence never a vertex
         beyond_set = set(beyond)
-        horizon: list[tuple[frozenset[int], _Facet, _Facet]] = []
+        # the new facet on each horizon ridge, with the facets that met there
+        horizon: list[tuple[tuple[int, ...], _Facet, _Facet]] = []
         for f in beyond:
-            for v in f.vertices:
-                ridge = f.vertices - {v}
+            for ridge in combinations(f.vertices, d - 1):
                 owners = ridge_owner[ridge]
                 owners.remove(f)
                 if not owners:
@@ -327,11 +326,11 @@ def convex_hull(pc: PointConfiguration) -> HullResult:
                     continue
                 kept = owners[0]
                 if kept not in beyond_set:
-                    horizon.append((ridge, f, kept))
+                    horizon.append((tuple(sorted((*ridge, label))), f, kept))
         facets = [f for f in facets if f not in beyond_set]
-        facets += [rotated(r | {label}, gone, kept) for r, gone, kept in horizon]
-    facets.sort(key=lambda f: sorted(f.vertices))
-    rows = [tuple(sorted(f.vertices)) for f in facets]
+        facets += [rotated(labels, gone, kept) for labels, gone, kept in horizon]
+    facets.sort(key=attrgetter("vertices"))
+    rows = [f.vertices for f in facets]
     hull_facets = tuple(
         HullFacet(vertices, *_primitive(f.functional))
         for f, vertices in zip(facets, _as_simplices(rows))
@@ -353,7 +352,7 @@ def _realizes(rows: Mapping[int, Row], target: Complex) -> bool:
     complex without computing a hull, degenerate interim coplanarities and
     all.
     """
-    if set(rows) != set(target.vertex_set):
+    if rows.keys() != target.vertex_set:
         return False
     for facet in target._facet_tuples:
         a = _functional([rows[v] for v in facet])
@@ -394,16 +393,16 @@ def perturb_to_general_position(
     for v in combinatorial_type.vertices:
         if v not in rows:
             raise VertexNotPresent(f"no point labeled {v}")
-    stray = set(rows) - combinatorial_type.vertex_set
-    if stray:
-        raise VertexNotPresent(f"point {min(stray)} is not a vertex of the target")
+    for label in pc.labels:
+        if label not in combinatorial_type.vertex_set:
+            raise VertexNotPresent(f"point {label} is not a vertex of the target")
     if not _all_independent([rows[v] for v in anchor], d, []):
         raise DegenerateSpan(
             f"anchor facet {anchor} is affinely degenerate"
         )
     rng = random.Random(seed)
     processed: list[int] = list(anchor)
-    rest = [label for label in pc.labels if label not in set(anchor)]
+    rest = [label for label in pc.labels if label not in anchor]
     for label in rest:
         original = coords[label]
         prefix = [rows[s] for s in processed]
@@ -459,7 +458,7 @@ def polytopal_complete(
         raise VertexNotPresent(f"no point labeled {v}")
     hull = convex_hull(pc)
     sphere_in = hull.boundary_complex
-    if sphere_in.vertex_set != frozenset(pc.labels):
+    if sphere_in.vertices != pc.labels:
         raise GeometryError(
             "every point must be a hull vertex; interior points present"
         )

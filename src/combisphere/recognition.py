@@ -622,9 +622,8 @@ def collapse_stacked_sphere_to_ball(S: Complex) -> Complex:
             "no vertex link is the boundary of a missing simplex; not stacked"
             if pseudomanifold_check(S).closed else not_closed
         )
-    ball_facets = [frozenset().union(*walk.index.facets)]
-    for (v,), sigma in reversed(walk.trace):
-        ball_facets.append(frozenset(sigma) | {v})
+    ball_facets = [tuple(set().union(*walk.index.facets))]
+    ball_facets += [(*sigma, v) for (v,), sigma in reversed(walk.trace)]
     return Complex._from_vertex_sets(ball_facets)
 
 
@@ -645,15 +644,15 @@ def is_flag(S: Complex) -> bool:
     if is_standard(S).sphere:
         return False
     adjacency = {v: set().union(*S._star(v)) - {v} for v in S.vertices}
-    cliques: set[frozenset[int]] = set(S.faces_of_size(2))
+    cliques: Collection[tuple[int, ...]] = S._face_tuples(2)
     while cliques:
-        grown: set[frozenset[int]] = set()
-        for c in cliques:
-            top = max(c)
-            candidates = set.intersection(*(adjacency[v] for v in c))
-            for w in candidates:
-                if w > top:
-                    grown.add(c | {w})
+        # each sorted clique grows from its own prefix alone, so none repeats
+        grown = [
+            c + (w,)
+            for c in cliques
+            for w in set.intersection(*(adjacency[v] for v in c))
+            if w > c[-1]
+        ]
         for c in grown:
             if not S.has_face(c):
                 return False

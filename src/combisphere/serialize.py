@@ -16,14 +16,12 @@ import sys
 from fractions import Fraction
 from itertools import chain, islice, repeat
 from operator import itemgetter
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
+from .constructions import CompletionResult
 from .core import Complex, from_facets
 from .polytopal import PointConfiguration
-
-if TYPE_CHECKING:  # imported for type names only; avoids cycles at runtime
-    from .constructions import CompletionResult
-    from .recognition import Verdict
+from .recognition import Verdict
 
 
 def dumps(obj: Any) -> str:
@@ -184,7 +182,7 @@ def parse_points(text: str) -> PointConfiguration:
 # ---------------------------------------------------------------------------
 
 
-def verdict_to_json_obj(verdict: "Verdict") -> dict[str, Any]:
+def verdict_to_json_obj(verdict: Verdict) -> dict[str, Any]:
     return {
         "status": verdict.status,
         "reason": verdict.reason,
@@ -192,7 +190,7 @@ def verdict_to_json_obj(verdict: "Verdict") -> dict[str, Any]:
     }
 
 
-def completion_to_json_obj(result: "CompletionResult") -> dict[str, Any]:
+def completion_to_json_obj(result: CompletionResult) -> dict[str, Any]:
     obj: dict[str, Any] = {
         "sphere": complex_to_json_obj(result.sphere),
         "contains_input": result.embedding_check,

@@ -438,6 +438,28 @@ def reference_collapse_stacked_sphere_to_ball(S: Complex) -> Complex:
     return Complex._from_vertex_sets(ball_facets)
 
 
+def reference_is_flag(X: Complex) -> bool:
+    """is_flag from the definition: X is not the boundary of a simplex, and
+    every vertex set of 3 to dim + 2 vertices whose pairs are all edges lies
+    in a facet.  Every such set is tried; nothing is grown."""
+    facets = [frozenset(f) for f in X.facets]
+    if not facets:
+        return False
+    dim = len(facets[0]) - 1
+    vertices = sorted(frozenset().union(*facets))
+    if len(vertices) == len(facets) == dim + 2:
+        return False
+    edges = {frozenset(e) for f in facets for e in itertools.combinations(f, 2)}
+    for k in range(3, dim + 3):
+        for clique in itertools.combinations(vertices, k):
+            pairs = itertools.combinations(clique, 2)
+            if all(frozenset(e) in edges for e in pairs) and not any(
+                f.issuperset(clique) for f in facets
+            ):
+                return False
+    return True
+
+
 def reference_link_screen(X: Complex, sizes: Iterable[int] = (1,)) -> Verdict | None:
     """The vertex-link screen that ``certify_sphere`` runs in dimension >= 3
     before its walk, as it was before it read the move index: every link is

@@ -11,12 +11,13 @@ With ``--expect FILE`` the listing is checked against FILE, which keeps the
 lines known to go unrun as ``file: source`` lines, keyed by the stripped
 source text rather than by line number, so that edits elsewhere in a file
 do not stale it.  The script then exits 1 if a line outside FILE goes
-unrun, naming it, and notes the entries of FILE that now run.  Lines of
-FILE that are empty or start with ``#`` are skipped.
+unrun, naming it, or if an entry of FILE now runs or names no line, so that
+FILE can only shrink.  Lines of FILE that are empty or start with ``#`` are
+skipped.
 
 A function's ``def`` line counts as run when the function is defined.
-Subprocesses are not traced, so ``__main__.py`` and the ``__main__``
-guards are listed, and so are ``TYPE_CHECKING`` imports.  The tracer
+Subprocesses are not traced, so ``__main__.py`` is listed, and so are
+``TYPE_CHECKING`` imports.  The tracer
 slows the suite about threefold, so a test with a wall-clock bound may
 fail under it; the listing is printed either way.
 """
@@ -99,11 +100,12 @@ def main(argv: list[str]) -> int:
     print(f"pytest exit code {code}", file=sys.stderr)
     if expected is None:
         return 0
-    for key in sorted(expected - unrun):
+    stale = sorted(expected - unrun)
+    for key in stale:
         print(f"now run, so drop it from the expect file: {key}", file=sys.stderr)
     for where in unexpected:
         print(f"unrun and not expected: {where}", file=sys.stderr)
-    return 1 if unexpected else 0
+    return 1 if unexpected or stale else 0
 
 
 if __name__ == "__main__":

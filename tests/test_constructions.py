@@ -240,6 +240,13 @@ class TestCompleteFlag:
         with pytest.raises(NotFlag):
             complete_flag(S)
 
+    def test_a_missing_tetrahedron_is_not_flag(self):
+        # all its triangles are faces; growing cliques past triangles finds
+        # the missing tetrahedron before the gluing could fail
+        S = join(get("standard_sphere(2)").complex, from_facets([(5,), (6,)]))
+        with pytest.raises(NotFlag):
+            complete_flag(S)
+
     def test_apex_must_be_a_neighbour(self):
         # 1 and 2 are antipodal in cp4
         with pytest.raises(VertexNotPresent, match="^vertex 2 is not adjacent to 1$"):

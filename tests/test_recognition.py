@@ -48,6 +48,7 @@ from helpers import (
     reference_certify_surface,
     reference_collapse_stacked_sphere_to_ball,
     reference_greedy_reduce,
+    reference_is_flag,
     reference_is_stacked_ball,
     reference_link_screen,
     reference_pool,
@@ -989,6 +990,40 @@ class TestIsFlag:
             S = random_flag_2sphere(rng, rng.randint(6, 10))
             assert is_flag(S)
             assert certify_sphere(S).is_certified
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        kind=st.sampled_from(
+            ["flag2", "flag2*S0", "flag2*cycle", "cross", "stacked", "tetra*S0"]
+        ),
+        seed=st.integers(0, 2**16),
+    )
+    # every triangle of the suspended tetrahedron boundary is a face; only
+    # its 4-clique, which is no face, shows that it is not flag
+    @example(kind="tetra*S0", seed=0)
+    def test_matches_the_brute_force_reference(self, kind, seed):
+        S = _flag_candidate(kind, random.Random(seed))
+        assert is_flag(S) == reference_is_flag(S)
+
+
+def _flag_candidate(kind, rng):
+    """A sphere of the named kind for the is_flag property: flag 2-spheres,
+    their joins with S0 or a cycle, cross-polytopes, stacked spheres, whose
+    missing faces are cliques, and the suspension of a tetrahedron's boundary."""
+    if kind == "flag2":
+        return random_flag_2sphere(rng, rng.randint(6, 10))
+    if kind == "flag2*S0":
+        return _suspend(random_flag_2sphere(rng, rng.randint(6, 9)))
+    if kind == "flag2*cycle":
+        S = random_flag_2sphere(rng, rng.randint(6, 8))
+        k, top = rng.randint(3, 5), max(S.vertices)
+        return join(S, from_facets((top + i, top + i % k + 1) for i in range(1, k + 1)))
+    if kind == "cross":
+        return get(f"cross_polytope({rng.randint(2, 5)})").complex
+    if kind == "stacked":
+        dim = rng.randint(1, 3)
+        return random_stacked_sphere(rng, dim, rng.randint(dim + 2, dim + 7))
+    return _suspend(get("standard_sphere(2)").complex)
 
 
 def _join_of_cycles(*lengths):
